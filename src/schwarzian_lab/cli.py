@@ -43,7 +43,7 @@ from .integrals import (
 )
 from .jets import jet_from_coeffs
 from .maps import DISC, EXTERIOR_DISC, AnalyticFn, catalog, poincare_density, rotated_koebe, schlicht_family
-from .norms import SampleGrid, bn_norm_report, bound_check, sigma_phi
+from .norms import SampleGrid, bn_norm_report, bound_check, bound_row, sigma_phi
 from .ode import homogeneous_a_check, homogeneous_b_residual, ode_residual, schwarzian_solve
 from .symbolic import classical, evaluate_jet, monomial_part, series_constant, to_string
 
@@ -129,6 +129,21 @@ def _complex(text: str) -> complex:
 
 def _complex_list(text: str) -> list:
     return [_complex(part) for part in text.split(",") if part.strip()]
+
+
+def _int_at_least(lo: int, even: bool = False):
+    """argparse type: an integer >= lo, and even if asked."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo or (even and value % 2):
+            raise argparse.ArgumentTypeError(f"expected {'an even' if even else 'an'} integer >= {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def parse_function(spec: str) -> AnalyticFn:
@@ -220,7 +235,7 @@ def cmd_norm(args) -> dict:
     expr = checks.sigma_expr(args.series, args.n)
     grid = SampleGrid(J=args.grid_j, M=args.grid_m)
     rep = bn_norm_report(sigma_phi(fn, expr), args.n - 1, grid)
-    row = bound_check(args.series, args.n, fn, expr, grid)
+    row = bound_row(args.series, args.n, rep["estimate"])
     return {
         "schema": "v1",
         "operation": "norm",
@@ -456,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="print a higher Schwarzian operator in canonical form")
     p.add_argument("--series", choices=("A", "B"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(3), required=True)
     _add_common(p)
     p.set_defaults(func=cmd_expand)
 
@@ -464,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=sorted(checks.VERIFY_SUITES))
     p.add_argument("--series", choices=("A", "B"), default="A", help="series for the covariance law")
     p.add_argument("--n", type=int, nargs="*", help="operator orders to draw from")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.add_argument("--tol", type=float, default=None)
@@ -473,22 +488,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="hyperbolic sup-norm estimate of sigma_n applied to a function")
     p.add_argument("--function", required=True)
     p.add_argument("--series", choices=("A", "B"), default="A")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--grid-j", type=int, default=14)
-    p.add_argument("--grid-m", type=int, default=256)
+    p.add_argument("--n", type=_int_at_least(3), default=3)
+    p.add_argument("--grid-j", type=_int_at_least(0), default=14)
+    p.add_argument("--grid-m", type=_int_at_least(8, even=True), default=256)
     _add_common(p)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("bound", help="sharp-bound table over the schlicht catalog")
     p.add_argument("--series", choices=("A", "B"), default="A")
-    p.add_argument("--n", type=int, nargs="+", default=[3, 4, 5])
+    p.add_argument("--n", type=_int_at_least(3), nargs="+", default=[3, 4, 5])
     p.add_argument("--function", default="all")
     _add_common(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("dzero", help="differential of the higher Bers map at the origin")
     p.add_argument("--series", choices=("A", "B"), default="A")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_int_at_least(3), default=3)
     p.add_argument("--z", type=_complex, default=0.2 + 0.1j)
     p.add_argument("--density", default="aw:identity")
     p.add_argument("--grid-r", type=int, default=96)
@@ -516,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel-criterion", help="pairing form of the differential against the kernel power")
     p.add_argument("--series", choices=("A", "B"), default="A")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_int_at_least(3), default=3)
     p.add_argument("--z", type=_complex, default=0.3 + 0.1j)
     p.add_argument("--density", default="aw:taylor:0,0,1")
     p.add_argument("--grid-r", type=int, default=96)

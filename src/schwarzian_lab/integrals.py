@@ -22,14 +22,12 @@ from .symbolic import DiffExpr, monomial_coefficients, series_constant
 
 
 def vec_eval(fn, pts: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an array of complex points, vectorized when possible."""
-    try:
-        vals = np.asarray(fn(pts), dtype=complex)
-        if vals.shape == pts.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([fn(z) for z in pts.ravel()], dtype=complex).reshape(pts.shape)
+    """Evaluate fn on an array of complex points in one call; fn must return
+    an array of the same shape."""
+    vals = np.asarray(fn(pts), dtype=complex)
+    if vals.shape != np.shape(pts):
+        raise ValueError(f"callable returned shape {vals.shape} for points of shape {np.shape(pts)}")
+    return vals
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ nothing is ever padded silently.
 
 Coefficients are duck-typed.  The usual substrate is ``complex``, but every
 operation that does not force a branch cut works verbatim over
-``fractions.Fraction``, which the exact-arithmetic tests rely on.
+``fractions.Fraction``, which the exact-arithmetic tests rely on.  The center
+and the coefficients may also be numpy arrays over sample points: the
+recurrences then run elementwise, one jet standing for a whole batch of germs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 
 class JetError(ValueError):
     pass
@@ -23,6 +27,11 @@ class JetError(ValueError):
 
 def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
+
+
+def _any(flags) -> bool:
+    """True if any flag is set; Python bools pass through without numpy."""
+    return flags if isinstance(flags, bool) else bool(np.any(flags))
 
 
 @dataclass(frozen=True)
@@ -92,7 +101,7 @@ class Jet:
 
 
 def _check_centers(a: Jet, b: Jet):
-    if a.center != b.center:
+    if _any(a.center != b.center):
         raise JetError(f"center mismatch: {a.center} vs {b.center}")
 
 
@@ -113,7 +122,7 @@ def jet_from_coeffs(coeffs, center=0j) -> Jet:
 def jet_reciprocal(a: Jet) -> Jet:
     """Multiplicative inverse; requires nonvanishing constant term."""
     c0 = a.coeffs[0]
-    if c0 == 0:
+    if _any(c0 == 0):
         raise JetError("reciprocal of a jet with vanishing constant term")
     inv0 = Fraction(1, 1) / c0 if _is_exact(c0) else 1.0 / c0
     out = [inv0]
@@ -129,11 +138,19 @@ def jet_pow(a: Jet, alpha) -> Jet:
     The branch is the principal value of c0**alpha.  For integer alpha the
     result agrees with repeated multiplication/reciprocal; over exact
     coefficients with integer alpha (or with c0 == 1) the computation stays
-    exact.  Internally solves f*g' = alpha*f'*g coefficientwise.
+    exact.  Internally solves f*g' = alpha*f'*g coefficientwise, which divides
+    by c0; a vanishing c0 is allowed only for a nonnegative integer alpha,
+    where the result is the repeated product.
     """
     c0 = a.coeffs[0]
-    if c0 == 0:
-        raise JetError("power of a jet with vanishing constant term")
+    if _any(c0 == 0):
+        if not (isinstance(alpha, (int, Fraction, float)) and alpha >= 0 and alpha == int(alpha)):
+            raise JetError("power of a jet with vanishing constant term")
+        if alpha > 0:
+            out = a
+            for _ in range(int(alpha) - 1):
+                out = out * a
+            return out
     if alpha == 0:
         return jet_const(1 if _is_exact(c0) else 1.0 + 0j, a.center, a.order)
 
@@ -147,7 +164,7 @@ def jet_pow(a: Jet, alpha) -> Jet:
             g0 = Fraction(1)  # c0 == 1 here
         alph = Fraction(alpha)
     else:
-        g0 = complex(c0) ** complex(alpha)
+        g0 = np.power(c0, complex(alpha)) if isinstance(c0, np.ndarray) else complex(c0) ** complex(alpha)
         alph = float(Fraction(alpha)) if isinstance(alpha, Fraction) else alpha
 
     out = [g0]
@@ -165,8 +182,8 @@ def jet_compose(outer: Jet, inner: Jet, tol: float = 1e-9) -> Jet:
     of `outer` (recentering is the caller's job, e.g. via `jet_shift`).
     """
     v = inner.coeffs[0]
-    mismatch = abs(complex(v) - complex(outer.center))
-    if mismatch > tol * max(1.0, abs(complex(v))):
+    mismatch = abs(v - outer.center)
+    if _any((mismatch > tol) & (mismatch > tol * abs(v))):
         raise JetError(f"composition value/center mismatch: inner(center)={v}, outer.center={outer.center}")
     n = min(outer.order, inner.order)
     zero = 0 if _is_exact(v) and _is_exact(outer.coeffs[0]) else 0.0 + 0j
@@ -244,9 +261,3 @@ def derivative_values(a: Jet):
             fact *= k
         out.append(c * fact)
     return tuple(out)
-
-
-def jets_close(a: Jet, b: Jet, tol: float = 1e-10) -> bool:
-    n = min(a.order, b.order)
-    scale = max([1.0] + [abs(complex(c)) for c in a.coeffs[: n + 1]] + [abs(complex(c)) for c in b.coeffs[: n + 1]])
-    return all(abs(complex(a.coeffs[k]) - complex(b.coeffs[k])) <= tol * scale for k in range(n + 1))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, JetError, jet_compose, jet_from_coeffs, jet_reciprocal, jet_shift, jet_variable
+from .jets import Jet, JetError, _any, jet_compose, jet_from_coeffs, jet_reciprocal, jet_shift, jet_variable
 
 
 class DomainError(ValueError):
@@ -57,11 +57,12 @@ class Moebius:
     def inverse(self) -> "Moebius":
         return Moebius(self.d, -self.b, -self.c, self.a)
 
-    def jet(self, z0: complex, order: int) -> Jet:
+    def jet(self, z0, order: int) -> Jet:
+        """Jet at z0, a point or an array of points."""
         den = self.c * z0 + self.d
-        if abs(den) < 1e-14:
+        if _any(abs(den) < 1e-14):
             raise JetError("jet at the pole of a Moebius map")
-        z = jet_variable(complex(z0), order)
+        z = jet_variable(z0, order)
         return (self.a * z + self.b) * jet_reciprocal(self.c * z + self.d)
 
     def matches(self, other: "Moebius", tol: float = 1e-9) -> bool:
@@ -108,10 +109,6 @@ class Moebius:
         return t.inverse().compose(dil).compose(t)
 
 
-def moebius_jet(g: Moebius, z0: complex, order: int) -> Jet:
-    return g.jet(z0, order)
-
-
 # -- hyperbolic domains ------------------------------------------------------
 
 
@@ -145,36 +142,17 @@ class HyperbolicDomain:
             return 1.0 / (-2.0 * np.imag(z))
         raise DomainError(self.tag)
 
-    def reflect(self, z):
-        """Anticonformal reflection across the boundary; an involution."""
-        if self.tag in ("disc", "exterior_disc"):
-            return 1.0 / np.conj(z)
-        return np.conj(z)
-
-    def boundary_distance(self, z):
-        if self.tag == "disc":
-            return 1.0 - np.abs(z)
-        if self.tag == "exterior_disc":
-            return np.abs(z) - 1.0
-        return np.abs(np.imag(z))
-
 
 DISC = HyperbolicDomain("disc")
 EXTERIOR_DISC = HyperbolicDomain("exterior_disc")
 UPPER_HALF = HyperbolicDomain("upper_half")
 LOWER_HALF = HyperbolicDomain("lower_half")
 
-DOMAINS = {d.tag: d for d in (DISC, EXTERIOR_DISC, UPPER_HALF, LOWER_HALF)}
-
 
 def poincare_density(dom: HyperbolicDomain, z) -> float:
     if np.ndim(z) == 0 and not dom.contains(complex(z)):
         raise DomainError(f"{z} is not inside {dom.tag}")
     return dom.density(z)
-
-
-def reflect(dom: HyperbolicDomain, z):
-    return dom.reflect(z)
 
 
 # -- analytic function catalog ------------------------------------------------
@@ -266,9 +244,9 @@ class AnalyticFn:
             return z**kk - g(z) ** kk * g.deriv(z) ** q
         raise ValueError(k)
 
-    def jet(self, z0: complex, order: int) -> Jet:
+    def jet(self, z0, order: int) -> Jet:
+        """Jet at z0, a point or an array of points (one batched jet)."""
         k = self._d["kind"]
-        z0 = complex(z0)
         if k == "koebe":
             z = jet_variable(z0, order)
             one_minus = 1.0 - z
@@ -290,15 +268,11 @@ class AnalyticFn:
             pd = _poly_jet(den, z)
             return pn * jet_reciprocal(pd)
         if k == "compose":
-            inner_jets = []
-            point = z0
+            acc, point = None, z0
             for fn in reversed(self._fns):
                 j = fn.jet(point, order)
-                inner_jets.append(j)
-                point = complex(j.coeffs[0])
-            acc = inner_jets[0]
-            for j in inner_jets[1:]:
-                acc = jet_compose(j, acc)
+                point = j.coeffs[0]
+                acc = j if acc is None else jet_compose(j, acc)
             return acc
         if k == "pullback_diff":
             g = self._moebius_field("mat")

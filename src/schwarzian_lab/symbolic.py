@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .jets import Jet, jet_const, jet_derive, jet_pow, jet_reciprocal, jet_shift, derivative_values
+from .jets import Jet, _any, jet_const, jet_derive, jet_pow, jet_reciprocal, jet_shift, derivative_values
 
 Key = tuple  # (2*e1, e2, e3, ..., eK), trailing zeros trimmed
 
@@ -254,14 +254,15 @@ def evaluate(e: DiffExpr, f: Jet, z_offset=0):
 
     The jet is recentered by `jet_shift`, derivative values u_k = f^(k) are
     read off, and the Laurent polynomial is evaluated.  Requires jet order
-    >= the largest derivative index in `e` and u_1 != 0 there.
+    >= the largest derivative index in `e` and u_1 != 0 there.  A batched jet
+    gives an array of values, one per point.
     """
     top = e.max_index()
     if f.order < top:
         raise ValueError(f"jet order {f.order} below required derivative index {top}")
     g = jet_shift(f, z_offset) if z_offset != 0 else f
     us = (None,) + derivative_values(g)[1:]
-    if us[1] == 0:
+    if _any(us[1] == 0):
         raise ValueError("vanishing first derivative at evaluation point")
     total = None
     for key, coeff in e.terms.items():

@@ -96,3 +96,25 @@ def test_bad_group_descriptor(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["theta", "--group", '{"kind": "NOPE"}'])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["expand", "--series", "A", "--n", "2"],
+        ["norm", "--function", "koebe", "--n", "2"],
+        ["bound", "--n", "3", "2"],
+        ["norm", "--function", "koebe", "--grid-m", "7"],
+        ["norm", "--function", "koebe", "--grid-m", "6"],
+        ["norm", "--function", "koebe", "--grid-j", "-1"],
+        ["verify", "affine", "--trials", "0"],
+        ["dzero", "--n", "2"],
+        ["kernel-criterion", "--n", "2"],
+    ],
+)
+def test_bad_numeric_parameters_are_usage_errors(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("schwarzian-lab ") and "error: argument" in err[-1]

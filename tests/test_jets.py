@@ -93,6 +93,19 @@ def test_integer_power_matches_repeated_product():
     assert max(abs(a - b) for a, b in zip(inv2.coeffs, (rec * rec).coeffs)) < 1e-14
 
 
+def test_integer_power_of_vanishing_constant_term():
+    z = jet_variable(0j, 3)
+    assert (z**2).coeffs == (0, 0, 1, 0)
+    assert jet_pow(z + z * z, 3).coeffs == (0, 0, 0, 1)
+    exact = jet_from_coeffs([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(0)])
+    assert jet_pow(exact, 2).coeffs == (0, 0, Fraction(1, 4), Fraction(1, 3))
+    assert all(isinstance(c, Fraction) for c in jet_pow(exact, 2).coeffs)
+    assert jet_pow(exact, 0).coeffs == (1, 0, 0, 0)
+    for alpha in (-1, Fraction(1, 2), 0.5):
+        with pytest.raises(JetError):
+            jet_pow(z, alpha)
+
+
 def test_derive_antiderive_roundtrip():
     f = jet_from_coeffs([3, 1, 4, 1, 5])
     g = jet_antiderive(jet_derive(f), const=3)

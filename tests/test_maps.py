@@ -143,3 +143,31 @@ def test_vectorized_evaluation():
     zs = np.array(SAMPLES)
     vals = k(zs)
     assert np.max(np.abs(vals - zs / (1 - zs) ** 2)) < 1e-14
+
+
+def test_array_jets_match_scalar_jets():
+    g = Moebius.hyperbolic(0.3, 2.0, 3.0)
+    mat = [[v.real, v.imag] for v in (g.a, g.b, g.c, g.d)]
+    descriptors = [
+        {"kind": "koebe"},
+        {"kind": "identity"},
+        {"kind": "cayley"},
+        {"kind": "rotation", "theta": 0.7},
+        {"kind": "taylor", "center": [0.1, -0.2], "coeffs": [[0.5, 0.0], [1.0, 0.5], [0.0, -0.25], [0.125, 0.0]]},
+        {"kind": "moebius", "mat": [[2.0, 0.0], [1.0, 0.0], [0.5, 0.5], [3.0, 0.0]]},
+        {"kind": "rational", "num": [[0.0, 0.0], [1.0, 0.0]], "den": [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]},
+        rotated_koebe(1.1).descriptor(),
+        {"kind": "pullback_diff", "k": 3, "q": 2, "mat": mat},
+    ]
+    # the origin is a sample point: pullback_diff takes z^k there with z(0) = 0
+    pts = np.array([0.0, 0.3 + 0.2j, -0.55j, -0.7 + 0.1j, 0.9 - 0.05j])
+    order = 6
+    for desc in descriptors:
+        fn = AnalyticFn(desc)
+        batched = fn.jet(pts, order)
+        assert batched.order == order
+        for i, z in enumerate(pts):
+            scalar = fn.jet(complex(z), order)
+            for k in range(order + 1):
+                b = np.broadcast_to(batched.coeffs[k], pts.shape)[i]
+                assert abs(b - scalar.coeffs[k]) <= 1e-12 * max(1.0, abs(scalar.coeffs[k])), (desc["kind"], z, k)

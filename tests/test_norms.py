@@ -5,6 +5,8 @@ noise of it; since the estimates can overshoot by rounding, the pass margin
 is relative (the sharp values grow like 4^n n!).
 """
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,14 @@ from schwarzian_lab import (
     bn_norm_report,
     bound_check,
     catalog,
+    rotated_koebe,
     schlicht_family,
     sigma_a,
+    sigma_b,
     sigma_phi,
 )
-from schwarzian_lab.norms import worker_count
+from schwarzian_lab.integrals import vec_eval
+from schwarzian_lab.symbolic import evaluate
 
 REL_SLACK = 1e-9
 
@@ -82,8 +87,34 @@ def test_rejects_non_finite_samples():
         bn_norm_report(bad, 2, grid)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("SCHWARZIAN_LAB_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("SCHWARZIAN_LAB_THREADS", "0")
-    assert worker_count() >= 1
+def test_scalar_only_callable_raises():
+    # no per-point fallback: a callable that cannot take an array is an error
+    grid = SampleGrid(J=6, M=8)
+    with pytest.raises(TypeError):
+        bn_norm_report(lambda z: cmath.exp(z), 2, grid)
+    with pytest.raises(ValueError):
+        bn_norm_report(lambda z: 1.0, 2, grid)
+
+
+def test_vec_eval_rejects_shape_mismatch():
+    pts = np.linspace(0, 0.5, 5) + 0j
+    assert vec_eval(lambda z: 2 * z, pts).shape == pts.shape
+    with pytest.raises(ValueError):
+        vec_eval(lambda z: np.ones(3), pts)
+
+
+@pytest.mark.parametrize("series,n", [(s, n) for s in "AB" for n in (3, 4, 5)])
+def test_batched_sigma_matches_scalar_jets(series, n):
+    # every radial level of the default grid, on fewer angles: the per-point
+    # scalar jets are the reference for the batched path
+    grid = SampleGrid(J=14, M=16)
+    pts = grid.points()
+    weight = grid.domain.density(pts) ** (1.0 - n)
+    expr = sigma_a(n) if series == "A" else sigma_b(n)
+    bound = a_series_bound(n) if series == "A" else b_series_bound(n)
+    fns = schlicht_family() + [("rotated_koebe", rotated_koebe(t)) for t in (0.7, 2.9)]
+    for name, fn in fns:
+        batched = sigma_phi(fn, expr)(pts)
+        scalar = np.array([evaluate(expr, fn.jet(complex(z), n)) for z in pts])
+        err = np.max(np.abs(batched - scalar) * weight)
+        assert err <= 1e-10 * max(1.0, bound), (name, err)

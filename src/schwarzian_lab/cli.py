@@ -42,18 +42,13 @@ from .integrals import (
     repro_check,
 )
 from .jets import jet_from_coeffs
-from .maps import DISC, EXTERIOR_DISC, AnalyticFn, catalog, poincare_density, rotated_koebe, schlicht_family
+from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, AnalyticFn, catalog, poincare_density, rotated_koebe, schlicht_family
 from .norms import SampleGrid, bn_norm_report, bound_check, bound_row, sigma_phi
 from .ode import homogeneous_a_check, homogeneous_b_residual, ode_residual, schwarzian_solve
 from .symbolic import classical, evaluate_jet, monomial_part, series_constant, to_string
 
 
 # -- report plumbing -----------------------------------------------------------
-
-
-def _usage_error(msg: str) -> SystemExit:
-    print(f"schwarzian-lab: error: {msg}", file=sys.stderr)
-    return SystemExit(2)
 
 
 def _jsonify(obj):
@@ -101,7 +96,7 @@ def _emit(report: dict, args) -> None:
     elif args.format == "csv":
         rows = data.get("rows")
         if not rows:
-            raise _usage_error("csv format is only available for tabular reports (norm, bound)")
+            raise argparse.ArgumentTypeError("argument --format: csv is only available for tabular reports (norm, bound)")
         cols = list(rows[0])
         lines = [",".join(cols)]
         for row in rows:
@@ -125,6 +120,24 @@ def _complex(text: str) -> complex:
         return complex(text.replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+
+
+def _point_in(dom):
+    """argparse type: a complex number inside the given domain."""
+
+    def parse(text: str) -> complex:
+        z = _complex(text)
+        if not dom.contains(z):
+            raise argparse.ArgumentTypeError(f"{z} is not inside {dom.tag}")
+        return z
+
+    return parse
+
+
+def _require(ok: bool, msg: str) -> None:
+    """Reject a parameter whose valid range depends on the other parameters."""
+    if not ok:
+        raise argparse.ArgumentTypeError(msg)
 
 
 def _complex_list(text: str) -> list:
@@ -188,12 +201,9 @@ def inverse_power_fn(q: int) -> AnalyticFn:
 def _group(args) -> tuple:
     try:
         desc = json.loads(args.group)
-    except json.JSONDecodeError as exc:
-        raise _usage_error(f"invalid group descriptor: {exc}")
-    try:
         return group_from_descriptor(desc), desc
-    except GroupError as exc:
-        raise _usage_error(str(exc))
+    except (GroupError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"argument --group: invalid group descriptor: {exc}") from None
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -208,13 +218,18 @@ def cmd_expand(args) -> dict:
         "expression": to_string(expr),
         "monomial_part": to_string(monomial_part(expr)),
         "series_constant": str(series_constant(expr)),
-        "weights": sorted(int(w) for w in expr.weights()),
+        "weights": sorted(expr.weights()),
         "ok": True,
     }
 
 
 def cmd_verify(args) -> dict:
     suite = checks.VERIFY_SUITES[args.target]
+    if args.n and args.target != "weights":
+        bol = args.target == "bol"
+        lo = 2 if bol else 3
+        bad = [n for n in args.n if n < lo or (bol and n % 2)]
+        _require(not bad, f"argument --n: {args.target} needs {'even ' if bol else ''}orders >= {lo}, got {bad}")
     kwargs = {"trials": args.trials, "seed": args.seed}
     if args.target == "covariance":
         kwargs["series"] = args.series
@@ -259,7 +274,7 @@ def cmd_bound(args) -> dict:
             ok = ok and row["margin"] >= -1e-9 * max(1.0, row["bound"])
     if not rows:
         names = [name for name, _ in fams]
-        raise _usage_error(f"unknown catalog function {args.function!r}; have {names} or 'all'")
+        raise argparse.ArgumentTypeError(f"argument --function: unknown catalog function {args.function!r}; have {names} or 'all'")
     return {
         "schema": "v1",
         "operation": "bound",
@@ -290,8 +305,6 @@ def cmd_dzero(args) -> dict:
 
 def cmd_aw(args) -> dict:
     phi = parse_function(args.phi)
-    if abs(args.z) <= 1:
-        raise _usage_error("--z must lie outside the closed unit disc")
     sval = ahlfors_weill(phi, args.z)
     nu = ahlfors_weill_density(phi)
     w = 1 / np.conj(args.z)
@@ -366,7 +379,7 @@ def cmd_pairing(args) -> dict:
     if args.group:
         gens, desc = _group(args)
         if len(gens) != 1:
-            raise _usage_error("fundamental-domain pairing needs a cyclic group")
+            raise argparse.ArgumentTypeError("argument --group: fundamental-domain pairing needs a cyclic group")
         t1, t2 = desc["fixpoints"]
         grid = fundamental_annulus_grid(t1, t2, desc["multiplier"], n_rad=args.grid_r, n_ang=args.grid_m)
         domain_note = "cyclic fundamental domain"
@@ -432,7 +445,10 @@ def cmd_solve(args) -> dict:
             "schwarzian_residual": residual,
             "ok": bool(residual < args.tol),
         }
+    _require(args.n >= 4, f"argument --n: {args.what} needs n >= 4, got {args.n}")
     if args.what == "homog-b":
+        _require(len(args.alpha) <= args.n - 1, f"argument --alpha: at most {args.n - 1} coefficients for n = {args.n}")
+        _require(bool(args.alpha) and args.alpha[0] != 0, "argument --alpha: the leading coefficient must not vanish")
         res = homogeneous_b_residual(args.n, args.alpha, order=args.order)
         return {
             "schema": "v1",
@@ -441,6 +457,7 @@ def cmd_solve(args) -> dict:
             "residual": res,
             "ok": bool(res < args.tol),
         }
+    _require(len(args.poly) <= args.n - 3, f"argument --poly: degree must be <= {args.n - 4} for n = {args.n}")
     res = homogeneous_a_check(args.poly, args.n, order=args.order)
     return {
         "schema": "v1",
@@ -504,27 +521,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dzero", help="differential of the higher Bers map at the origin")
     p.add_argument("--series", choices=("A", "B"), default="A")
     p.add_argument("--n", type=_int_at_least(3), default=3)
-    p.add_argument("--z", type=_complex, default=0.2 + 0.1j)
+    p.add_argument("--z", type=_point_in(DISC), default=0.2 + 0.1j)
     p.add_argument("--density", default="aw:identity")
-    p.add_argument("--grid-r", type=int, default=96)
-    p.add_argument("--grid-m", type=int, default=256)
+    p.add_argument("--grid-r", type=_int_at_least(1), default=96)
+    p.add_argument("--grid-m", type=_int_at_least(1), default=256)
     _add_common(p)
     p.set_defaults(func=cmd_dzero)
 
     p = sub.add_parser("aw", help="bounded holomorphic section and its round trip through the differential")
     p.add_argument("--phi", default="identity")
-    p.add_argument("--z", type=_complex, default=2 + 0j, help="exterior evaluation point")
-    p.add_argument("--grid-r", type=int, default=96)
-    p.add_argument("--grid-m", type=int, default=256)
+    p.add_argument("--z", type=_point_in(EXTERIOR_DISC), default=2 + 0j, help="exterior evaluation point")
+    p.add_argument("--grid-r", type=_int_at_least(1), default=96)
+    p.add_argument("--grid-m", type=_int_at_least(1), default=256)
     _add_common(p, tol=2e-2)
     p.set_defaults(func=cmd_aw)
 
     p = sub.add_parser("repro", help="half-plane reproducing formula for Bers-type densities")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--z", type=_complex, default=-2j)
+    p.add_argument("--q", type=_int_at_least(1), default=2)
+    p.add_argument("--z", type=_point_in(LOWER_HALF), default=-2j)
     p.add_argument("--phi", default=None, help="defaults to (z-i)^(-2q)")
-    p.add_argument("--grid-r", type=int, default=128)
-    p.add_argument("--grid-m", type=int, default=128)
+    p.add_argument("--grid-r", type=_int_at_least(1), default=128)
+    p.add_argument("--grid-m", type=_int_at_least(1), default=128)
     p.add_argument("--radius", type=float, default=40.0)
     _add_common(p, tol=1e-2)
     p.set_defaults(func=cmd_repro)
@@ -532,37 +549,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-criterion", help="pairing form of the differential against the kernel power")
     p.add_argument("--series", choices=("A", "B"), default="A")
     p.add_argument("--n", type=_int_at_least(3), default=3)
-    p.add_argument("--z", type=_complex, default=0.3 + 0.1j)
+    p.add_argument("--z", type=_point_in(DISC), default=0.3 + 0.1j)
     p.add_argument("--density", default="aw:taylor:0,0,1")
-    p.add_argument("--grid-r", type=int, default=96)
-    p.add_argument("--grid-m", type=int, default=256)
+    p.add_argument("--grid-r", type=_int_at_least(1), default=96)
+    p.add_argument("--grid-m", type=_int_at_least(1), default=256)
     _add_common(p, tol=1e-2)
     p.set_defaults(func=cmd_kernel_criterion)
 
     p = sub.add_parser("theta", help="truncated Poincare series with tail and automorphy bounds")
     p.add_argument("--group", default='{"kind": "cyclic", "fixpoints": [0.5, 2.8], "multiplier": 4.0}')
-    p.add_argument("--radius", type=int, default=8)
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--radius", type=_int_at_least(1), default=8)
+    p.add_argument("--q", type=_int_at_least(2), default=2)
     p.add_argument("--f", default="taylor:0,0.5,1")
-    p.add_argument("--z", type=_complex, default=0.3 + 0.2j)
+    p.add_argument("--z", type=_point_in(DISC), default=0.3 + 0.2j)
     _add_common(p)
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("pairing", help="Weil-Petersson pairing over the disc or a cyclic fundamental domain")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--s", type=_int_at_least(2), default=2)
     p.add_argument("--group", default=None)
-    p.add_argument("--grid-r", type=int, default=96)
-    p.add_argument("--grid-m", type=int, default=256)
+    p.add_argument("--grid-r", type=_int_at_least(1), default=96)
+    p.add_argument("--grid-m", type=_int_at_least(1), default=256)
     _add_common(p)
     p.set_defaults(func=cmd_pairing)
 
     p = sub.add_parser("bergman", help="weighted Bergman projection checks")
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--grid-r", type=int, default=96)
-    p.add_argument("--grid-m", type=int, default=256)
+    p.add_argument("--s", type=_int_at_least(2), default=2)
+    p.add_argument("--k", type=_int_at_least(0), default=4)
+    p.add_argument("--grid-r", type=_int_at_least(1), default=96)
+    p.add_argument("--grid-m", type=_int_at_least(1), default=256)
     _add_common(p, tol=1e-3)
     p.set_defaults(func=cmd_bergman)
 
@@ -572,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_complex_list, default=[1 + 0j, 0j, 1 + 0j])
     p.add_argument("--poly", type=_complex_list, default=[0.5 + 0j])
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--order", type=int, default=14)
+    p.add_argument("--order", type=_int_at_least(3), default=14)
     _add_common(p, tol=1e-9)
     p.set_defaults(func=cmd_solve)
 
@@ -583,9 +600,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
+        _emit(report, args)
     except (argparse.ArgumentTypeError, FileNotFoundError) as exc:
-        raise _usage_error(str(exc))
-    _emit(report, args)
+        # the same one-line form argparse uses for the errors it finds itself
+        print(f"schwarzian-lab {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     return 0 if report.get("ok", False) else 1
 
 

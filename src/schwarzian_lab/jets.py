@@ -199,6 +199,11 @@ def jet_reverse(a: Jet) -> Jet:
 
     Supported at center 0 with a(0) = 0 and a'(0) != 0 (the fixed-point
     normalization every caller uses), so that the inverse is again a jet at 0.
+
+    Power-table reversion (Knuth, TAOCP vol. 2, §4.7): column m of
+    P[k][m] = [z^m] g^k, k >= 2, needs only g_1..g_{m-1}, and then
+    g_m = -(1/a_1) sum_{k=2}^{m} a_k P[k][m].  O(n^3) coefficient products at
+    order n, no intermediate jets; exact over Fraction coefficients.
     """
     if a.center != 0:
         raise JetError("reversion is supported at center 0 only")
@@ -207,13 +212,16 @@ def jet_reverse(a: Jet) -> Jet:
     if len(a.coeffs) < 2 or a.coeffs[1] == 0:
         raise JetError("reversion needs nonvanishing linear term")
     n = a.order
-    c1 = a.coeffs[1]
-    inv1 = Fraction(1, 1) / c1 if _is_exact(c1) else 1.0 / c1
-    g = [a.coeffs[0] * 0, inv1] + [a.coeffs[0] * 0] * (n - 1)
+    c = a.coeffs
+    inv1 = Fraction(1, 1) / c[1] if _is_exact(c[1]) else 1.0 / c[1]
+    zero = c[0] * 0
+    g = [zero, inv1] + [zero] * (n - 1)
+    powers = [None, g] + [[zero] * (n + 1) for _ in range(n - 1)]
     for m in range(2, n + 1):
-        # coefficient of z^m in a∘g with the current partial g must vanish
-        comp = jet_compose(a, Jet(a.center, tuple(g)))
-        g[m] = -inv1 * comp.coeffs[m]
+        for k in range(2, m + 1):
+            lower = powers[k - 1]
+            powers[k][m] = sum(g[j] * lower[m - j] for j in range(1, m - k + 2))
+        g[m] = -inv1 * sum(c[k] * powers[k][m] for k in range(2, m + 1))
     return Jet(a.center, tuple(g))
 
 

@@ -96,16 +96,10 @@ class DiffExpr:
         return max((len(key) for key in self.terms), default=1)
 
     def weights(self) -> set:
-        """Set of monomial weights sum_k (k-1)*e_k (u_1 counted with e_1)."""
-        out = set()
-        for key in self.terms:
-            w = Fraction(0)
-            for i, e in enumerate(key):
-                k = i + 1
-                ek = Fraction(e, 2) if k == 1 else Fraction(e)
-                w += (k - 1) * ek
-            out.add(w)
-        return out
+        """Set of monomial weights sum_k (k-1)*e_k, as integers.
+
+        u_1 carries weight 0, so its half-integer exponent never enters."""
+        return {sum(i * e for i, e in enumerate(key)) for key in self.terms}
 
     def __repr__(self):
         return f"DiffExpr({to_string(self)!r})"
@@ -162,14 +156,15 @@ def sym_derive(e: DiffExpr) -> DiffExpr:
 @lru_cache(maxsize=None)
 def sigma_a(n: int) -> DiffExpr:
     """A-series higher Schwarzian: sigma_3 = S_f, then
-    sigma_{n+1} = sigma_n' - (n-1)*(f''/f')*sigma_n."""
+    sigma_{n+1} = sigma_n' - (n-1)*(f''/f')*sigma_n.
+
+    Each order is one step from the cached order below it."""
     if n < 3:
         raise ValueError("A-series starts at n = 3")
-    expr = classical("schwarzian")
-    ps = classical("pre_schwarzian")
-    for m in range(3, n):
-        expr = sym_derive(expr) - (ps * expr).scale(m - 1)
-    return expr
+    if n == 3:
+        return classical("schwarzian")
+    prev = sigma_a(n - 1)
+    return sym_derive(prev) - (classical("pre_schwarzian") * prev).scale(n - 2)
 
 
 @lru_cache(maxsize=None)

@@ -110,6 +110,19 @@ def test_bad_group_descriptor(capsys):
         ["verify", "affine", "--trials", "0"],
         ["dzero", "--n", "2"],
         ["kernel-criterion", "--n", "2"],
+        ["verify", "bol", "--n", "5"],
+        ["solve", "homog-b", "--n", "3"],
+        ["solve", "homog-a", "--n", "3"],
+        ["theta", "--q", "1"],
+        ["dzero", "--z", "1.5"],
+        ["verify", "affine", "--n", "2"],
+        ["solve", "homog-a", "--n", "4", "--poly", "1,2"],
+        ["solve", "homog-b", "--n", "4", "--alpha", "0,1"],
+        ["kernel-criterion", "--z", "1.5"],
+        ["pairing", "--f", "identity", "--g", "identity", "--s", "1"],
+        ["theta", "--group", '{"kind": "cyclic", "fixpoints": [0.5, 0.5], "multiplier": 4.0}'],
+        ["dzero", "--grid-r", "0"],
+        ["bergman", "--grid-m", "-4"],
     ],
 )
 def test_bad_numeric_parameters_are_usage_errors(capsys, args):
@@ -118,3 +131,9 @@ def test_bad_numeric_parameters_are_usage_errors(capsys, args):
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("schwarzian-lab ") and "error: argument" in err[-1]
+
+
+def test_in_range_edge_parameters_still_run(capsys):
+    assert run(["verify", "bol", "--n", "2", "--trials", "3"]) == 0
+    assert run(["solve", "homog-a", "--n", "4", "--poly", "0.5"]) == 0
+    assert run(["solve", "homog-b", "--n", "5", "--alpha", "1,0.5,0.25,0.1"]) == 0

@@ -2,9 +2,11 @@
 reversion, and the calculus operations, on both float and exact rational
 coefficients."""
 
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -73,6 +75,48 @@ def test_reversion_needs_unit_slope():
         jet_reverse(jet_from_coeffs([1, 1, 0]))
     with pytest.raises(JetError):
         jet_reverse(jet_from_coeffs([0, 0, 1]))
+
+
+def _lagrange_reverse(coeffs):
+    """Reversion by Lagrange inversion in sympy, independent of the jets
+    module: [z^m] g = (1/m) [w^(m-1)] (w/a(w))^m, with w/a(w) the inverse of
+    a(w)/w modulo w^n by the extended Euclidean algorithm."""
+    w = sympy.symbols("w")
+    n = len(coeffs) - 1
+    a = sum(sympy.Rational(c.numerator, c.denominator) * w**k for k, c in enumerate(coeffs))
+    mod = sympy.Poly(w**n, w)
+    h = sympy.Poly(sympy.cancel(a / w), w).invert(mod)
+    power = sympy.Poly(1, w)
+    out = [Fraction(0)]
+    for m in range(1, n + 1):
+        power = (power * h).rem(mod)
+        c = power.coeff_monomial(w ** (m - 1)) / m
+        out.append(Fraction(int(c.p), int(c.q)))
+    return tuple(out)
+
+
+def test_reversion_matches_lagrange_inversion():
+    rng = random.Random(3)
+    for n in range(2, 17):
+        slope = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+        coeffs = [Fraction(0), slope] + [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n - 1)]
+        g = jet_reverse(jet_from_coeffs(coeffs, center=0))
+        assert all(isinstance(c, Fraction) for c in g.coeffs)
+        assert g.coeffs == _lagrange_reverse(coeffs), n
+
+
+small = st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False)
+slopes = st.complex_numbers(min_magnitude=0.5, max_magnitude=2, allow_nan=False, allow_infinity=False)
+
+
+@given(slopes, st.lists(small, min_size=1, max_size=9))
+def test_reversion_inverts_both_ways_complex(slope, tail):
+    a = jet_from_coeffs([0j, slope] + tail, center=0)
+    g = jet_reverse(a)
+    ident = (0, 1) + (0,) * (a.order - 1)
+    scale = max(1.0, max(abs(c) for c in g.coeffs))
+    for comp in (jet_compose(a, g), jet_compose(g, a)):
+        assert max(abs(c - e) for c, e in zip(comp.coeffs, ident)) <= 1e-12 * scale
 
 
 def test_rational_power_exact():

@@ -80,6 +80,30 @@ def test_weight_homogeneity():
         assert sigma_a(n).weights() == {n - 1}
         assert sigma_b(n).weights() == {n - 1}
     assert sym_derive(sigma_a(4)).weights() == {4}
+    # u_1 carries no weight, whatever its (half-integer) exponent
+    assert (monomial(1, -3, u2=1) + monomial(2, 5, u3=2)).weights() == {1, 4}
+    assert all(type(w) is int for w in sigma_b(9).weights())
+
+
+def test_sigma_a_matches_direct_expansion():
+    """Each cached order built from the one below equals the expansion
+    re-run from sigma_3, term for term and in the same term order (which
+    fixes the float summation order of `evaluate`)."""
+
+    def direct(n):
+        expr = classical("schwarzian")
+        ps = classical("pre_schwarzian")
+        for m in range(3, n):
+            expr = sym_derive(expr) - (ps * expr).scale(m - 1)
+        return expr
+
+    sigma_a.cache_clear()
+    top = sigma_a(16)
+    for n in range(3, 17):
+        expected = direct(n)
+        assert sigma_a(n) == expected
+        assert list(sigma_a(n).terms) == list(expected.terms)
+    assert top is sigma_a(16)
 
 
 def test_integer_coefficients_a_series():

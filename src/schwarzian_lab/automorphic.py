@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrals import QuadGrid, disc_quadrature, quad2d, vec_eval, weighted_pairing
+from .integrals import QuadGrid, disc_quadrature, legendre_rule, quad2d, vec_eval, weighted_pairing
 from .maps import (
     DISC,
     EXTERIOR_DISC,
@@ -170,7 +170,10 @@ def poincare_theta(f, q: int, ball: GroupBall, z: complex, f_sup: float | None =
     automorphy bound sup|f| * B_r * (1+rho) dominates the defect
     |Theta(g0 z) g0'(z)^q - Theta(z)| of the truncated sum, because the
     symmetric difference between the ball and its g0-translate consists of
-    words of length r and r+1 only.
+    words of length r and r+1 only.  A ball holding only the identity is
+    exact for the trivial group (both bounds 0); for a radius-0 ball of any
+    other group there are no boundary words to estimate decay from, so both
+    bounds are infinite.
     """
     if q < 2:
         raise ValueError("weight must be >= 2")
@@ -179,7 +182,9 @@ def poincare_theta(f, q: int, ball: GroupBall, z: complex, f_sup: float | None =
         raise ValueError("evaluation point must lie in the unit disc")
     value = complex(theta_values(f, q, ball, z))
     if ball.radius == 0 or len(ball) == 1:
-        return ThetaResult(value, 0.0, 0.0, 0.0, 0.0, ball.radius)
+        # at radius >= 1 a one-element ball means every generator is the identity
+        bound = 0.0 if ball.radius > 0 or not ball.generators else math.inf
+        return ThetaResult(value, bound, bound, 0.0, 0.0, ball.radius)
     if f_sup is None:
         f_sup = sup_on_disc(f)
     b_r = ball.boundary_sum(z, q)
@@ -287,8 +292,8 @@ def fundamental_annulus_grid(
         raise GroupError("conjugated generator is not a dilation")
     if m < 1:
         m = 1 / m
-    xs, wx = np.polynomial.legendre.leggauss(n_rad)
-    ps, wp = np.polynomial.legendre.leggauss(n_ang)
+    xs, wx = legendre_rule(n_rad)
+    ps, wp = legendre_rule(n_ang)
     length = math.log(m)
     x = 0.5 * length * (xs + 1.0) + math.log(r0)
     wx = 0.5 * length * wx

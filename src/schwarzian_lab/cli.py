@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,6 +143,17 @@ def _require(ok: bool, msg: str) -> None:
 
 def _complex_list(text: str) -> list:
     return [_complex(part) for part in text.split(",") if part.strip()]
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite real number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {value}")
+    return value
 
 
 def _int_at_least(lo: int, even: bool = False):
@@ -478,7 +490,10 @@ def _add_common(p, tol: float | None = None) -> None:
         p.add_argument("--tol", type=float, default=tol)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later `main` call.
+    List-valued defaults are tuples, so no call can mutate them for the next."""
     ap = argparse.ArgumentParser(
         prog="schwarzian-lab",
         description="Construct higher Schwarzian operators, evaluate them on "
@@ -513,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="sharp-bound table over the schlicht catalog")
     p.add_argument("--series", choices=("A", "B"), default="A")
-    p.add_argument("--n", type=_int_at_least(3), nargs="+", default=[3, 4, 5])
+    p.add_argument("--n", type=_int_at_least(3), nargs="+", default=(3, 4, 5))
     p.add_argument("--function", default="all")
     _add_common(p)
     p.set_defaults(func=cmd_bound)
@@ -542,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", default=None, help="defaults to (z-i)^(-2q)")
     p.add_argument("--grid-r", type=_int_at_least(1), default=128)
     p.add_argument("--grid-m", type=_int_at_least(1), default=128)
-    p.add_argument("--radius", type=float, default=40.0)
+    p.add_argument("--radius", type=_positive_float, default=40.0)
     _add_common(p, tol=1e-2)
     p.set_defaults(func=cmd_repro)
 
@@ -586,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="power-series solutions of the Schwarzian equations")
     p.add_argument("what", choices=("ode", "homog-a", "homog-b"))
     p.add_argument("--phi", type=_complex_list, default=None, help="Taylor coefficients of the target Schwarzian")
-    p.add_argument("--alpha", type=_complex_list, default=[1 + 0j, 0j, 1 + 0j])
-    p.add_argument("--poly", type=_complex_list, default=[0.5 + 0j])
+    p.add_argument("--alpha", type=_complex_list, default=(1 + 0j, 0j, 1 + 0j))
+    p.add_argument("--poly", type=_complex_list, default=(0.5 + 0j,))
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--order", type=_int_at_least(3), default=14)
     _add_common(p, tol=1e-9)

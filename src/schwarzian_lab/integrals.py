@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,8 +51,18 @@ class QuadGrid:
         raise ValueError(f"cannot refine grid of kind {kind!r}")
 
 
-def _gauss_legendre(n: int, lo: float, hi: float):
+@lru_cache(maxsize=None)
+def legendre_rule(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], computed once
+    per process and shared read-only by every grid that uses them."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _gauss_legendre(n: int, lo: float, hi: float):
+    x, w = legendre_rule(n)
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
@@ -209,15 +220,6 @@ def w1_term(nu: DensityFn, z, grid: QuadGrid | None = None, norm_terms=(0.0, 0.0
         return nu(eta) * (base + extra)
 
     return -quad2d(integrand, grid) / math.pi
-
-
-def derivative_kernel_value(nu, z: complex, k: int, grid: QuadGrid | None = None) -> complex:
-    """Closed form ((-1)^k k!/pi) * integral of nu(eta)/(z-eta)^(k+1): the
-    k-th z-derivative of w1 away from the support of nu (k >= 2, where the
-    normalization terms have dropped out)."""
-    grid = grid or exterior_disc_quadrature()
-    val = quad2d(lambda eta: nu(eta) / (z - eta) ** (k + 1), grid)
-    return (-1.0) ** k * math.factorial(k) / math.pi * val
 
 
 def finite_difference(fn, z: complex, k: int, h: float = 1e-2) -> complex:

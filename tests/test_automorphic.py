@@ -88,6 +88,17 @@ def test_theta_automorphy_within_reported_bound():
     assert rep.tail_estimate < rep.automorphy_bound
 
 
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_theta_small_balls_report_a_bound_that_holds(radius):
+    # a radius-0 ball of a nontrivial group has no boundary words to
+    # estimate decay from; its bound must still dominate the residual
+    f = catalog("taylor", coeffs=[0, 0.5, 1])
+    ball = group_ball(_cyclic_gens(), radius)
+    z = 0.3 + 0.2j
+    rep = poincare_theta(f, 2, ball, z)
+    assert automorphy_residual(f, 2, ball, z) <= rep.automorphy_bound
+
+
 def test_theta_reindexing_residual_shrinks_with_radius():
     f = catalog("taylor", coeffs=[0, 0.5, 1])
     gens = _cyclic_gens()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from schwarzian_lab.cli import main
+from schwarzian_lab.cli import build_parser, main
 
 
 def run(args):
@@ -123,6 +123,8 @@ def test_bad_group_descriptor(capsys):
         ["theta", "--group", '{"kind": "cyclic", "fixpoints": [0.5, 0.5], "multiplier": 4.0}'],
         ["dzero", "--grid-r", "0"],
         ["bergman", "--grid-m", "-4"],
+        ["repro", "--radius", "-1"],
+        ["repro", "--radius", "0"],
     ],
 )
 def test_bad_numeric_parameters_are_usage_errors(capsys, args):
@@ -137,3 +139,17 @@ def test_in_range_edge_parameters_still_run(capsys):
     assert run(["verify", "bol", "--n", "2", "--trials", "3"]) == 0
     assert run(["solve", "homog-a", "--n", "4", "--poly", "0.5"]) == 0
     assert run(["solve", "homog-b", "--n", "5", "--alpha", "1,0.5,0.25,0.1"]) == 0
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_outputs(capsys):
+    first = ["bound", "--series", "A", "--n", "3", "--function", "koebe", "--format", "json"]
+    outs = []
+    for argv in (first, ["solve", "homog-b", "--n", "4", "--format", "json"], first):
+        run(argv)
+        outs.append(capsys.readouterr().out)
+    assert outs[2] == outs[0]
+    assert json.loads(outs[0])["inputs"]["n"] == [3]

@@ -22,12 +22,14 @@ from schwarzian_lab import (
     poincare_density,
     repro_check,
     sigma_a,
+    sigma_b,
     weighted_pairing,
 )
+from schwarzian_lab.automorphic import fundamental_annulus_grid
 from schwarzian_lab.integrals import (
     beltrami_from_bers,
-    derivative_kernel_value,
     finite_difference,
+    legendre_rule,
     quad2d,
     w1_term,
 )
@@ -133,7 +135,7 @@ def test_w1_normalization_invariance():
     d2a = finite_difference(w1a, z, 2, h=1e-2)
     d2b = finite_difference(w1b, z, 2, h=1e-2)
     assert abs(d2a - d2b) < 1e-10  # affine terms drop out of d^2/dz^2
-    direct = derivative_kernel_value(nu, z, 2, grid)
+    direct = d0_beta({(2, 1): 1}, nu, z, grid)
     assert abs(d2a - direct) / abs(direct) < 1e-3
 
 
@@ -149,3 +151,48 @@ def test_density_domain_mismatch_rejected():
     nu = DensityFn(lambda eta: np.ones_like(eta), DISC, 1.0)
     with pytest.raises(ValueError):
         d0_beta(sigma_a(3), nu, 0.1, exterior_disc_quadrature(R=8, M=8))
+
+
+def test_legendre_rule_is_read_only():
+    x, w = legendre_rule(96)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        exterior_disc_quadrature,
+        half_plane_quadrature,
+        lambda: fundamental_annulus_grid(0.5, 2.8, 4.0),
+    ],
+    ids=["exterior_disc", "half_plane", "fundamental_annulus"],
+)
+def test_grids_unchanged_by_cached_rules(build):
+    build()  # fill the rule cache
+    cached = build()
+    legendre_rule.cache_clear()
+    fresh = build()
+    assert np.array_equal(cached.nodes, fresh.nodes)
+    assert np.array_equal(cached.weights, fresh.weights)
+
+
+@pytest.mark.parametrize("coeffs", [[0, 0, 1], [1, 0.5, 0.25j, 1]])
+def test_d0_beta_matches_closed_form(coeffs):
+    # For the Ahlfors-Weill section of phi(w) = sum c_m w^m the differential
+    # is c(n) times the n-th derivative of the triple antiderivative
+    # sum c_m w^(m+3) / ((m+1)(m+2)(m+3)), with c(n) = 1 (A) or n-2 (B).
+    nu = ahlfors_weill_density(catalog("taylor", coeffs=coeffs))
+    grid = exterior_disc_quadrature()
+    z = 0.3 + 0.1j
+    for n in (3, 5):
+        for series, expr, c in (("A", sigma_a(n), 1), ("B", sigma_b(n), n - 2)):
+            exact = c * math.factorial(n) * sum(
+                cm * math.comb(m + 3, n) * z ** (m + 3 - n) / ((m + 1) * (m + 2) * (m + 3))
+                for m, cm in enumerate(coeffs)
+            )
+            assert abs(exact) >= 1e-3, (n, series)
+            relerr = abs(d0_beta(expr, nu, z, grid) - exact) / abs(exact)
+            assert relerr < 1e-2, (n, series, relerr)

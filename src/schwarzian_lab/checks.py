@@ -1,18 +1,27 @@
 """Randomized verification suites for the operator identities.
 
-Each suite draws (function, Moebius map, point) triples from a seeded RNG,
-evaluates both sides of one identity through the jet engine, and reports the
-worst relative error.  The suites are deterministic for a fixed seed, so CLI
-reports are byte-stable.  They are shared between the command-line front end
-and the test bench.
+Each identity is a `Spec`: how to draw one trial (polynomial, Moebius map,
+point) from a seeded RNG, and its two sides.  One harness, `run_suite`,
+draws every trial first, groups the trials by operator order and evaluates
+each group as one batched jet whose coefficients are numpy arrays over the
+trials.  A trial whose float relative error reaches the tolerance is
+recomputed through the same spec on mpmath numbers at 50 digits, and that
+value decides its verdict.  The suites are deterministic for a fixed seed,
+so CLI reports are byte-stable.  They are shared between the command-line
+front end and the test bench.  The weight suite is exact and stays a plain
+loop.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .jets import jet_compose, jet_derive, jet_pow, jet_reverse
-from .maps import AnalyticFn, Moebius
+from .maps import AnalyticFn, Moebius, catalog, moebius_jet, taylor_jet
 from .symbolic import classical, evaluate, evaluate_jet, sigma_a, sigma_b
 
 
@@ -30,14 +39,19 @@ def series_bound_constant(series: str, n: int) -> int:
     return 1 if series.upper() == "A" else n - 2
 
 
-def random_function(rng: random.Random, deg: int = 6, scale: float = 0.15) -> AnalyticFn:
-    """Polynomial with f(0) = 0, f'(0) = 1 and small higher coefficients,
-    so jets stay locally injective near the origin."""
-    coeffs = [[0.0, 0.0], [1.0, 0.0]]
+def random_coeffs(rng: random.Random, deg: int = 6, scale: float = 0.15) -> tuple:
+    """Taylor coefficients at 0 with f(0) = 0, f'(0) = 1 and small higher
+    coefficients, so jets stay locally injective near the origin."""
+    coeffs = [0j, 1 + 0j]
     for k in range(2, deg + 1):
         r = scale / k
-        coeffs.append([rng.uniform(-r, r), rng.uniform(-r, r)])
-    return AnalyticFn({"kind": "taylor", "center": [0.0, 0.0], "coeffs": coeffs})
+        coeffs.append(complex(rng.uniform(-r, r), rng.uniform(-r, r)))
+    return tuple(coeffs)
+
+
+def random_function(rng: random.Random, deg: int = 6, scale: float = 0.15) -> AnalyticFn:
+    """The polynomial of `random_coeffs` as a catalog function."""
+    return catalog("taylor", coeffs=random_coeffs(rng, deg, scale))
 
 
 def random_moebius(rng: random.Random) -> Moebius:
@@ -51,67 +65,183 @@ def random_point(rng: random.Random, radius: float = 0.35) -> complex:
     return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
 
 
-def _relerr(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+FLOAT_EPS = float(np.finfo(float).eps)
 
 
-def _report(operation: str, inputs: dict, worst: float, tol: float) -> dict:
+def _maximum(*values):
+    """Elementwise maximum over batch arrays, plain max over scalars."""
+    if any(isinstance(v, np.ndarray) for v in values):
+        return reduce(np.maximum, values)
+    return max(values)
+
+
+def _relerr(lhs, rhs):
+    return abs(lhs - rhs) / _maximum(abs(lhs), abs(rhs), 1e-300)
+
+
+def _coeff_relerr(lhs, rhs):
+    """Worst coefficient difference of two jets, relative to max(1, |rhs|)."""
+    m = min(len(lhs), len(rhs))
+    diff = _maximum(*(abs(a - b) for a, b in zip(lhs[:m], rhs[:m])))
+    return diff / _maximum(1.0, *(abs(c) for c in rhs[:m]))
+
+
+class Spec(NamedTuple):
+    """One seeded identity.  `draw(rng)` draws a trial: a dict of its inputs,
+    with its operator order under "n".  `lhs(batch)` and `rhs(batch)`
+    evaluate the two sides on a batch of trials of one order (see
+    `make_batch`), and `relerr(lhs, rhs)` compares them elementwise."""
+
+    draw: Callable
+    lhs: Callable
+    rhs: Callable
+    relerr: Callable = _relerr
+
+
+def draw_trials(spec: Spec, trials: int, seed: int) -> list:
+    rng = random.Random(seed)
+    return [spec.draw(rng) for _ in range(trials)]
+
+
+def by_order(draws: list) -> dict:
+    """Trial indices grouped by operator order, in order of first appearance."""
+    groups = {}
+    for i, trial in enumerate(draws):
+        groups.setdefault(trial["n"], []).append(i)
+    return groups
+
+
+def make_batch(trials: list, cast=None) -> dict:
+    """One batch from trials of one order: each input (each entry of a tuple
+    input) becomes a numpy array over the trials.  With `cast`, the batch
+    holds a single trial as scalars of that type instead (complex, or
+    mpmath.mpc for the high-precision recheck)."""
+
+    def pack(values):
+        return cast(values[0]) if cast else np.array(values)
+
+    batch = {"n": trials[0]["n"]}
+    for key, value in trials[0].items():
+        if isinstance(value, tuple):
+            batch[key] = tuple(pack([t[key][k] for t in trials]) for k in range(len(value)))
+        elif key != "n":
+            batch[key] = pack([t[key] for t in trials])
+    return batch
+
+
+def trial_relerrs(spec: Spec, draws: list) -> np.ndarray:
+    """Float relative error of every trial, one batched evaluation per order."""
+    errs = np.empty(len(draws))
+    for idx in by_order(draws).values():
+        batch = make_batch([draws[i] for i in idx])
+        errs[idx] = spec.relerr(spec.lhs(batch), spec.rhs(batch))
+    return errs
+
+
+def hp_relerr(spec: Spec, trial: dict) -> float:
+    """The trial's relative error recomputed through the same spec on
+    mpmath.mpc inputs at 50 significant digits.  Where a spec goes through
+    `jet_pow`, whose principal power and 1/n factors are float constants,
+    the recomputed error stops near 1e-16..1e-14 instead of 1e-45."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        batch = make_batch([trial], mpmath.mpc)
+        return float(spec.relerr(spec.lhs(batch), spec.rhs(batch)))
+
+
+def run_suite(operation: str, spec: Spec, trials: int, seed: int, tol: float, **shown) -> dict:
+    """Draw every trial, evaluate them batched by order, and recheck each
+    trial at or over `tol` in high precision, which decides its verdict.
+
+    Float round-off in the expanded sigma_n can exceed `tol` on trials where
+    the identity holds exactly; the recheck separates that from a false
+    identity.  It only excuses round-off, so a `tol` below the float machine
+    epsilon, which no float evaluation can meet, gets no recheck and keeps
+    the float verdict.  `max_relerr` stays the worst float error, so the
+    engine's error stays visible; `escalated` counts the rechecked trials and
+    `hp_defect` is their worst recomputed error (0.0 when none)."""
+    draws = draw_trials(spec, trials, seed)
+    errs = trial_relerrs(spec, draws)
+    over = [i for i in range(trials) if not errs[i] < tol]
+    rechecked = [hp_relerr(spec, draws[i]) for i in over] if tol >= FLOAT_EPS else []
     return {
         "operation": operation,
-        "inputs": inputs,
-        "max_relerr": worst,
+        "inputs": {**shown, "trials": trials, "seed": seed},
+        "max_relerr": float(np.max(errs)),
         "tolerance": tol,
-        "ok": worst < tol,
+        "ok": len(rechecked) == len(over) and all(e < tol for e in rechecked),
+        "escalated": len(rechecked),
+        "hp_defect": max(rechecked, default=0.0),
     }
 
 
-def covariance_suite(series: str, n_values=(3, 4, 5, 6), trials: int = 200, seed: int = 0, tol: float = 1e-9) -> dict:
+def _moebius_value(g, z):
+    a, b, c, d = g
+    return (a * z + b) / (c * z + d)
+
+
+def _moebius_deriv(g, z):
+    a, b, c, d = g
+    return (a * d - b * c) / (c * z + d) ** 2
+
+
+def covariance_spec(series: str, n_values=(3, 4, 5, 6)) -> Spec:
     """Precomposition law sigma_n[f o g] = (sigma_n[f] o g) * (g')^(n-1)
     for Moebius g, checked pointwise through jets."""
-    rng = random.Random(seed)
     n_values = tuple(n_values)
-    worst = 0.0
-    for _ in range(trials):
+
+    def draw(rng):
         n = rng.choice(n_values)
-        expr = sigma_expr(series, n)
-        f = random_function(rng)
+        f = random_coeffs(rng)
         while True:
             g = random_moebius(rng)
             z = random_point(rng)
             gz = g(z)
-            if abs(g.deriv(z)) > 1e-2 and abs(gz) < 20 and abs(complex(f.jet(gz, 1).coeffs[1])) > 1e-3:
-                break
-        order = n + 2
-        comp = jet_compose(f.jet(gz, order), g.jet(z, order))
-        lhs = evaluate(expr, comp)
-        rhs = evaluate(expr, f.jet(gz, order)) * g.deriv(z) ** (n - 1)
-        worst = max(worst, _relerr(lhs, rhs))
-    return _report("covariance", {"series": series.upper(), "n": list(n_values), "trials": trials, "seed": seed}, worst, tol)
+            # f'(gz) summed as jet_shift sums the linear coefficient
+            fp = sum(k * f[k] * gz ** (k - 1) for k in range(1, len(f)))
+            if abs(g.deriv(z)) > 1e-2 and abs(gz) < 20 and abs(fp) > 1e-3:
+                return {"n": n, "f": f, "g": (g.a, g.b, g.c, g.d), "z": z}
+
+    def f_jet(t):
+        return taylor_jet(t["f"], 0j, _moebius_value(t["g"], t["z"]), t["n"] + 2)
+
+    def lhs(t):
+        comp = jet_compose(f_jet(t), moebius_jet(*t["g"], t["z"], t["n"] + 2))
+        return evaluate(sigma_expr(series, t["n"]), comp)
+
+    def rhs(t):
+        return evaluate(sigma_expr(series, t["n"]), f_jet(t)) * _moebius_deriv(t["g"], t["z"]) ** (t["n"] - 1)
+
+    return Spec(draw, lhs, rhs)
 
 
-def altrec_suite(n_values=(3, 4, 5, 6), trials: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
+def altrec_spec(n_values=(3, 4, 5, 6)) -> Spec:
     """A-series recursion in divided form:
     sigma_{n+1}[f]/(f')^(n-1) = (sigma_n[f]/(f')^(n-1))'."""
-    rng = random.Random(seed)
     n_values = tuple(n_values)
-    worst = 0.0
-    for _ in range(trials):
+
+    def draw(rng):
         n = rng.choice(n_values)
-        f = random_function(rng)
-        z = random_point(rng)
-        order = n + 4
-        fj = f.jet(z, order)
-        fp = jet_derive(fj, 1)
-        quotient = evaluate_jet(sigma_a(n), fj) * jet_pow(fp, -(n - 1))
-        rhs = jet_derive(quotient, 1).coeffs[0]
-        lhs = evaluate(sigma_a(n + 1), fj) / complex(fp.coeffs[0]) ** (n - 1)
-        worst = max(worst, _relerr(lhs, rhs))
-    return _report("altrec", {"n": list(n_values), "trials": trials, "seed": seed}, worst, tol)
+        return {"n": n, "f": random_coeffs(rng), "z": random_point(rng)}
+
+    def lhs(t):
+        n = t["n"]
+        fj = taylor_jet(t["f"], 0j, t["z"], n + 4)
+        return evaluate(sigma_a(n + 1), fj) / fj.coeffs[1] ** (n - 1)
+
+    def rhs(t):
+        n = t["n"]
+        fj = taylor_jet(t["f"], 0j, t["z"], n + 4)
+        quotient = evaluate_jet(sigma_a(n), fj) * jet_pow(jet_derive(fj, 1), -(n - 1))
+        return jet_derive(quotient, 1).coeffs[0]
+
+    return Spec(draw, lhs, rhs)
 
 
-def schwinv_suite(n_values=(4, 5, 6), trials: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
+def schwinv_spec(n_values=(4, 5, 6)) -> Spec:
     """sigma^A_n[f] = -(d^(n-3) S_{f^-1}) o f * (f')^(n-1), via jet reversion
-    at the origin.
+    at the origin, compared coefficient by coefficient.
 
     The minus sign is forced by the chain rule: S_{f^-1} o f * (f')^2 = -S_f
     (differentiate f^-1 o f = id), and the divided recursion propagates that
@@ -119,73 +249,101 @@ def schwinv_suite(n_values=(4, 5, 6), trials: int = 100, seed: int = 0, tol: flo
     sometimes drop it; the engine agrees with the signed form to machine
     precision and disagrees with the unsigned one by exactly a factor -1.
     """
-    rng = random.Random(seed)
     n_values = tuple(n_values)
-    worst = 0.0
-    for _ in range(trials):
-        n = rng.choice(n_values)
-        f = random_function(rng)
-        order = n + 6
-        fj = f.jet(0.0, order)
-        finv = jet_reverse(fj)
-        s_inv = evaluate_jet(classical("schwarzian"), finv)
-        lhs_jet = jet_compose(jet_derive(s_inv, n - 3), fj) * jet_pow(jet_derive(fj, 1), n - 1) * (-1)
-        rhs_jet = evaluate_jet(sigma_a(n), fj)
-        m = min(lhs_jet.order, rhs_jet.order)
-        diff = max(abs(complex(a - b)) for a, b in zip(lhs_jet.coeffs[: m + 1], rhs_jet.coeffs[: m + 1]))
-        scale = max(1.0, max(abs(complex(c)) for c in rhs_jet.coeffs[: m + 1]))
-        worst = max(worst, diff / scale)
-    return _report("schwinv", {"n": list(n_values), "trials": trials, "seed": seed}, worst, tol)
+
+    def draw(rng):
+        return {"n": rng.choice(n_values), "f": random_coeffs(rng)}
+
+    def lhs(t):
+        n = t["n"]
+        fj = taylor_jet(t["f"], 0j, 0.0, n + 6)
+        s_inv = evaluate_jet(classical("schwarzian"), jet_reverse(fj))
+        return (jet_compose(jet_derive(s_inv, n - 3), fj) * jet_pow(jet_derive(fj, 1), n - 1) * (-1)).coeffs
+
+    def rhs(t):
+        return evaluate_jet(sigma_a(t["n"]), taylor_jet(t["f"], 0j, 0.0, t["n"] + 6)).coeffs
+
+    return Spec(draw, lhs, rhs, _coeff_relerr)
 
 
-def affine_suite(n_values=(3, 4, 5, 6), trials: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
+def affine_spec(n_values=(3, 4, 5, 6)) -> Spec:
     """sigma^A_n[a f + b] = sigma^A_n[f] for affine postcomposition."""
-    rng = random.Random(seed)
     n_values = tuple(n_values)
-    worst = 0.0
-    for _ in range(trials):
+
+    def draw(rng):
         n = rng.choice(n_values)
-        f = random_function(rng)
+        f = random_coeffs(rng)
         z = random_point(rng)
         a = complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1))
         b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        fj = f.jet(z, n + 2)
-        lhs = evaluate(sigma_a(n), fj * a + b)
-        rhs = evaluate(sigma_a(n), fj)
-        worst = max(worst, _relerr(lhs, rhs))
-    return _report("affine", {"n": list(n_values), "trials": trials, "seed": seed}, worst, tol)
+        return {"n": n, "f": f, "z": z, "a": a, "b": b}
+
+    def lhs(t):
+        return evaluate(sigma_a(t["n"]), taylor_jet(t["f"], 0j, t["z"], t["n"] + 2) * t["a"] + t["b"])
+
+    def rhs(t):
+        return evaluate(sigma_a(t["n"]), taylor_jet(t["f"], 0j, t["z"], t["n"] + 2))
+
+    return Spec(draw, lhs, rhs)
 
 
-def bol_suite(n_values=(4, 6), trials: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
+def bol_spec(n_values=(4, 6)) -> Spec:
     """Derivative identity behind the B-series covariance: if
     f2 = (f1 o g) * (g')^(1-n/2) with Moebius g, then
     f2^(n-1) = (f1^(n-1) o g) * (g')^(n/2).
 
     Even weights keep the half-integer powers single-valued, so instances
-    are drawn from even n.
+    are drawn from even n.  f1 has degree at least n-1, so that f1^(n-1)
+    does not vanish identically.
     """
-    rng = random.Random(seed)
     n_values = tuple(n_values)
     if any(n % 2 for n in n_values):
         raise ValueError("Bol instances are checked at even n")
-    worst = 0.0
-    for _ in range(trials):
+
+    def draw(rng):
         n = rng.choice(n_values)
-        f1 = random_function(rng)
+        f1 = random_coeffs(rng, deg=max(6, n - 1))
         while True:
             g = random_moebius(rng)
             z = random_point(rng)
             if abs(g.deriv(z)) > 1e-2 and abs(g(z)) < 20:
-                break
-        order = n + 2
-        gj = g.jet(z, order)
-        comp = jet_compose(f1.jet(g(z), order), gj)
-        f2 = comp * jet_pow(jet_derive(gj, 1), 1 - n // 2)
-        lhs = jet_derive(f2, n - 1).coeffs[0]
-        f1_deriv = jet_derive(f1.jet(g(z), order), n - 1).coeffs[0]
-        rhs = f1_deriv * g.deriv(z) ** (n // 2)
-        worst = max(worst, _relerr(complex(lhs), complex(rhs)))
-    return _report("bol", {"n": list(n_values), "trials": trials, "seed": seed}, worst, tol)
+                return {"n": n, "f": f1, "g": (g.a, g.b, g.c, g.d), "z": z}
+
+    def f1_jet(t):
+        return taylor_jet(t["f"], 0j, _moebius_value(t["g"], t["z"]), t["n"] + 2)
+
+    def lhs(t):
+        n = t["n"]
+        gj = moebius_jet(*t["g"], t["z"], n + 2)
+        f2 = jet_compose(f1_jet(t), gj) * jet_pow(jet_derive(gj, 1), 1 - n // 2)
+        return jet_derive(f2, n - 1).coeffs[0]
+
+    def rhs(t):
+        n = t["n"]
+        return jet_derive(f1_jet(t), n - 1).coeffs[0] * _moebius_deriv(t["g"], t["z"]) ** (n // 2)
+
+    return Spec(draw, lhs, rhs)
+
+
+def covariance_suite(series: str, n_values=(3, 4, 5, 6), trials: int = 200, seed: int = 0, tol: float = 1e-9) -> dict:
+    spec = covariance_spec(series, n_values)
+    return run_suite("covariance", spec, trials, seed, tol, series=series.upper(), n=list(n_values))
+
+
+def altrec_suite(n_values=(3, 4, 5, 6), trials: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
+    return run_suite("altrec", altrec_spec(n_values), trials, seed, tol, n=list(n_values))
+
+
+def schwinv_suite(n_values=(4, 5, 6), trials: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
+    return run_suite("schwinv", schwinv_spec(n_values), trials, seed, tol, n=list(n_values))
+
+
+def affine_suite(n_values=(3, 4, 5, 6), trials: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
+    return run_suite("affine", affine_spec(n_values), trials, seed, tol, n=list(n_values))
+
+
+def bol_suite(n_values=(4, 6), trials: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
+    return run_suite("bol", bol_spec(n_values), trials, seed, tol, n=list(n_values))
 
 
 def weight_suite(trials: int = 100, seed: int = 0, n_max: int = 8) -> dict:

@@ -199,17 +199,18 @@ def jet_reverse(a: Jet) -> Jet:
 
     Supported at center 0 with a(0) = 0 and a'(0) != 0 (the fixed-point
     normalization every caller uses), so that the inverse is again a jet at 0.
+    A batched jet is reversed elementwise; every germ in it must qualify.
 
     Power-table reversion (Knuth, TAOCP vol. 2, §4.7): column m of
     P[k][m] = [z^m] g^k, k >= 2, needs only g_1..g_{m-1}, and then
     g_m = -(1/a_1) sum_{k=2}^{m} a_k P[k][m].  O(n^3) coefficient products at
     order n, no intermediate jets; exact over Fraction coefficients.
     """
-    if a.center != 0:
+    if _any(a.center != 0):
         raise JetError("reversion is supported at center 0 only")
-    if a.coeffs[0] != 0:
+    if _any(a.coeffs[0] != 0):
         raise JetError("reversion needs vanishing constant term")
-    if len(a.coeffs) < 2 or a.coeffs[1] == 0:
+    if len(a.coeffs) < 2 or _any(a.coeffs[1] == 0):
         raise JetError("reversion needs nonvanishing linear term")
     n = a.order
     c = a.coeffs

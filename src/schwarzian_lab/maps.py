@@ -22,6 +22,23 @@ class DomainError(ValueError):
     pass
 
 
+def moebius_jet(a, b, c, d, z0, order: int) -> Jet:
+    """Jet of z -> (a z + b)/(c z + d) at z0.  The coefficients and z0 may be
+    numpy arrays over a batch of maps and points: one batched jet."""
+    if _any(abs(c * z0 + d) < 1e-14):
+        raise JetError("jet at the pole of a Moebius map")
+    z = jet_variable(z0, order)
+    return (z * a + b) * jet_reciprocal(z * c + d)
+
+
+def taylor_jet(coeffs, center, z0, order: int) -> Jet:
+    """Jet at z0 of the polynomial sum c_k (z - center)^k.  The coefficients
+    and z0 may be numpy arrays over a batch of polynomials and points."""
+    coeffs = list(coeffs) + [0j] * max(0, order + 1 - len(coeffs))
+    shifted = jet_shift(jet_from_coeffs(coeffs, center), z0 - center)
+    return jet_from_coeffs(shifted.coeffs[: order + 1], z0)
+
+
 @dataclass(frozen=True)
 class Moebius:
     """Fractional-linear map normalized to determinant 1 (up to overall sign)."""
@@ -59,11 +76,7 @@ class Moebius:
 
     def jet(self, z0, order: int) -> Jet:
         """Jet at z0, a point or an array of points."""
-        den = self.c * z0 + self.d
-        if _any(abs(den) < 1e-14):
-            raise JetError("jet at the pole of a Moebius map")
-        z = jet_variable(z0, order)
-        return (self.a * z + self.b) * jet_reciprocal(self.c * z + self.d)
+        return moebius_jet(self.a, self.b, self.c, self.d, z0, order)
 
     def matches(self, other: "Moebius", tol: float = 1e-9) -> bool:
         """Equality in PSL(2,C): coefficient quadruples agree up to sign."""
@@ -254,12 +267,7 @@ class AnalyticFn:
         if k in ("identity", "cayley", "rotation", "moebius"):
             return self._moebius().jet(z0, order)
         if k == "taylor":
-            c0 = _pair2c(self._d["center"])
-            coeffs = [_pair2c(p) for p in self._d["coeffs"]]
-            coeffs += [0j] * max(0, order + 1 - len(coeffs))
-            base = jet_from_coeffs(coeffs, c0)
-            shifted = jet_shift(base, z0 - c0)
-            return jet_from_coeffs(shifted.coeffs[: order + 1], z0)
+            return taylor_jet([_pair2c(p) for p in self._d["coeffs"]], _pair2c(self._d["center"]), z0, order)
         if k == "rational":
             z = jet_variable(z0, order)
             num = [_pair2c(p) for p in self._d["num"]]

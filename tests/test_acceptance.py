@@ -35,8 +35,6 @@ from schwarzian_lab.checks import (
     weight_suite,
 )
 from schwarzian_lab.integrals import (
-    DensityFn,
-    EXTERIOR_DISC,
     ahlfors_weill_density,
     d0_beta,
     d0_beta_norm_bound,
@@ -51,6 +49,19 @@ from schwarzian_lab.ode import homogeneous_a_check, homogeneous_b_residual
 from schwarzian_lab.symbolic import classical, monomial, monomial_part, sigma_a, sigma_b
 
 CYCLIC = {"kind": "cyclic", "fixpoints": [0.5, 2.8], "multiplier": 4.0}
+
+
+def _aw_closed_form(coeffs, n, series, z):
+    """d0_beta(sigma_n)(nu)(z) for nu the Ahlfors-Weill section of
+    phi(w) = sum c_m w^m: c(n) n! sum c_m C(m+3, n) z^(m+3-n) / ((m+1)(m+2)(m+3)),
+    the n-th derivative of c(n) times the triple antiderivative of phi, with
+    c(n) = 1 (A) or n-2 (B); monomials with m+3 < n drop out."""
+    c = 1 if series == "A" else n - 2
+    return c * math.factorial(n) * sum(
+        cm * math.comb(m + 3, n) * z ** (m + 3 - n) / ((m + 1) * (m + 2) * (m + 3))
+        for m, cm in enumerate(coeffs)
+        if m + 3 >= n
+    )
 
 
 def _finish(capsys, num, name, ok, detail, t0, budget):
@@ -161,20 +172,23 @@ def test_criterion_07_kernel_criterion(capsys):
     # both densities vanish quadratically at the unit circle, as the pairing
     # side's lambda^2 weight requires, and both are generic enough that the
     # compared values stay well away from zero at every order
-    densities = [
-        ahlfors_weill_density(catalog("taylor", coeffs=[0, 0, 1])),
-        ahlfors_weill_density(catalog("taylor", coeffs=[1, 0.5, 0.25j, 1])),
-    ]
-    worst, degenerate = 0.0, False
-    for nu in densities:
+    # both sides are also checked against the closed form on these sections
+    z = 0.3 + 0.1j
+    worst, worst_lhs, worst_rhs, degenerate = 0.0, 0.0, 0.0, False
+    for coeffs in ([0, 0, 1], [1, 0.5, 0.25j, 1]):
+        nu = ahlfors_weill_density(catalog("taylor", coeffs=coeffs))
         for n in (3, 5):
             for series in ("A", "B"):
-                rep = kernel_criterion_check(nu, n, 0.3 + 0.1j, series)
+                rep = kernel_criterion_check(nu, n, z, series)
+                exact = _aw_closed_form(coeffs, n, series, z)
                 worst = max(worst, rep["relerr"])
-                degenerate |= abs(rep["lhs"]) < 1e-6
-    ok = worst < 1e-2 and not degenerate
+                worst_lhs = max(worst_lhs, abs(rep["lhs"] - exact) / abs(exact))
+                worst_rhs = max(worst_rhs, abs(rep["rhs"] - exact) / abs(exact))
+                degenerate |= abs(rep["lhs"]) < 1e-6 or abs(exact) < 1e-6
+    ok = worst < 1e-2 and worst_lhs < 1e-2 and worst_rhs < 1e-2 and not degenerate
     _finish(capsys, 7, "kernel pairing form of the differential", ok,
-            f"max relerr={worst:.2e} (tol 1e-2), nondegenerate={not degenerate}", t0, 60.0)
+            f"max relerr pairing={worst:.2e}, lhs vs closed form={worst_lhs:.2e}, "
+            f"rhs vs closed form={worst_rhs:.2e} (tol 1e-2), nondegenerate={not degenerate}", t0, 60.0)
 
 
 def test_criterion_08_automorphic_suite(capsys):
@@ -233,21 +247,28 @@ def test_criterion_10_operator_norm_bound(capsys):
     t0 = time.perf_counter()
     rng = random.Random(0)
     grid = exterior_disc_quadrature()
-    circle = np.exp(2j * math.pi * np.arange(512) / 512)
-    worst_ratio = 0.0
+    worst_ratio, worst_relerr, smallest = 0.0, 0.0, math.inf
     for series in ("A", "B"):
         for n in (3, 4, 5):
             expr = sigma_a(n) if series == "A" else sigma_b(n)
             bound = d0_beta_norm_bound(n, series)
             for _ in range(50):
-                a = [complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(3)]
-                fn = lambda e, a=a: (a[0] / np.asarray(e) ** 2 + a[1] / np.asarray(e) ** 3 + a[2] / np.asarray(e) ** 4)
-                sup = float(np.max(np.abs(fn(circle))))  # attained on |eta| = 1
-                nu = DensityFn(fn, EXTERIOR_DISC, sup)
-                z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-                lam = poincare_density(DISC, z)
-                weighted = abs(d0_beta(expr, nu, z, grid)) * lam ** (1 - n)
-                worst_ratio = max(worst_ratio, weighted / (bound * sup))
-    ok = worst_ratio <= 1.0
+                # Ahlfors-Weill sections of polynomials with a coefficient of
+                # degree >= n-3: the operator annihilates lower degrees
+                deg = n - 3 + rng.randint(0, 2)
+                coeffs = [rng.uniform(0.3, 1.0) * complex(math.cos(t), math.sin(t))
+                          for t in (rng.uniform(0.0, 2.0 * math.pi) for _ in range(deg + 1))]
+                rad, ang = rng.uniform(0.0, 0.6), rng.uniform(0.0, 2.0 * math.pi)
+                z = complex(rad * math.cos(ang), rad * math.sin(ang))
+                nu = ahlfors_weill_density(catalog("taylor", coeffs=coeffs))
+                value = d0_beta(expr, nu, z, grid)
+                exact = _aw_closed_form(coeffs, n, series, z)
+                smallest = min(smallest, abs(exact))
+                worst_relerr = max(worst_relerr, abs(value - exact) / abs(exact))
+                weighted = abs(value) * poincare_density(DISC, z) ** (1 - n)
+                worst_ratio = max(worst_ratio, weighted / (bound * nu.sup_bound))
+    ok = worst_ratio <= 1.0 and worst_relerr < 2e-2 and smallest >= 1e-3
     _finish(capsys, 10, "operator-norm bound on samples", ok,
-            f"max |d0 beta| lambda^(1-n) / (bound ||nu||) = {worst_ratio:.3f} over 300 samples", t0, 60.0)
+            f"max |d0 beta| lambda^(1-n) / (bound ||nu||) = {worst_ratio:.3g} over 300 samples; "
+            f"relerr vs closed form={worst_relerr:.1e} (tol 2e-2), min |closed form|={smallest:.2g} (floor 1e-3)",
+            t0, 60.0)

@@ -5,14 +5,25 @@ shapes, the determinism of the seeded draws, and that each identity actually
 holds on a handful of instances.
 """
 
+import numpy as np
 import pytest
 
 from schwarzian_lab.checks import (
     VERIFY_SUITES,
+    Spec,
+    affine_spec,
     affine_suite,
+    altrec_spec,
     altrec_suite,
+    bol_spec,
     bol_suite,
+    by_order,
+    covariance_spec,
     covariance_suite,
+    draw_trials,
+    make_batch,
+    run_suite,
+    schwinv_spec,
     schwinv_suite,
     series_bound_constant,
     sigma_expr,
@@ -74,5 +85,86 @@ def test_registry_and_constants():
 
 def test_report_shape():
     rep = affine_suite(trials=5)
-    assert set(rep) == {"operation", "inputs", "max_relerr", "tolerance", "ok"}
+    assert set(rep) == {"operation", "inputs", "max_relerr", "tolerance", "ok", "escalated", "hp_defect"}
     assert rep["operation"] == "affine"
+
+
+def _trial(values, j):
+    """Trial j of a batched side: a value, or a tuple of jet coefficients."""
+    if isinstance(values, tuple):
+        return tuple(_trial(v, j) for v in values)
+    return complex(values[j] if np.ndim(values) else values)
+
+
+def _close(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_close(x, y) for x, y in zip(a, b))
+    return abs(a - b) <= 1e-9 * max(abs(a), abs(b), 1e-300)
+
+
+SPECS = [
+    ("covariance A", covariance_spec("A")),
+    ("covariance B", covariance_spec("B")),
+    ("covariance B n=3,7", covariance_spec("B", (3, 7))),
+    ("altrec", altrec_spec()),
+    ("altrec n=5,3,5", altrec_spec((5, 3, 5))),
+    ("schwinv", schwinv_spec()),
+    ("schwinv n=4", schwinv_spec((4,))),
+    ("affine", affine_spec()),
+    ("affine n=3,8", affine_spec((3, 8))),
+    ("bol", bol_spec()),
+    ("bol n=2", bol_spec((2,))),
+    ("bol n=2,8", bol_spec((2, 8))),
+]
+
+
+@pytest.mark.parametrize("name,spec", SPECS, ids=[name for name, _ in SPECS])
+def test_batched_sides_match_scalar_sides(name, spec):
+    # each order's trials evaluated as one batch agree with the same trials
+    # evaluated one at a time on Python complex scalars
+    draws = draw_trials(spec, 20, seed=0)
+    groups = by_order(draws)
+    assert sorted(i for idx in groups.values() for i in idx) == list(range(20))
+    for n, idx in groups.items():
+        batch = make_batch([draws[i] for i in idx])
+        assert batch["n"] == n
+        lhs, rhs = spec.lhs(batch), spec.rhs(batch)
+        for j, i in enumerate(idx):
+            one = make_batch([draws[i]], complex)
+            lhs1, rhs1 = spec.lhs(one), spec.rhs(one)
+            assert _close(lhs1, _trial(lhs, j)), (name, n, i)
+            assert _close(rhs1, _trial(rhs, j)), (name, n, i)
+
+
+def test_cli_orders_run_batched():
+    # every order the CLI accepts, including bol at n = 2, forms its own batch
+    assert bol_suite(n_values=(2,), trials=10)["ok"]
+    assert bol_suite(n_values=(2, 4, 2, 8), trials=30)["ok"]
+    assert covariance_suite("A", n_values=(3, 7, 8), trials=30)["ok"]
+    assert schwinv_suite(n_values=(4, 9), trials=20)["ok"]
+
+
+@pytest.mark.parametrize("seed", [91, 146])
+@pytest.mark.parametrize("series", ["A", "B"])
+def test_recheck_clears_float_roundoff(seed, series):
+    # on these seeds one n = 6 trial exceeds 1e-9 in floats because the
+    # expanded sigma_6 cancels; recomputed at 50 digits the identity holds
+    rep = covariance_suite(series, trials=200, seed=seed)
+    assert rep["ok"]
+    assert rep["escalated"] >= 1
+    assert rep["hp_defect"] < 1e-13
+    assert rep["max_relerr"] > 1e-9
+
+
+def test_recheck_still_fails_a_perturbed_identity():
+    spec = covariance_spec("A")
+    perturbed = Spec(spec.draw, spec.lhs, lambda batch: spec.rhs(batch) * (1 + 1e-8))
+    rep = run_suite("covariance", perturbed, 20, 0, 1e-9)
+    assert rep["ok"] is False
+    assert rep["escalated"] == 20
+    assert rep["hp_defect"] > 5e-9
+
+
+def test_no_recheck_below_tolerance():
+    rep = covariance_suite("A", trials=50)
+    assert rep["escalated"] == 0 and rep["hp_defect"] == 0.0

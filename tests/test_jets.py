@@ -5,6 +5,7 @@ coefficients."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given
@@ -75,6 +76,20 @@ def test_reversion_needs_unit_slope():
         jet_reverse(jet_from_coeffs([1, 1, 0]))
     with pytest.raises(JetError):
         jet_reverse(jet_from_coeffs([0, 0, 1]))
+
+
+def test_batched_reversion_is_elementwise():
+    # one germ per column; a batch is rejected when any germ fails a guard
+    cols = [[0j, 1 + 0j, 0.3j, -0.2], [0j, 2 - 1j, 0.1, 0.05j]]
+    batch = jet_reverse(jet_from_coeffs([np.array(c) for c in zip(*cols)], center=0))
+    for j, col in enumerate(cols):
+        single = jet_reverse(jet_from_coeffs(col, center=0))
+        assert all(abs(b[j] - s) <= 1e-15 * max(1.0, abs(s)) for b, s in zip(batch.coeffs, single.coeffs))
+    for bad in ([np.array([0j, 0j]), np.array([1 + 0j, 0j])], [np.array([0j, 0.1j]), np.array([1 + 0j, 1 + 0j])]):
+        with pytest.raises(JetError):
+            jet_reverse(jet_from_coeffs(bad + [np.zeros(2, complex)], center=0))
+    with pytest.raises(JetError):
+        jet_reverse(jet_from_coeffs([0j, 1 + 0j, 0j], center=np.array([0j, 0.5])))
 
 
 def _lagrange_reverse(coeffs):

@@ -166,3 +166,40 @@ def test_expr_algebra():
     assert zero == DiffExpr({})
     assert e.scale(2).terms == {(-2, 1): Fraction(2)}
     assert sym_derive(e) == monomial(1, -2, u3=1) + monomial(-1, -4, u2=2)
+
+
+def _diffexpr_to_sympy(e, u):
+    import sympy
+
+    total = sympy.Integer(0)
+    for key, coeff in e.terms.items():
+        term = sympy.Rational(coeff.numerator, coeff.denominator) * u[1] ** sympy.Rational(key[0], 2)
+        for i, exp in enumerate(key[1:], start=2):
+            term *= u[i] ** exp
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("series", ["A", "B"])
+def test_expansion_matches_sympy_differentiation(series):
+    # the defining formulas differentiated by sympy, with f^(k) -> u_k, agree
+    # with the DiffExpr expansion exactly; n stops at 7 because sympy's cost
+    # grows steeply (n = 8 takes seconds, n = 10 most of a minute)
+    import sympy
+
+    z = sympy.Symbol("z")
+    f = sympy.Function("f")(z)
+    u = {k: sympy.Symbol(f"u{k}", positive=True) for k in range(1, 9)}
+    to_u = {f.diff(z, k): u[k] for k in range(1, 9)}
+    fp = f.diff(z)
+    sigma = fp.diff(z, 2) / fp - sympy.Rational(3, 2) * (fp.diff(z) / fp) ** 2
+    for n in range(3, 8):
+        if series == "A":
+            if n > 3:
+                sigma = sigma.diff(z) - (n - 2) * (fp.diff(z) / fp) * sigma
+            reference, ours = sigma, sigma_a(n)
+        else:
+            half = sympy.Rational(n, 2)
+            reference, ours = -2 * fp ** (half - 1) * (fp ** (1 - half)).diff(z, n - 1), sigma_b(n)
+        diff = reference.xreplace(to_u) - _diffexpr_to_sympy(ours, u)
+        assert sympy.cancel(diff) == 0, (series, n)

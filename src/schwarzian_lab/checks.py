@@ -140,9 +140,9 @@ def trial_relerrs(spec: Spec, draws: list) -> np.ndarray:
 
 def hp_relerr(spec: Spec, trial: dict) -> float:
     """The trial's relative error recomputed through the same spec on
-    mpmath.mpc inputs at 50 significant digits.  Where a spec goes through
-    `jet_pow`, whose principal power and 1/n factors are float constants,
-    the recomputed error stops near 1e-16..1e-14 instead of 1e-45."""
+    mpmath.mpc inputs at 50 significant digits.  Every spec stays at that
+    precision end to end (`jet_pow` included), so on a true identity the
+    recomputed error is near 1e-45 or below, not at the float level."""
     import mpmath
 
     with mpmath.workdps(50):

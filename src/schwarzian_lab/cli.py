@@ -223,13 +223,14 @@ def _group(args) -> tuple:
 
 def cmd_expand(args) -> dict:
     expr = checks.sigma_expr(args.series, args.n)
+    mono = monomial_part(expr)  # the series constant is read off the monomial part
     return {
         "schema": "v1",
         "operation": "expand",
         "inputs": {"series": args.series, "n": args.n},
         "expression": to_string(expr),
-        "monomial_part": to_string(monomial_part(expr)),
-        "series_constant": str(series_constant(expr)),
+        "monomial_part": to_string(mono),
+        "series_constant": str(series_constant(mono)),
         "weights": sorted(expr.weights()),
         "ok": True,
     }

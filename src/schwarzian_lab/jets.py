@@ -29,6 +29,11 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def _is_mp(x) -> bool:
+    """True for mpmath numbers, which carry their own working precision."""
+    return type(x).__module__.startswith("mpmath.")
+
+
 def _any(flags) -> bool:
     """True if any flag is set; Python bools pass through without numpy."""
     return flags if isinstance(flags, bool) else bool(np.any(flags))
@@ -140,7 +145,8 @@ def jet_pow(a: Jet, alpha) -> Jet:
     coefficients with integer alpha (or with c0 == 1) the computation stays
     exact.  Internally solves f*g' = alpha*f'*g coefficientwise, which divides
     by c0; a vanishing c0 is allowed only for a nonnegative integer alpha,
-    where the result is the repeated product.
+    where the result is the repeated product.  Over mpmath coefficients the
+    leading power and the 1/n factors are taken at the working precision.
     """
     c0 = a.coeffs[0]
     if _any(c0 == 0):
@@ -157,12 +163,16 @@ def jet_pow(a: Jet, alpha) -> Jet:
     exact = _is_exact(c0) and all(_is_exact(c) for c in a.coeffs) and isinstance(alpha, (int, Fraction))
     if exact and not (isinstance(alpha, int) or alpha.denominator == 1 or c0 == 1):
         exact = False
+    mp = _is_mp(c0)
     if exact:
         if isinstance(alpha, int) or alpha.denominator == 1:
             g0 = Fraction(c0) ** int(alpha) if int(alpha) >= 0 else Fraction(1, 1) / Fraction(c0) ** (-int(alpha))
         else:
             g0 = Fraction(1)  # c0 == 1 here
         alph = Fraction(alpha)
+    elif mp:
+        alph = c0.context.mpf(alpha.numerator) / alpha.denominator if isinstance(alpha, Fraction) else alpha
+        g0 = c0**alph
     else:
         g0 = np.power(c0, complex(alpha)) if isinstance(c0, np.ndarray) else complex(c0) ** complex(alpha)
         alph = float(Fraction(alpha)) if isinstance(alpha, Fraction) else alpha
@@ -171,7 +181,7 @@ def jet_pow(a: Jet, alpha) -> Jet:
     inv_c0 = (Fraction(1, 1) / c0) if exact else 1.0 / c0
     for n in range(1, a.order + 1):
         s = sum((alph * k - (n - k)) * a.coeffs[k] * out[n - k] for k in range(1, n + 1))
-        out.append(inv_c0 * s * (Fraction(1, n) if exact else 1.0 / n))
+        out.append(inv_c0 * s / n if mp else inv_c0 * s * (Fraction(1, n) if exact else 1.0 / n))
     return Jet(a.center, tuple(out))
 
 

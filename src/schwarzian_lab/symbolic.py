@@ -9,14 +9,19 @@ is integral — the final form of both Schwarzian series is canonical, and
 ``sigma_b`` asserts this.
 
 Exponent keys are stored as integer tuples ``(2*e_1, e_2, ..., e_K)`` with
-trailing zeros trimmed; coefficients are ``fractions.Fraction``.  Numeric
-conversion happens only inside the evaluators.
+trailing zeros trimmed; coefficients are ``fractions.Fraction``.  The formal
+derivative behind both series runs on plain integers: an expression is put
+over the lcm D of its denominators, one derivative maps integer numerators
+over D to integer numerators over 2D, and ``Fraction`` values are built
+once at the end.  Conversion to floating point happens only inside the
+evaluators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .jets import Jet, _any, jet_const, jet_derive, jet_pow, jet_reciprocal, jet_shift, derivative_values
 
@@ -115,10 +120,6 @@ def monomial(coeff, e1_doubled: int = 0, **powers) -> DiffExpr:
     return DiffExpr({tuple(key): Fraction(coeff)})
 
 
-def u1_power(e1_doubled: int) -> DiffExpr:
-    return DiffExpr({(e1_doubled,): Fraction(1)})
-
-
 def classical(kind: str) -> DiffExpr:
     """The classical operators: 'schwarzian' S_f or 'pre_schwarzian' f''/f'."""
     if kind == "pre_schwarzian":
@@ -128,29 +129,54 @@ def classical(kind: str) -> DiffExpr:
     raise ValueError(f"unknown classical operator {kind!r}")
 
 
+def _numerators(e: DiffExpr) -> tuple:
+    """({key: integer numerator}, D) with e's coefficients put over D, the
+    lcm of their denominators."""
+    den = lcm(*(c.denominator for c in e.terms.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in e.terms.items()}, den
+
+
+def _over(nums: dict, den: int) -> DiffExpr:
+    """The DiffExpr {key: num/den}; `nums` holds trimmed keys and no zeros."""
+    e = object.__new__(DiffExpr)
+    object.__setattr__(e, "terms", {key: Fraction(v, den) for key, v in nums.items()})
+    return e
+
+
+def _derive(nums: dict) -> dict:
+    """Formal z-derivative on integer numerators: {key: a} over D maps to
+    {key: b} over 2D.  The key holds u_1's exponent doubled, as e, so the
+    Leibniz term from u_1^(e/2) is (a/D)*(e/2) = a*e/(2D), and the one from
+    u_k^e (k >= 2) is (a/D)*e = 2*a*e/(2D).  Keys keep their order of first
+    appearance and zero sums are dropped at the end, as the Leibniz loop over
+    Fraction coefficients did, so terms and term order are unchanged."""
+    out = {}
+    get = out.get
+    for key, c in nums.items():
+        last = len(key) - 1
+        for i, exp in enumerate(key):
+            if not exp:
+                continue
+            new = list(key)
+            if i:
+                new[i] -= 1
+                coeff = 2 * exp * c
+            else:
+                new[0] -= 2
+                coeff = exp * c
+            if i == last:
+                new.append(1)
+            else:
+                new[i + 1] += 1
+            new = tuple(new)
+            out[new] = get(new, 0) + coeff
+    return {key: v for key, v in out.items() if v}
+
+
 def sym_derive(e: DiffExpr) -> DiffExpr:
     """Formal z-derivative: u_k -> u_{k+1} via the Leibniz rule."""
-    terms = {}
-
-    def add(key, coeff):
-        key = _trim(key)
-        if coeff != 0:
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-
-    for key, coeff in e.terms.items():
-        for i, exp in enumerate(key):
-            if exp == 0:
-                continue
-            k = i + 1
-            ek = Fraction(exp, 2) if k == 1 else Fraction(exp)
-            new = list(key) + [0] * max(0, (i + 2) - len(key))
-            if k == 1:
-                new[0] -= 2
-            else:
-                new[i] -= 1
-            new[i + 1] += 1
-            add(tuple(new), coeff * ek)
-    return DiffExpr(terms)
+    nums, den = _numerators(e)
+    return _over(_derive(nums), 2 * den)
 
 
 @lru_cache(maxsize=None)
@@ -158,20 +184,26 @@ def sigma_a(n: int) -> DiffExpr:
     """A-series higher Schwarzian: sigma_3 = S_f, then
     sigma_{n+1} = sigma_n' - (n-1)*(f''/f')*sigma_n.
 
-    Each order is one step from the cached order below it."""
+    Each order is one step from the cached order below it, taken over
+    integer numerators."""
     if n < 3:
         raise ValueError("A-series starts at n = 3")
     if n == 3:
         return classical("schwarzian")
-    prev = sigma_a(n - 1)
-    return sym_derive(prev) - (classical("pre_schwarzian") * prev).scale(n - 2)
+    nums, den = _numerators(sigma_a(n - 1))
+    out = _derive(nums)  # over 2*den
+    for key, c in nums.items():  # minus (n-2) * u_2/u_1 * sigma_{n-1}
+        key = _mul_keys((-2, 1), key)
+        out[key] = out.get(key, 0) - 2 * (n - 2) * c
+    return _over({key: v for key, v in out.items() if v}, 2 * den)
 
 
 @lru_cache(maxsize=None)
 def sigma_b(n: int) -> DiffExpr:
     """B-series higher Schwarzian: -2*(f')^{n/2-1} * d^{n-1}/dz^{n-1} (f')^{1-n/2}.
 
-    Intermediate stages live on the half-integer u_1 lattice; the final
+    The n-1 derivatives run over integer numerators from (f')^{1-n/2} on the
+    half-integer u_1 lattice, over the denominator 2^(n-1); the final
     product is asserted canonical (all u_1 exponents integral).
 
     Some published coefficient tables for n = 4, 5 differ in signs and one
@@ -181,10 +213,10 @@ def sigma_b(n: int) -> DiffExpr:
     """
     if n < 3:
         raise ValueError("B-series starts at n = 3")
-    expr = u1_power(2 - n)  # (f')^{1 - n/2}
+    nums = {(2 - n,): 1}  # (f')^{1 - n/2}
     for _ in range(n - 1):
-        expr = sym_derive(expr)
-    expr = (expr * u1_power(n - 2)).scale(-2)
+        nums = _derive(nums)
+    expr = _over({(key[0] + n - 2,) + key[1:]: -2 * v for key, v in nums.items()}, 2 ** (n - 1))
     if not expr.is_canonical():
         raise AssertionError("B-series expansion failed to cancel half-integer exponents")
     return expr

@@ -21,6 +21,7 @@ from schwarzian_lab.checks import (
     covariance_spec,
     covariance_suite,
     draw_trials,
+    hp_relerr,
     make_batch,
     run_suite,
     schwinv_spec,
@@ -168,3 +169,12 @@ def test_recheck_still_fails_a_perturbed_identity():
 def test_no_recheck_below_tolerance():
     rep = covariance_suite("A", trials=50)
     assert rep["escalated"] == 0 and rep["hp_defect"] == 0.0
+
+
+@pytest.mark.parametrize("name", ["bol", "altrec", "schwinv"])
+def test_recheck_keeps_precision_through_jet_pow(name):
+    # these specs go through jet_pow; at 50 digits their trials recheck far
+    # below float round-off, as covariance and affine do
+    spec = {"bol": bol_spec, "altrec": altrec_spec, "schwinv": schwinv_spec}[name]()
+    worst = max(hp_relerr(spec, trial) for trial in draw_trials(spec, 5, seed=0))
+    assert worst < 1e-30, (name, worst)

@@ -152,6 +152,19 @@ def test_integer_power_matches_repeated_product():
     assert max(abs(a - b) for a, b in zip(inv2.coeffs, (rec * rec).coeffs)) < 1e-14
 
 
+def test_power_keeps_mpmath_precision():
+    import mpmath
+
+    with mpmath.workdps(50):
+        f = jet_from_coeffs([mpmath.mpc(1.5, 0.5), mpmath.mpc(0.25, -1), mpmath.mpc(0.5, 0), mpmath.mpc(0, 0.125)])
+        cube_root = jet_pow(f, Fraction(1, 3))
+        worst = max(abs(a - b) for a, b in zip((cube_root * cube_root * cube_root).coeffs, f.coeffs))
+        assert worst < 1e-45, worst
+        inv_cube = jet_pow(f, -3)
+        worst = max(abs(a - b) for a, b in zip(inv_cube.coeffs, jet_reciprocal(f * f * f).coeffs))
+        assert worst < 1e-45, worst
+
+
 def test_integer_power_of_vanishing_constant_term():
     z = jet_variable(0j, 3)
     assert (z**2).coeffs == (0, 0, 1, 0)

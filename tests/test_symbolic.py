@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from schwarzian_lab import (
     DiffExpr,
@@ -83,6 +85,62 @@ def test_weight_homogeneity():
     # u_1 carries no weight, whatever its (half-integer) exponent
     assert (monomial(1, -3, u2=1) + monomial(2, 5, u3=2)).weights() == {1, 4}
     assert all(type(w) is int for w in sigma_b(9).weights())
+
+
+def reference_derive(e):
+    """The formal derivative as a Leibniz loop over Fraction coefficients:
+    the term-order oracle for the integer-numerator kernel of `sym_derive`."""
+    terms = {}
+    for key, coeff in e.terms.items():
+        for i, exp in enumerate(key):
+            if exp == 0:
+                continue
+            ek = Fraction(exp, 2) if i == 0 else Fraction(exp)
+            new = list(key) + [0] * max(0, (i + 2) - len(key))
+            new[i] -= 2 if i == 0 else 1
+            new[i + 1] += 1
+            while len(new) > 1 and new[-1] == 0:
+                new.pop()
+            new = tuple(new)
+            terms[new] = terms.get(new, Fraction(0)) + coeff * ek
+    return DiffExpr(terms)
+
+
+def reference_sigma_b(n):
+    expr = DiffExpr({(2 - n,): 1})
+    for _ in range(n - 1):
+        expr = reference_derive(expr)
+    return (expr * DiffExpr({(n - 2,): 1})).scale(-2)
+
+
+def test_series_match_the_fraction_leibniz_reference():
+    """sigma_a and sigma_b, term for term and in the same term order (which
+    fixes the float summation order of `evaluate`), against the expansion
+    re-run from scratch through the Fraction reference."""
+    expr = classical("schwarzian")
+    for n in range(3, 17):
+        if n > 3:
+            expr = reference_derive(expr) - (classical("pre_schwarzian") * expr).scale(n - 2)
+        assert list(sigma_a(n).terms.items()) == list(expr.terms.items()), n
+        assert list(sigma_b(n).terms.items()) == list(reference_sigma_b(n).terms.items()), n
+        for c in list(sigma_a(n).terms.values()) + list(sigma_b(n).terms.values()):
+            assert type(c) is Fraction
+
+
+_terms = st.dictionaries(
+    st.tuples(st.integers(-5, 4).map(lambda h: 2 * h + 1), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    max_size=6,
+)
+
+
+@given(_terms, _terms)
+def test_sym_derive_matches_reference_and_leibniz_rule(ta, tb):
+    # half-integer u_1 exponents and denominators up to 12
+    a, b = DiffExpr(ta), DiffExpr(tb)
+    for e in (a, b, a * b):
+        assert list(sym_derive(e).terms.items()) == list(reference_derive(e).terms.items())
+    assert sym_derive(a * b) == sym_derive(a) * b + a * sym_derive(b)
 
 
 def test_sigma_a_matches_direct_expansion():

@@ -8,6 +8,15 @@ eta = 1/conj(zeta), d^2 eta = |zeta|^-4 d^2 zeta, which maps the exterior
 onto the punctured disc and removes all tail truncation for kernels decaying
 like |eta|^-4.  Half-plane integrals are polar-truncated at a finite radius
 with a recorded tail estimate.
+
+`d0_beta` and `kernel_criterion_check` with `grid=None` size their exterior
+grid from |z| and the kernel order (`exterior_levels`) and confirm it against
+the next-coarser level, stepping up until the relative change is at most
+QUAD_TOL = 1e-9 (or below the sums' round-off), and return the finer value;
+ValueError if the largest level cannot confirm it.  The criterion's report
+then adds `quad_error` (that change plus the round-off bound) and `nodes`
+(summed over the levels evaluated).  With an explicit grid both compute on
+that grid alone, as before.  Each evaluates the density once per grid.
 """
 
 from __future__ import annotations
@@ -37,18 +46,6 @@ class QuadGrid:
     nodes: np.ndarray = field(compare=False)
     weights: np.ndarray = field(compare=False)
     meta: dict = field(compare=False, default_factory=dict)
-
-    def refine(self, factor: int = 2) -> "QuadGrid":
-        kind = self.meta.get("kind")
-        if kind == "disc":
-            return disc_quadrature(self.meta["R"] * factor, self.meta["M"] * factor)
-        if kind == "exterior_disc":
-            return exterior_disc_quadrature(self.meta["R"] * factor, self.meta["M"] * factor)
-        if kind == "half_plane":
-            return half_plane_quadrature(
-                self.domain, self.meta["R"] * factor, self.meta["M"] * factor, self.meta["radius"]
-            )
-        raise ValueError(f"cannot refine grid of kind {kind!r}")
 
 
 @lru_cache(maxsize=None)
@@ -172,6 +169,79 @@ def ahlfors_weill_density(phi, phi_b2_norm: float | None = None) -> DensityFn:
 # -- integral operators --------------------------------------------------------
 
 
+# Relative change between two exterior levels below which the finer level's
+# value is accepted when the caller passes no grid.
+QUAD_TOL = 1e-9
+# A change this small against the summed |terms| is float round-off: the sums
+# cannot resolve it, so it confirms a value that is close to zero.
+ROUNDOFF = 64 * 2.0**-52
+# Node counts per direction of the auto-sized exterior grids; one refinement
+# step moves both counts one rung up, about 1.5x each.
+EXTERIOR_RUNGS = (4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768)
+
+
+def exterior_levels(z: complex, order: int) -> list:
+    """(R, M) of the a priori coarse level and of every level above it.
+
+    The radial Gauss rule resolves the kernel's radial profile with R of about
+    2*order nodes at any |z|; the angular trapezoid rule's error is the kernel's
+    first aliased Fourier mode, C(M + order, order) |z|^M, so the coarse level
+    takes the fewest angles M >= 2R that put that mode below QUAD_TOL.  A
+    caller compares each level with the one below it.
+    """
+    rungs, r = EXTERIOR_RUNGS, abs(z)
+    i = next((i for i, R in enumerate(rungs) if R >= 2 * order), None)
+    if i is None:
+        raise ValueError(f"kernel order {order} is beyond the auto-sized exterior grids")
+    j = next(
+        (j for j, M in enumerate(rungs) if M >= 2 * rungs[i] and math.comb(M + order, order) * r**M <= QUAD_TOL),
+        len(rungs) - 2,
+    )
+    return list(zip(rungs[i:], rungs[min(j, len(rungs) - 2) :]))
+
+
+def _settle(coeffs: dict, nu, z: complex, evaluate):
+    """Run evaluate(nu_values, grid) -> tuple of values on exterior levels from
+    the a priori coarse one upward, until one level changes every value by at
+    most QUAD_TOL relative, or by no more than the sums' round-off.  Returns
+    that level's values, the change plus the round-off bound as the error, and
+    the nodes of every level evaluated.  The round-off bound is ROUNDOFF times
+    the d0_beta sum over |terms| on the coarse level."""
+    levels = exterior_levels(z, max((k for k, _l in coeffs), default=0))
+    grid = exterior_disc_quadrature(*levels[0])
+    nu_vals = _density_values(nu, grid)
+    coarse = evaluate(nu_vals, grid)
+    roundoff = ROUNDOFF * sum(
+        abs(float(a)) * math.factorial(k) / math.pi * quad2d(lambda eta: np.abs(nu_vals / (z - eta) ** (k + 1)), grid).real
+        for (k, _l), a in coeffs.items()
+    )
+    nodes = grid.nodes.size
+    for R, M in levels[1:]:
+        grid = exterior_disc_quadrature(R, M)
+        fine = evaluate(_density_values(nu, grid), grid)
+        nodes += grid.nodes.size
+        if all(abs(f - c) <= max(QUAD_TOL * max(abs(f), abs(c)), roundoff) for f, c in zip(fine, coarse)):
+            return fine, max(abs(f - c) for f, c in zip(fine, coarse)) + roundoff, nodes
+        coarse = fine
+    raise ValueError(f"exterior quadrature did not settle to {QUAD_TOL:g} by the {R} x {M} grid at |z| = {abs(z):.3g}")
+
+
+def _density_values(nu, grid: QuadGrid):
+    nu_domain = getattr(nu, "domain", None)
+    if nu_domain is not None and nu_domain != grid.domain:
+        raise ValueError(f"density lives on {nu_domain.tag}, grid on {grid.domain.tag}")
+    return nu(grid.nodes)
+
+
+def _d0_sum(coeffs: dict, nu_vals, z: complex, grid: QuadGrid) -> complex:
+    """The d0_beta sum over the grid from nu's values on its nodes."""
+    total = 0j
+    for (k, _l), a in sorted(coeffs.items()):
+        kernel = quad2d(lambda eta: nu_vals / (z - eta) ** (k + 1), grid)
+        total += float(a) * ((-1.0) ** k * math.factorial(k) / math.pi) * kernel
+    return total
+
+
 def d0_beta(coeffs, nu, z: complex, grid: QuadGrid | None = None) -> complex:
     """Differential at the origin of a higher Bers map, applied to nu:
 
@@ -179,18 +249,17 @@ def d0_beta(coeffs, nu, z: complex, grid: QuadGrid | None = None) -> complex:
         I_k = integral over the exterior disc of nu(eta)/(z-eta)^(k+1).
 
     `coeffs` is either the {(k,l): a_kl} map of degree-one coefficients or a
-    canonical DiffExpr from which they are extracted.  Linear in nu.
+    canonical DiffExpr from which they are extracted.  Linear in nu, which is
+    evaluated once per grid.  With no grid, the exterior grid is sized from
+    |z| and the top kernel order and confirmed against the next-coarser level
+    (`exterior_levels`); ValueError if no level up to 768 angles confirms the
+    value to QUAD_TOL.
     """
     if isinstance(coeffs, DiffExpr):
         coeffs = monomial_coefficients(coeffs)
-    grid = grid or exterior_disc_quadrature()
-    nu_domain = getattr(nu, "domain", None)
-    if nu_domain is not None and nu_domain != grid.domain:
-        raise ValueError(f"density lives on {nu_domain.tag}, grid on {grid.domain.tag}")
-    total = 0j
-    for (k, _l), a in sorted(coeffs.items()):
-        kernel = quad2d(lambda eta: nu(eta) / (z - eta) ** (k + 1), grid)
-        total += float(a) * ((-1.0) ** k * math.factorial(k) / math.pi) * kernel
+    if grid is not None:
+        return _d0_sum(coeffs, _density_values(nu, grid), z, grid)
+    (total,), _error, _nodes = _settle(coeffs, nu, z, lambda nu_vals, g: (_d0_sum(coeffs, nu_vals, z, g),))
     return total
 
 
@@ -259,9 +328,10 @@ def repro_check(phi, q: int, z: complex, grid: QuadGrid | None = None) -> dict:
         raise ValueError("evaluation point must lie in the lower half-plane")
     grid = grid or half_plane_quadrature(UPPER_HALF)
     mu = beltrami_from_bers(phi, q)
+    mu_vals = mu(grid.nodes)
     lhs = complex(phi(z))
-    rhs = quad2d(lambda eta: mu(eta) / (eta - z) ** (q + 2), grid)
-    rhs_alt = quad2d(lambda eta: mu(eta) / (z - eta) ** (q + 2), grid)
+    rhs = quad2d(lambda eta: mu_vals / (eta - z) ** (q + 2), grid)
+    rhs_alt = quad2d(lambda eta: mu_vals / (z - eta) ** (q + 2), grid)
     tail = half_plane_tail_estimate(lambda eta: mu(eta) / (eta - z) ** (q + 2), grid, decay=q + 2.0)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return {
@@ -279,22 +349,28 @@ def kernel_criterion_check(nu, n: int, z: complex, series: str = "A", grid: Quad
     -(n! c(n)/pi) * <omega_z^{n+1}, conj(nu) lambda^2>_2 with
     omega_z^l(w) = (w-z)^(-l), the pairing taken over the exterior disc at
     weight s = 2.  Both sides are computed independently (the right side
-    through the generic weighted-pairing code path)."""
+    through the generic weighted-pairing code path) from one evaluation of nu
+    per grid.  With no grid, both sides are auto-sized together as in
+    d0_beta, and the report adds `quad_error` (the larger change of a side
+    between the two levels, plus the round-off bound) and `nodes` (summed
+    over every level evaluated)."""
     from .symbolic import sigma_a, sigma_b
 
     expr = sigma_a(n) if series == "A" else sigma_b(n)
-    grid = grid or exterior_disc_quadrature()
-    lhs = d0_beta(expr, nu, z, grid)
+    coeffs = monomial_coefficients(expr)
     c = float(series_constant(expr))
-    lam = grid.domain.density
 
-    def omega(w):
-        return (w - z) ** (-(n + 1.0))
+    def sides(nu_vals, g):
+        lam = g.domain.density
+        lhs = _d0_sum(coeffs, nu_vals, z, g)
+        pairing = weighted_pairing(lambda w: (w - z) ** (-(n + 1.0)), lambda w: np.conj(nu_vals) * lam(w) ** 2, 2, g)
+        return lhs, -(math.factorial(n) * c / math.pi) * pairing
 
-    def weighted_nu(w):
-        return np.conj(nu(w)) * lam(w) ** 2
-
-    pairing = weighted_pairing(omega, weighted_nu, 2, grid)
-    rhs = -(math.factorial(n) * c / math.pi) * pairing
+    if grid is not None:
+        lhs, rhs = sides(_density_values(nu, grid), grid)
+        extra = {}
+    else:
+        (lhs, rhs), error, nodes = _settle(coeffs, nu, z, sides)
+        extra = {"quad_error": error, "nodes": nodes}
     scale = max(abs(lhs), abs(rhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "relerr": abs(lhs - rhs) / scale, "n": n, "series": series}
+    return {"lhs": lhs, "rhs": rhs, "relerr": abs(lhs - rhs) / scale, "n": n, "series": series, **extra}

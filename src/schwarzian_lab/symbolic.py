@@ -330,16 +330,11 @@ def evaluate_jet(e: DiffExpr, f: Jet) -> Jet:
 
 
 def _sort_key(key: Key):
-    degree = sum(key[1:])
-    factors = []
-    for i, e in enumerate(key[1:], start=2):
-        factors.extend([i] * e)
-    factors.sort(reverse=True)
-    return (degree, tuple(-x for x in factors), -key[0])
-
-
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    # key[i] is the exponent of u_{i+1}; the factors run from the highest index down
+    factors = ()
+    for i in range(len(key) - 1, 0, -1):
+        factors += (-(i + 1),) * key[i]
+    return (sum(key[1:]), factors, -key[0])
 
 
 def to_string(e: DiffExpr) -> str:
@@ -362,10 +357,13 @@ def to_string(e: DiffExpr) -> str:
         if d > 0:
             num_factors.append("u1" if d == 2 else (f"u1^{d // 2}" if d % 2 == 0 else f"u1^({d}/2)"))
         body = "*".join(num_factors) if num_factors else "1"
-        if abs(coeff) != 1:
-            body = f"{_coeff_str(abs(coeff))}*{body}" if num_factors else _coeff_str(abs(coeff))
+        num, den = coeff.numerator, coeff.denominator
+        size = abs(num)
+        if size != 1 or den != 1:
+            shown = str(size) if den == 1 else f"{size}/{den}"
+            body = f"{shown}*{body}" if num_factors else shown
         if d < 0:
             body += "/u1" if d == -2 else (f"/u1^{-d // 2}" if d % 2 == 0 else f"/u1^({-d}/2)")
-        pieces.append(("- " if coeff < 0 else "+ ") + body)
+        pieces.append(("- " if num < 0 else "+ ") + body)
     text = " ".join(pieces)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]

@@ -2,7 +2,9 @@
 the differential of the period-type map at the origin, the reproducing
 formula, and the kernel-power pairing criterion."""
 
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -28,11 +30,13 @@ from schwarzian_lab import (
 from schwarzian_lab.automorphic import fundamental_annulus_grid
 from schwarzian_lab.integrals import (
     beltrami_from_bers,
+    exterior_levels,
     finite_difference,
     legendre_rule,
     quad2d,
     w1_term,
 )
+from schwarzian_lab.symbolic import monomial_coefficients, series_constant
 
 
 def test_disc_quadrature_oracles():
@@ -55,12 +59,6 @@ def test_half_plane_quadrature_oracle():
     # analytic value pi/4; the grid is truncated at a finite radius
     assert abs(val - math.pi / 4) < 5e-3
     assert np.all(g.nodes.imag > 0)
-
-
-def test_grid_refine_doubles_meta():
-    g = disc_quadrature(R=8, M=16)
-    r = g.refine(2)
-    assert r.meta["R"] == 16 and r.meta["M"] == 32
 
 
 def test_weighted_pairing_constant():
@@ -123,7 +121,7 @@ def test_kernel_criterion_identity():
         for series in ("A", "B"):
             rep = kernel_criterion_check(nu, n, 0.3 + 0.1j, series)
             assert abs(rep["lhs"]) > 1e-3  # nondegenerate comparison
-            assert rep["relerr"] < 1e-8, (n, series)
+            assert rep["relerr"] < 1e-10, (n, series)
 
 
 def test_w1_normalization_invariance():
@@ -179,20 +177,152 @@ def test_grids_unchanged_by_cached_rules(build):
     assert np.array_equal(cached.weights, fresh.weights)
 
 
+def aw_closed_form(coeffs, n, series, z):
+    """d0_beta(sigma_n) on the Ahlfors-Weill section of phi(w) = sum c_m w^m:
+    c(n) times the n-th derivative of the triple antiderivative
+    sum c_m w^(m+3) / ((m+1)(m+2)(m+3)), with c(n) = 1 (A) or n-2 (B)."""
+    c = 1 if series == "A" else n - 2
+    return c * math.factorial(n) * sum(
+        cm * math.comb(m + 3, n) * z ** (m + 3 - n) / ((m + 1) * (m + 2) * (m + 3))
+        for m, cm in enumerate(coeffs)
+        if m + 3 >= n
+    )
+
+
 @pytest.mark.parametrize("coeffs", [[0, 0, 1], [1, 0.5, 0.25j, 1]])
 def test_d0_beta_matches_closed_form(coeffs):
-    # For the Ahlfors-Weill section of phi(w) = sum c_m w^m the differential
-    # is c(n) times the n-th derivative of the triple antiderivative
-    # sum c_m w^(m+3) / ((m+1)(m+2)(m+3)), with c(n) = 1 (A) or n-2 (B).
     nu = ahlfors_weill_density(catalog("taylor", coeffs=coeffs))
-    grid = exterior_disc_quadrature()
     z = 0.3 + 0.1j
     for n in (3, 5):
-        for series, expr, c in (("A", sigma_a(n), 1), ("B", sigma_b(n), n - 2)):
-            exact = c * math.factorial(n) * sum(
-                cm * math.comb(m + 3, n) * z ** (m + 3 - n) / ((m + 1) * (m + 2) * (m + 3))
-                for m, cm in enumerate(coeffs)
-            )
+        for series, expr in (("A", sigma_a(n)), ("B", sigma_b(n))):
+            exact = aw_closed_form(coeffs, n, series, z)
             assert abs(exact) >= 1e-3, (n, series)
-            relerr = abs(d0_beta(expr, nu, z, grid) - exact) / abs(exact)
-            assert relerr < 1e-2, (n, series, relerr)
+            relerr = abs(d0_beta(expr, nu, z) - exact) / abs(exact)
+            assert relerr < 1e-10, (n, series, relerr)
+
+
+# -- auto-sized exterior grids -------------------------------------------------
+
+
+def old_d0_beta(coeffs, nu, z, grid):
+    """The per-term loop d0_beta ran before it evaluated nu once per grid."""
+    total = 0j
+    for (k, _l), a in sorted(coeffs.items()):
+        kernel = quad2d(lambda eta: nu(eta) / (z - eta) ** (k + 1), grid)
+        total += float(a) * ((-1.0) ** k * math.factorial(k) / math.pi) * kernel
+    return total
+
+
+def random_sections(seed, count, max_radius):
+    """Seeded Ahlfors-Weill sections of random polynomials with a coefficient
+    of degree >= n-3 (lower degrees are annihilated), and points |z| <= max_radius."""
+    rng = random.Random(seed)
+    while count:
+        n, series = rng.choice((3, 4, 5, 6)), rng.choice("AB")
+        coeffs = [rng.uniform(0.3, 1.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                  for _ in range(n - 2 + rng.randint(0, 3))]
+        z = rng.uniform(0.0, max_radius) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        exact = aw_closed_form(coeffs, n, series, z)
+        if abs(exact) < 1e-3:
+            continue
+        count -= 1
+        yield coeffs, n, series, z, exact
+
+
+def test_auto_grid_matches_closed_form_on_random_sections():
+    worst, radius = 0.0, 0.0
+    for coeffs, n, series, z, exact in random_sections(0, 200, 0.9):
+        nu = ahlfors_weill_density(catalog("taylor", coeffs=coeffs), 1.0)
+        expr = sigma_a(n) if series == "A" else sigma_b(n)
+        value = d0_beta(expr, nu, z)
+        rep = kernel_criterion_check(nu, n, z, series)
+        for got in (value, rep["lhs"], rep["rhs"]):
+            worst = max(worst, abs(got - exact) / abs(exact))
+        # the reported error bounds the true one on both sides
+        assert abs(rep["lhs"] - exact) <= rep["quad_error"], (coeffs, n, series, z)
+        assert abs(rep["rhs"] - exact) <= rep["quad_error"], (coeffs, n, series, z)
+        assert 0 < rep["nodes"] < 2 * 192 * 768
+        radius = max(radius, abs(z))
+    assert worst <= 1e-10
+    assert radius > 0.85  # the samples reach close to |z| = 0.9
+
+
+def monomial_density(a, b):
+    return DensityFn(lambda eta: eta ** (-a) * np.conj(eta) ** (-b), EXTERIOR_DISC, 1.0)
+
+
+def monomial_closed_form(a, b, k, z):
+    """(k, l) term with coefficient 1 of d0_beta on eta^-a conj(eta)^-b: only the
+    mode j = b-a-k-1 of (z-eta)^-(k+1) survives the angular integral, and the
+    radial integral of r^(1-2b) over (1, inf) is 1/(2b-2)."""
+    j = b - a - k - 1
+    return 0.0 if j < 0 else -math.factorial(k) * math.comb(b - a - 1, k) * z**j / (b - 1)
+
+
+@pytest.mark.parametrize("a, b, k", [(0, 2, 0), (-1, 4, 2), (-2, 5, 3), (0, 6, 3), (-3, 3, 4), (1, 3, 3), (0, 2, 3)])
+@pytest.mark.parametrize("z", [0.3 + 0.1j, -0.5j, 0.8 * cmath.exp(2.0j)])
+def test_auto_grid_matches_monomial_closed_form(a, b, k, z):
+    exact = monomial_closed_form(a, b, k, z)
+    value = d0_beta({(k, 1): 1}, monomial_density(a, b), z)
+    if exact == 0.0:
+        assert abs(value) < 1e-12
+    else:
+        assert abs(exact) > 1e-3
+        assert abs(value - exact) / abs(exact) <= 1e-10
+
+
+def test_auto_grid_rejects_density_on_wrong_domain():
+    nu = DensityFn(lambda eta: np.ones_like(eta), DISC, 1.0)
+    with pytest.raises(ValueError, match="density lives on disc"):
+        d0_beta(sigma_a(3), nu, 0.1)
+    with pytest.raises(ValueError, match="density lives on disc"):
+        kernel_criterion_check(nu, 3, 0.1)
+
+
+def test_auto_grid_raises_where_no_level_confirms():
+    nu = ahlfors_weill_density(catalog("taylor", coeffs=[0, 0, 1]), 1.0)
+    z = 0.995 * cmath.exp(0.4j)
+    with pytest.raises(ValueError, match="did not settle"):
+        d0_beta(sigma_a(3), nu, z)
+    with pytest.raises(ValueError, match="did not settle"):
+        kernel_criterion_check(nu, 3, z)
+
+
+def test_exterior_levels_follow_z_and_order():
+    near, far = exterior_levels(0.2, 3), exterior_levels(0.8, 3)
+    assert near[0][1] < far[0][1]  # more angles as |z| nears the circle
+    assert exterior_levels(0.2, 6)[0][0] > near[0][0]  # more radii for a higher order
+    for levels in (near, far):
+        assert all(m >= 2 * r for r, m in levels)
+        assert all(r1 > r0 and m1 > m0 for (r0, m0), (r1, m1) in zip(levels, levels[1:]))
+
+
+@pytest.mark.parametrize("grid", [exterior_disc_quadrature(R=24, M=48), exterior_disc_quadrature(R=10, M=30)],
+                         ids=["24x48", "10x30"])
+def test_explicit_grid_values_match_per_term_loop(grid):
+    z = 0.3 + 0.1j
+    for nu in (ahlfors_weill_density(catalog("taylor", coeffs=[1, 0.5, 0.25j, 1]), 1.0), monomial_density(-1, 4)):
+        for coeffs in ({(2, 1): 1, (3, 1): -0.5, (4, 2): 2}, symbolic_coeffs(5, "B")):
+            assert d0_beta(coeffs, nu, z, grid) == old_d0_beta(coeffs, nu, z, grid)
+        for n, series in ((3, "A"), (5, "B")):
+            rep = kernel_criterion_check(nu, n, z, series, grid)
+            expr = sigma_a(n) if series == "A" else sigma_b(n)
+            c = float(series_constant(expr))
+            pairing = weighted_pairing(lambda w: (w - z) ** (-(n + 1.0)),
+                                       lambda w: np.conj(nu(w)) * grid.domain.density(w) ** 2, 2, grid)
+            assert set(rep) == {"lhs", "rhs", "relerr", "n", "series"}
+            assert rep["lhs"] == old_d0_beta(monomial_coefficients(expr), nu, z, grid)
+            assert rep["rhs"] == -(math.factorial(n) * c / math.pi) * pairing
+
+
+def symbolic_coeffs(n, series):
+    return monomial_coefficients(sigma_a(n) if series == "A" else sigma_b(n))
+
+
+def test_repro_check_values_match_per_call_density():
+    grid = half_plane_quadrature(R=32, M=24)
+    phi = lambda z: (np.asarray(z, dtype=complex) - 1j) ** -6.0
+    rep = repro_check(phi, 3, -2j, grid)
+    mu = beltrami_from_bers(phi, 3)
+    assert rep["rhs"] == quad2d(lambda eta: mu(eta) / (eta + 2j) ** 5, grid)
+    assert rep["rhs_alt_sign"] == quad2d(lambda eta: mu(eta) / (-2j - eta) ** 5, grid)

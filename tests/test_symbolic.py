@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from schwarzian_lab import (
@@ -141,6 +141,63 @@ def test_sym_derive_matches_reference_and_leibniz_rule(ta, tb):
     for e in (a, b, a * b):
         assert list(sym_derive(e).terms.items()) == list(reference_derive(e).terms.items())
     assert sym_derive(a * b) == sym_derive(a) * b + a * sym_derive(b)
+
+
+def reference_to_string(e):
+    """The renderer before it read signs and sizes off the numerator: the
+    oracle for `to_string`'s term order and text."""
+
+    def sort_key(key):
+        factors = []
+        for i, exp in enumerate(key[1:], start=2):
+            factors.extend([i] * exp)
+        factors.sort(reverse=True)
+        return (sum(key[1:]), tuple(-x for x in factors), -key[0])
+
+    def coeff_str(c):
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+    if not e.terms:
+        return "0"
+    pieces = []
+    for key in sorted(e.terms, key=sort_key):
+        coeff = e.terms[key]
+        num_factors = []
+        for i in range(len(key) - 1, 0, -1):
+            if key[i]:
+                name = f"u{i + 1}"
+                num_factors.append(name if key[i] == 1 else f"{name}^{key[i]}")
+        d = key[0]
+        if d > 0:
+            num_factors.append("u1" if d == 2 else (f"u1^{d // 2}" if d % 2 == 0 else f"u1^({d}/2)"))
+        body = "*".join(num_factors) if num_factors else "1"
+        if abs(coeff) != 1:
+            body = f"{coeff_str(abs(coeff))}*{body}" if num_factors else coeff_str(abs(coeff))
+        if d < 0:
+            body += "/u1" if d == -2 else (f"/u1^{-d // 2}" if d % 2 == 0 else f"/u1^({-d}/2)")
+        pieces.append(("- " if coeff < 0 else "+ ") + body)
+    text = " ".join(pieces)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+def test_rendering_matches_reference_for_both_series():
+    for n in range(3, 17):
+        for expr in (sigma_a(n), sigma_b(n)):
+            assert to_string(expr) == reference_to_string(expr), n
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-9, 9), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        max_size=8,
+    )
+)
+@example({(-2, 1): Fraction(1, 2), (3,): Fraction(-1, 3), (0,): Fraction(-1), (-4, 0, 1): Fraction(7, 4), (1, 1, 1): 1})
+def test_rendering_matches_reference(terms):
+    # u_1 exponents of either parity, unit and fractional coefficients of both signs
+    e = DiffExpr(terms)
+    assert to_string(e) == reference_to_string(e)
 
 
 def test_sigma_a_matches_direct_expansion():

@@ -183,11 +183,12 @@ EXTERIOR_RUNGS = (4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 
 def exterior_levels(z: complex, order: int) -> list:
     """(R, M) of the a priori coarse level and of every level above it.
 
-    The radial Gauss rule resolves the kernel's radial profile with R of about
-    2*order nodes at any |z|; the angular trapezoid rule's error is the kernel's
-    first aliased Fourier mode, C(M + order, order) |z|^M, so the coarse level
-    takes the fewest angles M >= 2R that put that mode below QUAD_TOL.  A
-    caller compares each level with the one below it.
+    On Ahlfors-Weill sections the radial Gauss rule settles with about
+    2*order nodes at any |z| <= 0.9, so the coarse level takes R >= 2*order.
+    The angular trapezoid rule's error is the kernel's first aliased Fourier
+    mode, C(M + order, order) |z|^M, so it takes the fewest angles M >= 2R
+    that put that mode below QUAD_TOL.  A caller compares each level with the
+    one below it; the last level has 768 angles.
     """
     rungs, r = EXTERIOR_RUNGS, abs(z)
     i = next((i for i, R in enumerate(rungs) if R >= 2 * order), None)

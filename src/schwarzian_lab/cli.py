@@ -10,6 +10,7 @@ every check in the report passed, 1 when one failed, 2 for invalid usage.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -117,10 +118,14 @@ def _emit(report: dict, args) -> None:
 
 
 def _complex(text: str) -> complex:
+    """argparse type: a finite complex number."""
     try:
-        return complex(text.replace(" ", ""))
+        z = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return z
 
 
 def _point_in(dom):
@@ -459,6 +464,9 @@ def cmd_solve(args) -> dict:
             "ok": bool(residual < args.tol),
         }
     _require(args.n >= 4, f"argument --n: {args.what} needs n >= 4, got {args.n}")
+    # sigma_n reads u_n: the homog-b jet is one order above --order (an antiderivative)
+    least = args.n - 1 if args.what == "homog-b" else args.n
+    _require(args.order >= least, f"argument --order: {args.what} needs order >= {least} for n = {args.n}, got {args.order}")
     if args.what == "homog-b":
         _require(len(args.alpha) <= args.n - 1, f"argument --alpha: at most {args.n - 1} coefficients for n = {args.n}")
         _require(bool(args.alpha) and args.alpha[0] != 0, "argument --alpha: the leading coefficient must not vanish")
@@ -488,7 +496,7 @@ def _add_common(p, tol: float | None = None) -> None:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", help="write the report to this path instead of stdout")
     if tol is not None:
-        p.add_argument("--tol", type=float, default=tol)
+        p.add_argument("--tol", type=_positive_float, default=tol)
 
 
 @lru_cache(maxsize=None)
@@ -515,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_positive_float, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("norm", help="hyperbolic sup-norm estimate of sigma_n applied to a function")

@@ -5,18 +5,24 @@ together with Taylor coefficients c_0..c_N (c_k = f^(k)(center)/k!).  All
 operations are pure and truncate to the minimum order of their operands;
 nothing is ever padded silently.
 
-Coefficients are duck-typed.  The usual substrate is ``complex``, but every
-operation that does not force a branch cut works verbatim over
-``fractions.Fraction``, which the exact-arithmetic tests rely on.  The center
-and the coefficients may also be numpy arrays over sample points: the
+Coefficients are duck-typed.  The usual substrate is ``complex``; the center
+and the coefficients may also be numpy arrays over sample points, and the
 recurrences then run elementwise, one jet standing for a whole batch of germs.
+
+Exact jets (every coefficient an ``int`` or a ``fractions.Fraction``) take an
+integer-numerator kernel instead: each operand is put over one common
+denominator, the recurrence runs on Python ints, and each output coefficient
+is built as a single ``Fraction(numerator, denominator)``.  Products,
+reciprocals, powers (integer exponent, or rational exponent with c_0 = 1),
+reversion and antiderivatives stay exact this way, at one gcd per output
+coefficient instead of one per partial product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
@@ -27,6 +33,37 @@ class JetError(ValueError):
 
 def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
+
+
+def _over_common(coeffs):
+    """Integer numerators over one common denominator for exact coefficients.
+
+    Returns (numerators, denominator, has_fraction) with
+    coeffs[k] == numerators[k] / denominator, or None as soon as one
+    coefficient is neither an int nor a Fraction (so a numpy or float jet is
+    turned away at its first coefficient).
+    """
+    den, frac = 1, False
+    for c in coeffs:
+        if isinstance(c, Fraction):
+            frac = True
+            d = c.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        elif not isinstance(c, int):
+            return None
+    if not frac:
+        return list(coeffs), 1, False
+    return [c.numerator * (den // c.denominator) for c in coeffs], den, True
+
+
+def _fractions(nums, den) -> tuple:
+    return tuple(Fraction(n, den) for n in nums)
+
+
+def _convolve(a, b, n: int) -> list:
+    """The first n+1 coefficients of the product of two integer sequences."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
 
 
 def _is_mp(x) -> bool:
@@ -87,6 +124,12 @@ class Jet:
             _check_centers(self, other)
             n = min(self.order, other.order)
             a, b = self.coeffs, other.coeffs
+            exact_a = _over_common(a[: n + 1])
+            exact_b = exact_a and _over_common(b[: n + 1])
+            if exact_b:
+                (na, da, fa), (nb, db, fb) = exact_a, exact_b
+                prod = _convolve(na, nb, n)
+                return Jet(self.center, _fractions(prod, da * db) if fa or fb else tuple(prod))
             prod = [sum(a[i] * b[k - i] for i in range(max(0, k - (len(b) - 1)), min(k, len(a) - 1) + 1)) for k in range(n + 1)]
             return Jet(self.center, tuple(prod))
         return Jet(self.center, tuple(c * other for c in self.coeffs))
@@ -129,12 +172,27 @@ def jet_reciprocal(a: Jet) -> Jet:
     c0 = a.coeffs[0]
     if _any(c0 == 0):
         raise JetError("reciprocal of a jet with vanishing constant term")
+    exact = _over_common(a.coeffs)
+    if exact:
+        x, d, _ = exact
+        return Jet(a.center, _exact_reciprocal(x, d))
     inv0 = Fraction(1, 1) / c0 if _is_exact(c0) else 1.0 / c0
     out = [inv0]
     for n in range(1, a.order + 1):
         s = sum(a.coeffs[k] * out[n - k] for k in range(1, n + 1))
         out.append(-inv0 * s)
     return Jet(a.center, tuple(out))
+
+
+def _exact_reciprocal(x, d) -> tuple:
+    """Coefficients of 1/a for a = x/d: with 1/a_n = d Y_n / x_0^(n+1),
+    Y_0 = 1 and Y_n = -sum_k x_k Y_(n-k) x_0^(k-1)."""
+    x0_pow = [1, x[0]]
+    ys = [1]
+    for n in range(1, len(x)):
+        ys.append(-sum(x[k] * ys[n - k] * x0_pow[k - 1] for k in range(1, n + 1)))
+        x0_pow.append(x0_pow[-1] * x[0])
+    return tuple(Fraction(d * y, x0_pow[n + 1]) for n, y in enumerate(ys))
 
 
 def jet_pow(a: Jet, alpha) -> Jet:
@@ -160,17 +218,12 @@ def jet_pow(a: Jet, alpha) -> Jet:
     if alpha == 0:
         return jet_const(1 if _is_exact(c0) else 1.0 + 0j, a.center, a.order)
 
-    exact = _is_exact(c0) and all(_is_exact(c) for c in a.coeffs) and isinstance(alpha, (int, Fraction))
-    if exact and not (isinstance(alpha, int) or alpha.denominator == 1 or c0 == 1):
-        exact = False
+    if _is_exact(c0) and isinstance(alpha, (int, Fraction)) and (Fraction(alpha).denominator == 1 or c0 == 1):
+        exact = _over_common(a.coeffs)
+        if exact:
+            return _exact_pow(a, exact, Fraction(alpha))
     mp = _is_mp(c0)
-    if exact:
-        if isinstance(alpha, int) or alpha.denominator == 1:
-            g0 = Fraction(c0) ** int(alpha) if int(alpha) >= 0 else Fraction(1, 1) / Fraction(c0) ** (-int(alpha))
-        else:
-            g0 = Fraction(1)  # c0 == 1 here
-        alph = Fraction(alpha)
-    elif mp:
+    if mp:
         alph = c0.context.mpf(alpha.numerator) / alpha.denominator if isinstance(alpha, Fraction) else alpha
         g0 = c0**alph
     else:
@@ -178,10 +231,40 @@ def jet_pow(a: Jet, alpha) -> Jet:
         alph = float(Fraction(alpha)) if isinstance(alpha, Fraction) else alpha
 
     out = [g0]
-    inv_c0 = (Fraction(1, 1) / c0) if exact else 1.0 / c0
+    inv_c0 = 1.0 / c0
     for n in range(1, a.order + 1):
         s = sum((alph * k - (n - k)) * a.coeffs[k] * out[n - k] for k in range(1, n + 1))
-        out.append(inv_c0 * s / n if mp else inv_c0 * s * (Fraction(1, n) if exact else 1.0 / n))
+        out.append(inv_c0 * s / n if mp else inv_c0 * s * (1.0 / n))
+    return Jet(a.center, tuple(out))
+
+
+def _exact_pow(a: Jet, exact, alpha: Fraction) -> Jet:
+    """a**alpha on integer numerators, for integer alpha or c0 == 1.
+
+    With a = x/d and alpha = p/q, write g_n = g_0 G_n / (n! (q x_0)^n).  The
+    coefficientwise form of f g' = alpha f' g becomes
+    G_n = sum_k (p k - q (n-k)) x_k (q x_0)^(k-1) G_(n-k) (n-1)!/(n-k)!, G_0 = 1.
+    """
+    x, d, _ = exact
+    p, q = alpha.numerator, alpha.denominator
+    x0 = x[0]
+    if q == 1:
+        g0_num, g0_den = (x0**p, d**p) if p >= 0 else (d ** (-p), x0 ** (-p))
+    else:
+        g0_num = g0_den = 1  # c0 == 1
+    step = q * x0
+    scaled = [None] + [x[k] * step ** (k - 1) for k in range(1, len(x))]
+    big = [1]
+    den = g0_den
+    out = [Fraction(g0_num, g0_den)]
+    for n in range(1, len(x)):
+        s, falling = 0, 1
+        for k in range(1, n + 1):
+            s += (p * k - q * (n - k)) * scaled[k] * big[n - k] * falling
+            falling *= n - k
+        big.append(s)
+        den *= n * step
+        out.append(Fraction(g0_num * s, den))
     return Jet(a.center, tuple(out))
 
 
@@ -214,7 +297,11 @@ def jet_reverse(a: Jet) -> Jet:
     Power-table reversion (Knuth, TAOCP vol. 2, §4.7): column m of
     P[k][m] = [z^m] g^k, k >= 2, needs only g_1..g_{m-1}, and then
     g_m = -(1/a_1) sum_{k=2}^{m} a_k P[k][m].  O(n^3) coefficient products at
-    order n, no intermediate jets; exact over Fraction coefficients.
+    order n, no intermediate jets.
+
+    Over exact coefficients a = x/d the table runs on integers: with
+    g_m = d^m G_m / x_1^(2m-1) and Q[k][m] = x_1^(2m-k) [z^m] G(z)^k,
+    Q[k][m] = sum_j G_j Q[k-1][m-j] and G_m = -sum_k x_k Q[k][m] x_1^(k-2).
     """
     if _any(a.center != 0):
         raise JetError("reversion is supported at center 0 only")
@@ -224,6 +311,10 @@ def jet_reverse(a: Jet) -> Jet:
         raise JetError("reversion needs nonvanishing linear term")
     n = a.order
     c = a.coeffs
+    exact = _over_common(c)
+    if exact:
+        x, d, _ = exact
+        return Jet(a.center, _exact_reverse(x, d))
     inv1 = Fraction(1, 1) / c[1] if _is_exact(c[1]) else 1.0 / c[1]
     zero = c[0] * 0
     g = [zero, inv1] + [zero] * (n - 1)
@@ -234,6 +325,23 @@ def jet_reverse(a: Jet) -> Jet:
             powers[k][m] = sum(g[j] * lower[m - j] for j in range(1, m - k + 2))
         g[m] = -inv1 * sum(c[k] * powers[k][m] for k in range(2, m + 1))
     return Jet(a.center, tuple(g))
+
+
+def _exact_reverse(x, d) -> tuple:
+    """Reversion of a = x/d on the integer power table (see jet_reverse)."""
+    n = len(x) - 1
+    x1 = x[1]
+    x1_pow = [1]
+    for _ in range(2 * n - 1):
+        x1_pow.append(x1_pow[-1] * x1)
+    g = [0, 1] + [0] * (n - 1)
+    powers = [None, g] + [[0] * (n + 1) for _ in range(n - 1)]
+    for m in range(2, n + 1):
+        for k in range(2, m + 1):
+            lower = powers[k - 1]
+            powers[k][m] = sum(g[j] * lower[m - j] for j in range(1, m - k + 2))
+        g[m] = -sum(x[k] * powers[k][m] * x1_pow[k - 2] for k in range(2, m + 1))
+    return (Fraction(0),) + tuple(Fraction(d**m * g[m], x1_pow[2 * m - 1]) for m in range(1, n + 1))
 
 
 def jet_derive(a: Jet, k: int = 1) -> Jet:
@@ -250,9 +358,10 @@ def jet_derive(a: Jet, k: int = 1) -> Jet:
 
 def jet_antiderive(a: Jet, const=0) -> Jet:
     """Termwise antiderivative with prescribed value at the center."""
-    exact = all(_is_exact(c) for c in a.coeffs)
+    exact = _over_common(a.coeffs)
     if exact:
-        coeffs = (const,) + tuple(c * Fraction(1, j + 1) for j, c in enumerate(a.coeffs))
+        nums, d, _ = exact
+        coeffs = (const,) + tuple(Fraction(x, d * (j + 1)) for j, x in enumerate(nums))
     else:
         coeffs = (const,) + tuple(c / (j + 1) for j, c in enumerate(a.coeffs))
     return Jet(a.center, coeffs)

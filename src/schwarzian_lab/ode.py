@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .jets import (
     Jet,
     JetError,
+    _over_common,
     jet_antiderive,
     jet_derive,
     jet_from_coeffs,
@@ -46,12 +48,39 @@ class OdeSolution:
 
 def _linear_basis(phi: Jet, order: int, c0, c1) -> Jet:
     """Solve h'' + (1/2) phi h = 0 with h(center) = c0, h'(center) = c1."""
+    exact = _over_common(phi.coeffs) if isinstance(c0, (int, Fraction)) and isinstance(c1, (int, Fraction)) else None
+    if exact:
+        return _exact_linear_basis(phi, order, exact, Fraction(c0), Fraction(c1))
     half = Fraction(1, 2) if _exact(phi) and isinstance(c0, (int, Fraction)) else 0.5
     coeffs = [c0, c1] + [0] * (order - 1)
     for m in range(order - 1):
         conv = sum(phi.coeffs[j] * coeffs[m - j] for j in range(min(m, phi.order) + 1))
         coeffs[m + 2] = -half * conv / ((m + 1) * (m + 2))
     return jet_from_coeffs(coeffs[: order + 1], phi.center)
+
+
+def _exact_linear_basis(phi: Jet, order: int, exact, c0: Fraction, c1: Fraction) -> Jet:
+    """The basis recurrence on integer numerators.  With phi = y/d and
+    h_m = H_m / (b (2d)^m m!), where b is the common denominator of c0 and c1,
+    H_(m+2) = -sum_j y_j H_(m-j) (2d)^(j+1) m!/(m-j)!."""
+    y, d, _ = exact
+    b = lcm(c0.denominator, c1.denominator)
+    two_d = 2 * d
+    big = [c0.numerator * (b // c0.denominator), c1.numerator * (b // c1.denominator) * two_d] + [0] * (order - 1)
+    two_d_pow = [two_d]
+    for _ in range(min(order, len(y))):
+        two_d_pow.append(two_d_pow[-1] * two_d)
+    for m in range(order - 1):
+        s, falling = 0, 1
+        for j in range(min(m, phi.order) + 1):
+            s += y[j] * big[m - j] * two_d_pow[j] * falling
+            falling *= m - j
+        big[m + 2] = -s
+    den, out = b, [Fraction(big[0], b)]
+    for m in range(1, order + 1):
+        den *= two_d * m
+        out.append(Fraction(big[m], den))
+    return jet_from_coeffs(out, phi.center)
 
 
 def _exact(a: Jet) -> bool:

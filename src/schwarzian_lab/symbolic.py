@@ -21,9 +21,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, perm
 
-from .jets import Jet, _any, jet_const, jet_derive, jet_pow, jet_reciprocal, jet_shift, derivative_values
+from .jets import (
+    Jet,
+    _any,
+    _convolve,
+    _exact_reciprocal,
+    _fractions,
+    _over_common,
+    derivative_values,
+    jet_const,
+    jet_derive,
+    jet_pow,
+    jet_reciprocal,
+    jet_shift,
+)
 
 Key = tuple  # (2*e1, e2, e3, ..., eK), trailing zeros trimmed
 
@@ -307,14 +320,16 @@ def evaluate_jet(e: DiffExpr, f: Jet) -> Jet:
     if f.order < top:
         raise ValueError(f"jet order {f.order} below required derivative index {top}")
     out_order = f.order - top
+    exact = _over_common(f.coeffs)
+    if exact:
+        return Jet(f.center, _evaluate_exact(e, exact[0], exact[1], top, out_order))
     u_jets = {k: jet_derive(f, k) for k in range(1, top + 1)}
     u1_inv = jet_reciprocal(u_jets[1])
-    exact = all(isinstance(c, (int, Fraction)) for c in f.coeffs)
-    total = jet_const(Fraction(0) if exact else 0j, f.center, out_order)
+    total = jet_const(0j, f.center, out_order)
     for key, coeff in e.terms.items():
         if key[0] % 2 != 0:
             raise ValueError("evaluate_jet needs a canonical expression")
-        term = jet_const(coeff if exact else float(coeff), f.center, out_order)
+        term = jet_const(float(coeff), f.center, out_order)
         p = key[0] // 2
         base = u_jets[1] if p >= 0 else u1_inv
         for _ in range(abs(p)):
@@ -324,6 +339,50 @@ def evaluate_jet(e: DiffExpr, f: Jet) -> Jet:
                 term = term * u_jets[i]
         total = total + term
     return total
+
+
+def _evaluate_exact(e: DiffExpr, x, d: int, top: int, n: int) -> tuple:
+    """evaluate_jet for f = x/d on integer numerators, cut to output order n.
+
+    u_k = f^(k) shares f's denominator d and 1/u_1 gets its own; each power
+    of a factor is built once and shared by every term that uses it, and the
+    terms are summed over one common denominator, so a Fraction is built only
+    for each output coefficient.
+    """
+    bases = {k: ([x[j + k] * perm(j + k, k) for j in range(n + 1)], d) for k in range(1, top + 1)}
+    inv_nums, inv_den, _ = _over_common(_exact_reciprocal(bases[1][0], d))
+    bases[-1] = (inv_nums, inv_den)  # key -1 stands for 1/u_1
+    powers = {}
+
+    def power(k, exp):
+        got = powers.get((k, exp))
+        if got is None:
+            if exp == 1:
+                got = bases[k]
+            else:
+                (nums, den), (b_nums, b_den) = power(k, exp - 1), bases[k]
+                got = (_convolve(nums, b_nums, n), den * b_den)
+            powers[(k, exp)] = got
+        return got
+
+    terms = []
+    for key, coeff in e.terms.items():
+        if key[0] % 2 != 0:
+            raise ValueError("evaluate_jet needs a canonical expression")
+        p = key[0] // 2
+        factors = [power(1 if p > 0 else -1, abs(p))] if p else []
+        factors += [power(k, exp) for k, exp in enumerate(key[1:], start=2) if exp]
+        nums, den = factors[0] if factors else ([1] + [0] * n, 1)
+        for f_nums, f_den in factors[1:]:
+            nums, den = _convolve(nums, f_nums, n), den * f_den
+        terms.append((coeff.numerator, coeff.denominator * den, nums))
+    common = lcm(*(den for _, den, _ in terms))
+    total = [0] * (n + 1)
+    for c, den, nums in terms:
+        scale = c * (common // den)
+        for k in range(n + 1):
+            total[k] += scale * nums[k]
+    return _fractions(total, common)
 
 
 # -- rendering --------------------------------------------------------------

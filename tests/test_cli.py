@@ -125,6 +125,20 @@ def test_bad_group_descriptor(capsys):
         ["bergman", "--grid-m", "-4"],
         ["repro", "--radius", "-1"],
         ["repro", "--radius", "0"],
+        ["solve", "homog-b", "--n", "5", "--order", "3"],
+        ["solve", "homog-a", "--n", "6", "--order", "3"],
+        ["solve", "homog-a", "--n", "6", "--order", "5"],
+        ["solve", "ode", "--phi", "1e400"],
+        ["solve", "homog-b", "--alpha", "nan"],
+        ["solve", "homog-a", "--poly", "0.5,inf"],
+        ["solve", "ode", "--tol", "nan"],
+        ["solve", "homog-b", "--tol", "-1"],
+        ["verify", "affine", "--tol", "nan"],
+        ["verify", "affine", "--tol", "-1"],
+        ["aw", "--tol", "0"],
+        ["repro", "--tol", "inf"],
+        ["kernel-criterion", "--tol", "nan"],
+        ["bergman", "--tol", "-1e-3"],
     ],
 )
 def test_bad_numeric_parameters_are_usage_errors(capsys, args):
@@ -139,6 +153,8 @@ def test_in_range_edge_parameters_still_run(capsys):
     assert run(["verify", "bol", "--n", "2", "--trials", "3"]) == 0
     assert run(["solve", "homog-a", "--n", "4", "--poly", "0.5"]) == 0
     assert run(["solve", "homog-b", "--n", "5", "--alpha", "1,0.5,0.25,0.1"]) == 0
+    assert run(["solve", "homog-b", "--n", "5", "--order", "4"]) == 0
+    assert run(["solve", "homog-a", "--n", "6", "--poly", "0.5", "--order", "6"]) == 0
 
 
 def test_parser_is_built_once():

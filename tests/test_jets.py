@@ -229,3 +229,93 @@ def test_chain_rule(outer, inner_tail):
     lhs = jet_derive(composed)
     rhs = jet_compose(jet_derive(outer), inner) * jet_derive(inner)
     assert lhs.coeffs == rhs.coeffs[: lhs.order + 1]
+
+
+# -- the integer-numerator kernel against the Fraction loops it replaced -------
+
+
+def _ref_mul(a, b):
+    n = min(len(a), len(b)) - 1
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1))
+
+
+def _ref_reciprocal(a):
+    inv0 = Fraction(1, 1) / a[0]
+    out = [inv0]
+    for n in range(1, len(a)):
+        out.append(-inv0 * sum(a[k] * out[n - k] for k in range(1, n + 1)))
+    return tuple(out)
+
+
+def _ref_pow(a, alpha):
+    """Integer alpha, or rational alpha with a[0] == 1."""
+    alpha = Fraction(alpha)
+    g0 = Fraction(a[0]) ** int(alpha) if alpha.denominator == 1 else Fraction(1)
+    inv_c0 = Fraction(1, 1) / a[0]
+    out = [g0]
+    for n in range(1, len(a)):
+        s = sum((alpha * k - (n - k)) * a[k] * out[n - k] for k in range(1, n + 1))
+        out.append(inv_c0 * s * Fraction(1, n))
+    return tuple(out)
+
+
+def _ref_reverse(a):
+    n = len(a) - 1
+    inv1 = Fraction(1, 1) / a[1]
+    g = [Fraction(0), inv1] + [Fraction(0)] * (n - 1)
+    powers = [None, g] + [[Fraction(0)] * (n + 1) for _ in range(n - 1)]
+    for m in range(2, n + 1):
+        for k in range(2, m + 1):
+            powers[k][m] = sum(g[j] * powers[k - 1][m - j] for j in range(1, m - k + 2))
+        g[m] = -inv1 * sum(a[k] * powers[k][m] for k in range(2, m + 1))
+    return tuple(g)
+
+
+def _ref_antiderive(a, const):
+    return (const,) + tuple(c * Fraction(1, j + 1) for j, c in enumerate(a))
+
+
+def _assert_exact_match(got, want):
+    assert got == want
+    assert all(isinstance(c, (int, Fraction)) for c in got), got
+
+
+exact_coeff = st.one_of(st.integers(-12, 12), st.fractions(min_value=-12, max_value=12, max_denominator=9))
+nonzero_coeff = exact_coeff.filter(lambda c: c != 0)
+exact_lists = st.lists(exact_coeff, min_size=1, max_size=15)
+
+
+@given(exact_lists, exact_lists, exact_coeff)
+def test_exact_product_and_antiderivative_match_fraction_loops(a, b, const):
+    _assert_exact_match((jet_from_coeffs(a, 0) * jet_from_coeffs(b, 0)).coeffs, _ref_mul(a, b))
+    _assert_exact_match(jet_antiderive(jet_from_coeffs(a, 0), const).coeffs, _ref_antiderive(a, const))
+
+
+@given(nonzero_coeff, st.lists(exact_coeff, max_size=14), st.integers(-4, 5))
+def test_exact_reciprocal_and_integer_power_match_fraction_loops(c0, tail, alpha):
+    a = [c0] + tail
+    jet = jet_from_coeffs(a, 0)
+    _assert_exact_match(jet_reciprocal(jet).coeffs, _ref_reciprocal(a))
+    _assert_exact_match(jet_pow(jet, alpha).coeffs, _ref_pow(a, alpha))
+    _assert_exact_match(jet_pow(jet, Fraction(alpha)).coeffs, _ref_pow(a, alpha))
+
+
+@given(st.sampled_from([1, Fraction(1)]), st.lists(exact_coeff, max_size=14),
+       st.fractions(min_value=-5, max_value=5, max_denominator=12))
+def test_exact_rational_power_of_unit_constant_matches_fraction_loop(one, tail, alpha):
+    a = [one] + tail
+    _assert_exact_match(jet_pow(jet_from_coeffs(a, 0), alpha).coeffs, _ref_pow(a, alpha))
+
+
+@given(nonzero_coeff, st.lists(exact_coeff, max_size=13))
+def test_exact_reversion_matches_fraction_power_table(slope, tail):
+    a = [0, slope] + tail
+    got = jet_reverse(jet_from_coeffs(a, 0)).coeffs
+    _assert_exact_match(got, _ref_reverse(a))
+    assert all(isinstance(c, Fraction) for c in got)
+
+
+def test_exact_kernel_keeps_integer_products_integer():
+    assert (jet_from_coeffs([1, -2, 3]) * jet_from_coeffs([0, 4, 5])).coeffs == (0, 4, -3)
+    assert all(type(c) is int for c in (jet_from_coeffs([1, -2, 3]) * jet_from_coeffs([0, 4, 5])).coeffs)
+    assert all(isinstance(c, Fraction) for c in (jet_from_coeffs([Fraction(2), 1]) * jet_from_coeffs([1, 1])).coeffs)

@@ -8,6 +8,8 @@ here are literal equalities, not tolerances.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from schwarzian_lab.jets import JetError, jet_derive, jet_from_coeffs
 from schwarzian_lab.maps import Moebius
@@ -117,3 +119,24 @@ def test_homogeneous_input_validation():
         homogeneous_a_check((Fraction(1, 2), 1), 4)  # degree 1 needs n >= 5
     with pytest.raises(ValueError):
         homogeneous_a_check((1,), 3)
+
+
+def test_solution_coefficients_are_fractions():
+    sol = schwarzian_solve(jet_from_coeffs([Fraction((-1) ** k, k + 2) for k in range(12)], Fraction(0)), 14)
+    for jet in (sol.f, sol.h1, sol.h2):
+        assert all(isinstance(c, Fraction) for c in jet.coeffs), jet.coeffs
+    assert isinstance(sol.wronskian, Fraction) and sol.wronskian == 1
+
+
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=8) | st.integers(-6, 6), min_size=1, max_size=12),
+       st.integers(3, 14))
+def test_basis_matches_the_fraction_recurrence(phi, order):
+    """h_(m+2) = -(1/2) (phi h)_m / ((m+1)(m+2)) run in Fractions."""
+    sol = schwarzian_solve(jet_from_coeffs(phi, 0), order)
+    for h, start in ((sol.h1, [Fraction(0), Fraction(1)]), (sol.h2, [Fraction(1), Fraction(0)])):
+        want = start + [Fraction(0)] * (order - 1)
+        for m in range(order - 1):
+            conv = sum(phi[j] * want[m - j] for j in range(min(m, len(phi) - 1) + 1))
+            want[m + 2] = -Fraction(1, 2) * conv / ((m + 1) * (m + 2))
+        assert h.coeffs == tuple(want)
+        assert all(isinstance(c, Fraction) for c in h.coeffs)

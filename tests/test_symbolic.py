@@ -19,7 +19,9 @@ from schwarzian_lab import (
     classical,
     evaluate_jet,
     jet_derive,
+    jet_from_coeffs,
     jet_pow,
+    jet_reciprocal,
     monomial,
     monomial_part,
     series_constant,
@@ -266,6 +268,43 @@ def test_b_series_against_divided_derivative():
         m = min(direct.order, sym.order)
         worst = max(abs(a - b) for a, b in zip(direct.coeffs[: m + 1], sym.coeffs[: m + 1]))
         assert worst < 1e-8, (n, worst)
+
+
+def _evaluate_by_jet_products(e, f):
+    """The term-by-term loop: coefficient times repeated jet products."""
+    top = e.max_index()
+    u = {k: jet_derive(f, k) for k in range(1, top + 1)}
+    u1_inv = jet_reciprocal(u[1])
+    total = jet_from_coeffs([Fraction(0)] * (f.order - top + 1), f.center)
+    for key, coeff in e.terms.items():
+        term = jet_from_coeffs([coeff] + [0] * (f.order - top), f.center)
+        p = key[0] // 2
+        for _ in range(abs(p)):
+            term = term * (u[1] if p >= 0 else u1_inv)
+        for i, exp in enumerate(key[1:], start=2):
+            for _ in range(exp):
+                term = term * u[i]
+        total = total + term
+    return total.coeffs
+
+
+exact_values = st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+
+
+@given(st.integers(3, 7), st.sampled_from(["A", "B"]), exact_values,
+       exact_values.filter(lambda c: c != 0), st.lists(exact_values, min_size=7, max_size=12))
+def test_exact_evaluation_matches_jet_products(n, series, c0, c1, tail):
+    f = jet_from_coeffs([c0, c1] + tail, 0)
+    e = (sigma_a if series == "A" else sigma_b)(n)
+    got = evaluate_jet(e, f).coeffs
+    assert got == _evaluate_by_jet_products(e, f)
+    assert all(isinstance(c, Fraction) for c in got)
+
+
+def test_exact_evaluation_of_an_expression_without_u1_power():
+    f = jet_from_coeffs([0, 2, Fraction(1, 3), 0, Fraction(-1, 2)], 0)
+    e = monomial(Fraction(3, 2), 0, u2=1)  # (3/2) f'' = 1 - 9 z^2
+    assert evaluate_jet(e, f).coeffs == (1, 0, -9)
 
 
 def test_evaluate_jet_needs_enough_order():

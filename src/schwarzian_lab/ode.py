@@ -48,14 +48,13 @@ class OdeSolution:
 
 def _linear_basis(phi: Jet, order: int, c0, c1) -> Jet:
     """Solve h'' + (1/2) phi h = 0 with h(center) = c0, h'(center) = c1."""
-    exact = _over_common(phi.coeffs) if isinstance(c0, (int, Fraction)) and isinstance(c1, (int, Fraction)) else None
+    exact = _over_common(phi.coeffs)
     if exact:
         return _exact_linear_basis(phi, order, exact, Fraction(c0), Fraction(c1))
-    half = Fraction(1, 2) if _exact(phi) and isinstance(c0, (int, Fraction)) else 0.5
     coeffs = [c0, c1] + [0] * (order - 1)
     for m in range(order - 1):
         conv = sum(phi.coeffs[j] * coeffs[m - j] for j in range(min(m, phi.order) + 1))
-        coeffs[m + 2] = -half * conv / ((m + 1) * (m + 2))
+        coeffs[m + 2] = -0.5 * conv / ((m + 1) * (m + 2))
     return jet_from_coeffs(coeffs[: order + 1], phi.center)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import compare
 from .integrals import QuadGrid, disc_quadrature, legendre_rule, quad2d, vec_eval, weighted_pairing
 from .maps import (
     DISC,
@@ -233,10 +234,6 @@ class PairingSpec:
         if int(self.s) != self.s or self.s < 2:
             raise ValueError("pairing weight must be an integer >= 2")
 
-    @property
-    def c_s(self) -> float:
-        return (2 * self.s - 1) / (self.s - 1)
-
 
 def wp_pairing(f, g, spec: PairingSpec, grid: QuadGrid) -> complex:
     if grid.domain is not spec.domain:
@@ -322,8 +319,7 @@ def lemma_scalar_check(f, h, spec: PairingSpec, ball: GroupBall, fd_grid: QuadGr
     theta_h = lambda z: theta_values(h, spec.s, ball, z)
     lhs = wp_pairing(f, theta_h, spec, fd_grid)
     rhs = wp_pairing(f, h, spec, disc_grid)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "relerr": abs(lhs - rhs) / scale}
+    return compare(lhs, rhs)
 
 
 def theta_l1_check(h, s: int, ball: GroupBall, fd_grid: QuadGrid, disc_grid: QuadGrid | None = None) -> dict:
@@ -386,5 +382,4 @@ def projection_symmetry_check(f, g, s: int, grid: QuadGrid | None = None) -> dic
     wgt = lam ** (2.0 - 2.0 * s) * grid.weights
     lhs = complex(np.sum(bf * np.conj(vec_eval(g, grid.nodes)) * wgt))
     rhs = complex(np.sum(vec_eval(f, grid.nodes) * np.conj(bg) * wgt))
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "relerr": abs(lhs - rhs) / scale}
+    return compare(lhs, rhs)

@@ -9,7 +9,8 @@ recomputed through the same spec on mpmath numbers at 50 digits, and that
 value decides its verdict.  The suites are deterministic for a fixed seed,
 so CLI reports are byte-stable.  They are shared between the command-line
 front end and the test bench.  The weight suite is exact and stays a plain
-loop.
+loop.  Every suite and CLI subcommand builds its report through `report`,
+and every two-sided numerical check in the library through `compare`.
 """
 
 from __future__ import annotations
@@ -22,21 +23,20 @@ import numpy as np
 
 from .jets import jet_compose, jet_derive, jet_pow, jet_reverse
 from .maps import AnalyticFn, Moebius, catalog, moebius_jet, taylor_jet
-from .symbolic import classical, evaluate, evaluate_jet, sigma_a, sigma_b
+from .symbolic import classical, evaluate, evaluate_jet, series_constant, sigma_a, sigma_expr
 
 
-def sigma_expr(series: str, n: int):
-    series = series.upper()
-    if series == "A":
-        return sigma_a(n)
-    if series == "B":
-        return sigma_b(n)
-    raise ValueError(f"unknown series {series!r}")
+def report(operation: str, inputs: dict, ok, **fields) -> dict:
+    """The one report envelope: `operation`, `inputs`, the fields in the
+    order given, then `ok` as a Python bool.  The verify suites and every CLI
+    subcommand build their reports here; the CLI adds the schema tag when it
+    writes one out."""
+    return {"operation": operation, "inputs": inputs, **fields, "ok": bool(ok)}
 
 
 def series_bound_constant(series: str, n: int) -> int:
     """The u_n/u_1 coefficient of the series: 1 for A, n-2 for B."""
-    return 1 if series.upper() == "A" else n - 2
+    return int(series_constant(sigma_expr(series, n)))
 
 
 def random_coeffs(rng: random.Random, deg: int = 6, scale: float = 0.15) -> tuple:
@@ -76,7 +76,13 @@ def _maximum(*values):
 
 
 def _relerr(lhs, rhs):
+    """|lhs - rhs| relative to the larger side, elementwise over batches."""
     return abs(lhs - rhs) / _maximum(abs(lhs), abs(rhs), 1e-300)
+
+
+def compare(lhs, rhs, **extra) -> dict:
+    """The two sides of a numerical identity, their relative error, then `extra`."""
+    return {"lhs": lhs, "rhs": rhs, "relerr": _relerr(lhs, rhs), **extra}
 
 
 def _coeff_relerr(lhs, rhs):
@@ -165,15 +171,15 @@ def run_suite(operation: str, spec: Spec, trials: int, seed: int, tol: float, **
     errs = trial_relerrs(spec, draws)
     over = [i for i in range(trials) if not errs[i] < tol]
     rechecked = [hp_relerr(spec, draws[i]) for i in over] if tol >= FLOAT_EPS else []
-    return {
-        "operation": operation,
-        "inputs": {**shown, "trials": trials, "seed": seed},
-        "max_relerr": float(np.max(errs)),
-        "tolerance": tol,
-        "ok": len(rechecked) == len(over) and all(e < tol for e in rechecked),
-        "escalated": len(rechecked),
-        "hp_defect": max(rechecked, default=0.0),
-    }
+    return report(
+        operation,
+        {**shown, "trials": trials, "seed": seed},
+        len(rechecked) == len(over) and all(e < tol for e in rechecked),
+        max_relerr=float(np.max(errs)),
+        tolerance=tol,
+        escalated=len(rechecked),
+        hp_defect=max(rechecked, default=0.0),
+    )
 
 
 def _moebius_value(g, z):
@@ -357,12 +363,7 @@ def weight_suite(trials: int = 100, seed: int = 0, n_max: int = 8) -> dict:
         expr = sigma_expr(series, n)
         if expr.weights() != {n - 1}:
             bad.append((series, n))
-    return {
-        "operation": "weight_homogeneity",
-        "inputs": {"trials": trials, "seed": seed, "n_max": n_max},
-        "failures": bad,
-        "ok": not bad,
-    }
+    return report("weight_homogeneity", {"trials": trials, "seed": seed, "n_max": n_max}, not bad, failures=bad)
 
 
 VERIFY_SUITES = {

@@ -45,7 +45,7 @@ from .integrals import (
 )
 from .jets import jet_from_coeffs
 from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, AnalyticFn, catalog, poincare_density, rotated_koebe, schlicht_family
-from .norms import SampleGrid, bn_norm_report, bound_check, bound_row, sigma_phi
+from .norms import SampleGrid, bn_norm_report, bound_check, bound_ok, bound_row, sigma_phi
 from .ode import homogeneous_a_check, homogeneous_b_residual, ode_residual, schwarzian_solve
 from .symbolic import classical, evaluate_jet, monomial_part, series_constant, to_string
 
@@ -92,7 +92,7 @@ def _text_lines(obj, indent: int = 0):
 
 
 def _emit(report: dict, args) -> None:
-    data = _jsonify(report)
+    data = _jsonify({"schema": "v1", **report})
     if args.format == "json":
         text = json.dumps(data, sort_keys=True, indent=2)
     elif args.format == "csv":
@@ -229,21 +229,21 @@ def _group(args) -> tuple:
 def cmd_expand(args) -> dict:
     expr = checks.sigma_expr(args.series, args.n)
     mono = monomial_part(expr)  # the series constant is read off the monomial part
-    return {
-        "schema": "v1",
-        "operation": "expand",
-        "inputs": {"series": args.series, "n": args.n},
-        "expression": to_string(expr),
-        "monomial_part": to_string(mono),
-        "series_constant": str(series_constant(mono)),
-        "weights": sorted(expr.weights()),
-        "ok": True,
-    }
+    return checks.report(
+        "expand",
+        {"series": args.series, "n": args.n},
+        True,
+        expression=to_string(expr),
+        monomial_part=to_string(mono),
+        series_constant=str(series_constant(mono)),
+        weights=sorted(expr.weights()),
+    )
 
 
 def cmd_verify(args) -> dict:
-    suite = checks.VERIFY_SUITES[args.target]
-    if args.n and args.target != "weights":
+    if args.target == "weights":
+        return checks.weight_suite(trials=args.trials, seed=args.seed)
+    if args.n:
         bol = args.target == "bol"
         lo = 2 if bol else 3
         bad = [n for n in args.n if n < lo or (bol and n % 2)]
@@ -251,16 +251,11 @@ def cmd_verify(args) -> dict:
     kwargs = {"trials": args.trials, "seed": args.seed}
     if args.target == "covariance":
         kwargs["series"] = args.series
-        if args.n:
-            kwargs["n_values"] = tuple(args.n)
-    elif args.target != "weights":
-        if args.n:
-            kwargs["n_values"] = tuple(args.n)
-    if args.tol is not None and args.target != "weights":
+    if args.n:
+        kwargs["n_values"] = tuple(args.n)
+    if args.tol is not None:
         kwargs["tol"] = args.tol
-    report = suite(**kwargs)
-    report["schema"] = "v1"
-    return report
+    return checks.VERIFY_SUITES[args.target](**kwargs)
 
 
 def cmd_norm(args) -> dict:
@@ -269,37 +264,23 @@ def cmd_norm(args) -> dict:
     grid = SampleGrid(J=args.grid_j, M=args.grid_m)
     rep = bn_norm_report(sigma_phi(fn, expr), args.n - 1, grid)
     row = bound_row(args.series, args.n, rep["estimate"])
-    return {
-        "schema": "v1",
-        "operation": "norm",
-        "inputs": {"function": args.function, "series": args.series, "n": args.n},
-        "report": rep,
-        "rows": [{"function": args.function, **row}],
-        "ok": bool(row["margin"] >= -1e-9 * max(1.0, row["bound"])),
-    }
+    inputs = {"function": args.function, "series": args.series, "n": args.n}
+    return checks.report("norm", inputs, bound_ok(row), report=rep, rows=[{"function": args.function, **row}])
 
 
 def cmd_bound(args) -> dict:
     fams = schlicht_family()
-    rows = []
-    ok = True
-    for name, fn in fams:
-        if args.function != "all" and args.function != name:
-            continue
-        for n in args.n:
-            row = bound_check(args.series, n, fn)
-            rows.append({"function": name, **row})
-            ok = ok and row["margin"] >= -1e-9 * max(1.0, row["bound"])
+    rows = [
+        {"function": name, **bound_check(args.series, n, fn)}
+        for name, fn in fams
+        if args.function in ("all", name)
+        for n in args.n
+    ]
     if not rows:
         names = [name for name, _ in fams]
         raise argparse.ArgumentTypeError(f"argument --function: unknown catalog function {args.function!r}; have {names} or 'all'")
-    return {
-        "schema": "v1",
-        "operation": "bound",
-        "inputs": {"series": args.series, "n": args.n, "function": args.function},
-        "rows": rows,
-        "ok": bool(ok),
-    }
+    inputs = {"series": args.series, "n": args.n, "function": args.function}
+    return checks.report("bound", inputs, all(bound_ok(row) for row in rows), rows=rows)
 
 
 def cmd_dzero(args) -> dict:
@@ -310,15 +291,8 @@ def cmd_dzero(args) -> dict:
     lam = poincare_density(DISC, args.z)
     weighted = abs(val) * lam ** (1 - args.n)
     bound = d0_beta_norm_bound(args.n, args.series) * nu.sup_bound
-    return {
-        "schema": "v1",
-        "operation": "dzero",
-        "inputs": {"series": args.series, "n": args.n, "z": args.z, "density": args.density, "grid": grid.meta},
-        "value": val,
-        "weighted_magnitude": weighted,
-        "norm_bound": bound,
-        "ok": bool(weighted <= bound),
-    }
+    inputs = {"series": args.series, "n": args.n, "z": args.z, "density": args.density, "grid": grid.meta}
+    return checks.report("dzero", inputs, weighted <= bound, value=val, weighted_magnitude=weighted, norm_bound=bound)
 
 
 def cmd_aw(args) -> dict:
@@ -329,46 +303,31 @@ def cmd_aw(args) -> dict:
     grid = exterior_disc_quadrature(R=args.grid_r, M=args.grid_m)
     round_trip = d0_beta(checks.sigma_expr("A", 3), nu, w, grid)
     target = complex(phi(w))
-    relerr = abs(round_trip - target) / max(abs(target), 1e-300)
-    return {
-        "schema": "v1",
-        "operation": "aw",
-        "inputs": {"phi": args.phi, "z": args.z, "grid": grid.meta},
-        "section_value": sval,
-        "sup_bound": nu.sup_bound,
-        "roundtrip": {"lhs": round_trip, "rhs": target, "relerr": relerr},
-        "ok": bool(relerr < args.tol),
-    }
+    relerr = abs(round_trip - target) / max(abs(target), 1e-300)  # relative to the target alone
+    return checks.report(
+        "aw",
+        {"phi": args.phi, "z": args.z, "grid": grid.meta},
+        relerr < args.tol,
+        section_value=sval,
+        sup_bound=nu.sup_bound,
+        roundtrip={"lhs": round_trip, "rhs": target, "relerr": relerr},
+    )
 
 
 def cmd_repro(args) -> dict:
     phi = parse_function(args.phi) if args.phi else inverse_power_fn(args.q)
     grid = half_plane_quadrature(R=args.grid_r, M=args.grid_m, radius=args.radius)
     rep = repro_check(phi, args.q, args.z, grid)
-    rep.update(
-        {
-            "schema": "v1",
-            "operation": "repro",
-            "inputs": {"q": args.q, "z": args.z, "phi": args.phi or f"(z-i)^(-{2 * args.q})"},
-            "ok": bool(rep["relerr"] < args.tol),
-        }
-    )
-    return rep
+    inputs = {"q": args.q, "z": args.z, "phi": args.phi or f"(z-i)^(-{2 * args.q})"}
+    return checks.report("repro", inputs, rep["relerr"] < args.tol, **rep)
 
 
 def cmd_kernel_criterion(args) -> dict:
     nu = parse_density(args.density)
     grid = exterior_disc_quadrature(R=args.grid_r, M=args.grid_m)
     rep = kernel_criterion_check(nu, args.n, args.z, args.series, grid)
-    rep.update(
-        {
-            "schema": "v1",
-            "operation": "kernel-criterion",
-            "inputs": {"series": args.series, "n": args.n, "z": args.z, "density": args.density},
-            "ok": bool(rep["relerr"] < args.tol),
-        }
-    )
-    return rep
+    inputs = {"series": args.series, "n": args.n, "z": args.z, "density": args.density}
+    return checks.report("kernel-criterion", inputs, rep["relerr"] < args.tol, **rep)
 
 
 def cmd_theta(args) -> dict:
@@ -377,17 +336,16 @@ def cmd_theta(args) -> dict:
     f = parse_function(args.f)
     rep = poincare_theta(f, args.q, ball, args.z)
     res = automorphy_residual(f, args.q, ball, args.z) if gens else 0.0
-    return {
-        "schema": "v1",
-        "operation": "theta",
-        "inputs": {"group": desc, "radius": args.radius, "q": args.q, "f": args.f, "z": args.z},
-        "value": rep.value,
-        "tail_estimate": rep.tail_estimate,
-        "automorphy_bound": rep.automorphy_bound,
-        "automorphy_residual": res,
-        "ball_size": len(ball),
-        "ok": bool(res <= rep.automorphy_bound),
-    }
+    return checks.report(
+        "theta",
+        {"group": desc, "radius": args.radius, "q": args.q, "f": args.f, "z": args.z},
+        res <= rep.automorphy_bound,
+        value=rep.value,
+        tail_estimate=rep.tail_estimate,
+        automorphy_bound=rep.automorphy_bound,
+        automorphy_residual=res,
+        ball_size=len(ball),
+    )
 
 
 def cmd_pairing(args) -> dict:
@@ -406,15 +364,9 @@ def cmd_pairing(args) -> dict:
         domain_note = "unit disc"
     val = wp_pairing(f, g, spec, grid)
     flipped = wp_pairing(g, f, spec, grid)
-    sym = abs(val - np.conj(flipped)) / max(abs(val), 1e-300)
-    return {
-        "schema": "v1",
-        "operation": "pairing",
-        "inputs": {"f": args.f, "g": args.g, "s": args.s, "domain": domain_note, "grid": grid.meta},
-        "value": val,
-        "conjugate_symmetry_relerr": sym,
-        "ok": bool(sym < 1e-9),
-    }
+    sym = abs(val - np.conj(flipped)) / max(abs(val), 1e-300)  # relative to <f, g> alone
+    inputs = {"f": args.f, "g": args.g, "s": args.s, "domain": domain_note, "grid": grid.meta}
+    return checks.report("pairing", inputs, sym < 1e-9, value=val, conjugate_symmetry_relerr=sym)
 
 
 def cmd_bergman(args) -> dict:
@@ -436,13 +388,7 @@ def cmd_bergman(args) -> dict:
     )
     checks_list.append({"check": "pairing symmetry", "relerr": sym["relerr"]})
     ok = worst < args.tol and abs(v0 - 1) < args.tol and sym["relerr"] < 1e-2
-    return {
-        "schema": "v1",
-        "operation": "bergman",
-        "inputs": {"s": args.s, "k": args.k, "grid": grid.meta},
-        "checks": checks_list,
-        "ok": bool(ok),
-    }
+    return checks.report("bergman", {"s": args.s, "k": args.k, "grid": grid.meta}, ok, checks=checks_list)
 
 
 def cmd_solve(args) -> dict:
@@ -453,16 +399,15 @@ def cmd_solve(args) -> dict:
         s_f = evaluate_jet(classical("schwarzian"), sol.f)
         m = min(s_f.order, phi.order)
         residual = max(abs(complex(a - b)) for a, b in zip(s_f.coeffs[: m + 1], phi.coeffs[: m + 1]))
-        return {
-            "schema": "v1",
-            "operation": "solve-ode",
-            "inputs": {"phi": list(coeffs), "order": args.order},
-            "f_coeffs": list(sol.f.coeffs),
-            "wronskian": sol.wronskian,
-            "linear_residual": ode_residual(sol),
-            "schwarzian_residual": residual,
-            "ok": bool(residual < args.tol),
-        }
+        return checks.report(
+            "solve-ode",
+            {"phi": list(coeffs), "order": args.order},
+            residual < args.tol,
+            f_coeffs=list(sol.f.coeffs),
+            wronskian=sol.wronskian,
+            linear_residual=ode_residual(sol),
+            schwarzian_residual=residual,
+        )
     _require(args.n >= 4, f"argument --n: {args.what} needs n >= 4, got {args.n}")
     # sigma_n reads u_n: the homog-b jet is one order above --order (an antiderivative)
     least = args.n - 1 if args.what == "homog-b" else args.n
@@ -471,28 +416,23 @@ def cmd_solve(args) -> dict:
         _require(len(args.alpha) <= args.n - 1, f"argument --alpha: at most {args.n - 1} coefficients for n = {args.n}")
         _require(bool(args.alpha) and args.alpha[0] != 0, "argument --alpha: the leading coefficient must not vanish")
         res = homogeneous_b_residual(args.n, args.alpha, order=args.order)
-        return {
-            "schema": "v1",
-            "operation": "solve-homog-b",
-            "inputs": {"n": args.n, "alpha": list(args.alpha), "order": args.order},
-            "residual": res,
-            "ok": bool(res < args.tol),
-        }
-    _require(len(args.poly) <= args.n - 3, f"argument --poly: degree must be <= {args.n - 4} for n = {args.n}")
-    res = homogeneous_a_check(args.poly, args.n, order=args.order)
-    return {
-        "schema": "v1",
-        "operation": "solve-homog-a",
-        "inputs": {"n": args.n, "poly": list(args.poly), "order": args.order},
-        "residual": res,
-        "ok": bool(res < args.tol),
-    }
+        inputs = {"n": args.n, "alpha": list(args.alpha), "order": args.order}
+    else:
+        _require(len(args.poly) <= args.n - 3, f"argument --poly: degree must be <= {args.n - 4} for n = {args.n}")
+        res = homogeneous_a_check(args.poly, args.n, order=args.order)
+        inputs = {"n": args.n, "poly": list(args.poly), "order": args.order}
+    return checks.report(f"solve-{args.what}", inputs, res < args.tol, residual=res)
 
 
 # -- parser --------------------------------------------------------------------
 
 
-def _add_common(p, tol: float | None = None) -> None:
+def _add_common(p, tol: float | None = None, grid: bool = False) -> None:
+    """The options a subcommand ends with; with `grid`, they start with the
+    96 x 256 quadrature grid's --grid-r and --grid-m."""
+    if grid:
+        p.add_argument("--grid-r", type=_int_at_least(1), default=96)
+        p.add_argument("--grid-m", type=_int_at_least(1), default=256)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", help="write the report to this path instead of stdout")
     if tol is not None:
@@ -547,17 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(3), default=3)
     p.add_argument("--z", type=_point_in(DISC), default=0.2 + 0.1j)
     p.add_argument("--density", default="aw:identity")
-    p.add_argument("--grid-r", type=_int_at_least(1), default=96)
-    p.add_argument("--grid-m", type=_int_at_least(1), default=256)
-    _add_common(p)
+    _add_common(p, grid=True)
     p.set_defaults(func=cmd_dzero)
 
     p = sub.add_parser("aw", help="bounded holomorphic section and its round trip through the differential")
     p.add_argument("--phi", default="identity")
     p.add_argument("--z", type=_point_in(EXTERIOR_DISC), default=2 + 0j, help="exterior evaluation point")
-    p.add_argument("--grid-r", type=_int_at_least(1), default=96)
-    p.add_argument("--grid-m", type=_int_at_least(1), default=256)
-    _add_common(p, tol=2e-2)
+    _add_common(p, tol=2e-2, grid=True)
     p.set_defaults(func=cmd_aw)
 
     p = sub.add_parser("repro", help="half-plane reproducing formula for Bers-type densities")
@@ -575,9 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(3), default=3)
     p.add_argument("--z", type=_point_in(DISC), default=0.3 + 0.1j)
     p.add_argument("--density", default="aw:taylor:0,0,1")
-    p.add_argument("--grid-r", type=_int_at_least(1), default=96)
-    p.add_argument("--grid-m", type=_int_at_least(1), default=256)
-    _add_common(p, tol=1e-2)
+    _add_common(p, tol=1e-2, grid=True)
     p.set_defaults(func=cmd_kernel_criterion)
 
     p = sub.add_parser("theta", help="truncated Poincare series with tail and automorphy bounds")
@@ -594,17 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--s", type=_int_at_least(2), default=2)
     p.add_argument("--group", default=None)
-    p.add_argument("--grid-r", type=_int_at_least(1), default=96)
-    p.add_argument("--grid-m", type=_int_at_least(1), default=256)
-    _add_common(p)
+    _add_common(p, grid=True)
     p.set_defaults(func=cmd_pairing)
 
     p = sub.add_parser("bergman", help="weighted Bergman projection checks")
     p.add_argument("--s", type=_int_at_least(2), default=2)
     p.add_argument("--k", type=_int_at_least(0), default=4)
-    p.add_argument("--grid-r", type=_int_at_least(1), default=96)
-    p.add_argument("--grid-m", type=_int_at_least(1), default=256)
-    _add_common(p, tol=1e-3)
+    _add_common(p, tol=1e-3, grid=True)
     p.set_defaults(func=cmd_bergman)
 
     p = sub.add_parser("solve", help="power-series solutions of the Schwarzian equations")

@@ -28,7 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, UPPER_HALF, HyperbolicDomain
-from .symbolic import DiffExpr, monomial_coefficients, series_constant
+from .checks import compare
+from .symbolic import DiffExpr, monomial_coefficients, series_constant, series_letter, sigma_expr
 
 
 def vec_eval(fn, pts: np.ndarray) -> np.ndarray:
@@ -267,7 +268,7 @@ def d0_beta(coeffs, nu, z: complex, grid: QuadGrid | None = None) -> complex:
 def d0_beta_norm_bound(n: int, series: str) -> float:
     """Operator-norm bound 2*4^(n-1) n! c(n) / (n-1) for the weighted value
     |d0_beta(sigma_n)(nu)(z)| * lambda(z)^(1-n) against ||nu||_inf."""
-    c = 1 if series == "A" else n - 2
+    c = series_constant(sigma_expr(series, n))
     return 2.0 * 4.0 ** (n - 1) * math.factorial(n) * c / (n - 1)
 
 
@@ -334,15 +335,7 @@ def repro_check(phi, q: int, z: complex, grid: QuadGrid | None = None) -> dict:
     rhs = quad2d(lambda eta: mu_vals / (eta - z) ** (q + 2), grid)
     rhs_alt = quad2d(lambda eta: mu_vals / (z - eta) ** (q + 2), grid)
     tail = half_plane_tail_estimate(lambda eta: mu(eta) / (eta - z) ** (q + 2), grid, decay=q + 2.0)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "rhs_alt_sign": rhs_alt,
-        "relerr": abs(lhs - rhs) / scale,
-        "tail_estimate": tail,
-        "grid": dict(grid.meta),
-    }
+    return compare(lhs, rhs, rhs_alt_sign=rhs_alt, tail_estimate=tail, grid=dict(grid.meta))
 
 
 def kernel_criterion_check(nu, n: int, z: complex, series: str = "A", grid: QuadGrid | None = None) -> dict:
@@ -355,9 +348,7 @@ def kernel_criterion_check(nu, n: int, z: complex, series: str = "A", grid: Quad
     d0_beta, and the report adds `quad_error` (the larger change of a side
     between the two levels, plus the round-off bound) and `nodes` (summed
     over every level evaluated)."""
-    from .symbolic import sigma_a, sigma_b
-
-    expr = sigma_a(n) if series == "A" else sigma_b(n)
+    expr = sigma_expr(series, n)
     coeffs = monomial_coefficients(expr)
     c = float(series_constant(expr))
 
@@ -373,5 +364,4 @@ def kernel_criterion_check(nu, n: int, z: complex, series: str = "A", grid: Quad
     else:
         (lhs, rhs), error, nodes = _settle(coeffs, nu, z, sides)
         extra = {"quad_error": error, "nodes": nodes}
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "relerr": abs(lhs - rhs) / scale, "n": n, "series": series, **extra}
+    return compare(lhs, rhs, n=n, series=series_letter(series), **extra)

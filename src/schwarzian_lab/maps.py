@@ -100,14 +100,6 @@ class Moebius:
         return cls(1j, 1j, -1, 1)
 
     @classmethod
-    def disc_automorphism(cls, alpha: complex, theta: float = 0.0) -> "Moebius":
-        """e^{i theta} (z - alpha)/(1 - conj(alpha) z); requires |alpha| < 1."""
-        if abs(alpha) >= 1:
-            raise ValueError("automorphism parameter must lie in the open disc")
-        rot = cls.rotation(theta)
-        return rot.compose(cls(1, -alpha, -alpha.conjugate(), 1))
-
-    @classmethod
     def hyperbolic(cls, theta1: float, theta2: float, multiplier: float) -> "Moebius":
         """Disc-preserving hyperbolic map with axis endpoints e^{i theta_j}
         and the given real multiplier > 0 (translation length 2*log sqrt(m))."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import integrals
 from .maps import DISC, AnalyticFn, HyperbolicDomain
-from .symbolic import DiffExpr, evaluate
+from .symbolic import DiffExpr, evaluate, series_letter, sigma_expr
 
 # Points per evaluation call; caps the batched jets' temporaries (the bound
 # table peaks 0.9 MB above import in blocks of 1,024, 2.1 MB on whole grids).
@@ -95,17 +95,22 @@ def b_series_bound(n: int) -> float:
 
 def bound_row(series: str, n: int, estimate: float) -> dict:
     """Compare an estimate of ||sigma_n[f]||_{B_{n-1}} to the sharp schlicht
-    bound.  margin = bound - estimate; sampling gives lower bounds, so
-    margin >= -1e-9 * max(1, bound) (fp slack, relative because the extremal
-    values grow like 4^n n!) is the pass condition."""
+    bound: margin = bound - estimate.  `bound_ok` decides the row."""
+    series = series_letter(series)
     bound = a_series_bound(n) if series == "A" else b_series_bound(n)
     return {"series": series, "n": n, "estimate": estimate, "bound": bound, "margin": bound - estimate}
 
 
+def bound_ok(row: dict) -> bool:
+    """The pass rule of a `bound_row`: margin >= -1e-9 * max(1, bound).
+    Sampling gives lower bounds, so the estimate may meet the bound but not
+    pass it beyond the float slack, which is relative because the extremal
+    values grow like 4^n n!."""
+    return bool(row["margin"] >= -1e-9 * max(1.0, row["bound"]))
+
+
 def bound_check(series: str, n: int, fn: AnalyticFn, expr: DiffExpr | None = None, grid: SampleGrid | None = None) -> dict:
     """Estimate ||sigma_n[f]||_{B_{n-1}} on the grid; the row of `bound_row`."""
-    from .symbolic import sigma_a, sigma_b
-
     if expr is None:
-        expr = sigma_a(n) if series == "A" else sigma_b(n)
+        expr = sigma_expr(series, n)
     return bound_row(series, n, bn_norm_estimate(sigma_phi(fn, expr), n - 1, grid))

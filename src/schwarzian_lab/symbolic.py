@@ -29,6 +29,8 @@ from .jets import (
     _convolve,
     _exact_reciprocal,
     _fractions,
+    _is_exact,
+    _is_mp,
     _over_common,
     derivative_values,
     jet_const,
@@ -99,9 +101,6 @@ class DiffExpr:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- structure ---------------------------------------------------------
 
@@ -235,6 +234,21 @@ def sigma_b(n: int) -> DiffExpr:
     return expr
 
 
+def series_letter(series: str) -> str:
+    """The series letter "A" or "B", given in either case; ValueError for
+    anything else.  Every choice between the two series is made through
+    here, so no caller can fall through to one series on a typo."""
+    letter = series.upper()
+    if letter not in ("A", "B"):
+        raise ValueError(f"unknown series {series!r}")
+    return letter
+
+
+def sigma_expr(series: str, n: int) -> DiffExpr:
+    """sigma_n of the named series (see `series_letter`)."""
+    return sigma_a(n) if series_letter(series) == "A" else sigma_b(n)
+
+
 def monomial_part(e: DiffExpr) -> DiffExpr:
     """Terms of degree exactly one in the higher variables u_2, u_3, ...
 
@@ -271,9 +285,22 @@ def series_constant(e: DiffExpr) -> Fraction:
 # -- evaluation -------------------------------------------------------------
 
 
-def _term_value(key, us, coeff):
-    exact = all(isinstance(u, (int, Fraction)) for u in us[1:])
-    val = coeff if exact else float(coeff)
+def _coeff_cast(values):
+    """How sigma's Fraction coefficients enter an evaluation over `values`,
+    decided once per call: exact values keep them exact, mpmath values take
+    them at the working precision, and anything else (complex scalars, numpy
+    arrays) takes them as floats."""
+    if all(_is_exact(v) for v in values):
+        return lambda c: c
+    mp = next((v for v in values if _is_mp(v)), None)
+    if mp is not None:
+        mpf = mp.context.mpf
+        return lambda c: mpf(c.numerator) / c.denominator
+    return float
+
+
+def _term_value(key, us, val):
+    """The term val * prod u_k^e_k; `val` is the coefficient, already cast."""
     for i, e in enumerate(key):
         if e == 0:
             continue
@@ -304,13 +331,13 @@ def evaluate(e: DiffExpr, f: Jet, z_offset=0):
     us = (None,) + derivative_values(g)[1:]
     if _any(us[1] == 0):
         raise ValueError("vanishing first derivative at evaluation point")
+    cast = _coeff_cast(us[1:])
     total = None
     for key, coeff in e.terms.items():
-        v = _term_value(key, us, coeff)
+        v = _term_value(key, us, cast(coeff))
         total = v if total is None else total + v
     if total is None:
-        exact = all(isinstance(u, (int, Fraction)) for u in us[1:])
-        return Fraction(0) if exact else 0j
+        return Fraction(0) if all(_is_exact(u) for u in us[1:]) else 0j
     return total
 
 
@@ -325,11 +352,12 @@ def evaluate_jet(e: DiffExpr, f: Jet) -> Jet:
         return Jet(f.center, _evaluate_exact(e, exact[0], exact[1], top, out_order))
     u_jets = {k: jet_derive(f, k) for k in range(1, top + 1)}
     u1_inv = jet_reciprocal(u_jets[1])
+    cast = _coeff_cast(f.coeffs)
     total = jet_const(0j, f.center, out_order)
     for key, coeff in e.terms.items():
         if key[0] % 2 != 0:
             raise ValueError("evaluate_jet needs a canonical expression")
-        term = jet_const(float(coeff), f.center, out_order)
+        term = jet_const(cast(coeff), f.center, out_order)
         p = key[0] // 2
         base = u_jets[1] if p >= 0 else u1_inv
         for _ in range(abs(p)):

@@ -121,8 +121,7 @@ def test_wp_pairing_constant():
     assert abs(val - math.pi / 3) < 1e-12
 
 
-def test_pairing_spec_c_s():
-    assert PairingSpec(2).c_s == 3.0
+def test_wp_pairing_rejects_a_grid_on_another_domain():
     spec = PairingSpec(2, UPPER_HALF)
     grid = disc_quadrature(R=8, M=8)
     with pytest.raises(ValueError):

@@ -178,3 +178,20 @@ def test_recheck_keeps_precision_through_jet_pow(name):
     spec = {"bol": bol_spec, "altrec": altrec_spec, "schwinv": schwinv_spec}[name]()
     worst = max(hp_relerr(spec, trial) for trial in draw_trials(spec, 5, seed=0))
     assert worst < 1e-30, (name, worst)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [covariance_spec("A", (20,)), covariance_spec("B", (20,)), altrec_spec((16,))],
+    ids=["covariance-A-20", "covariance-B-20", "altrec-16"],
+)
+def test_recheck_keeps_coefficient_precision_at_high_order(spec):
+    # sigma_n's coefficients grow past 1e20 by n = 20; cast to float they
+    # would cap the 50-digit recheck near float round-off
+    worst = max(hp_relerr(spec, trial) for trial in draw_trials(spec, 3, seed=0))
+    assert worst < 1e-30, worst
+
+
+def test_high_order_covariance_passes_on_recheck():
+    rep = covariance_suite("B", n_values=(24,), trials=3)
+    assert rep["ok"] and rep["escalated"] == 3 and rep["hp_defect"] < 1e-30

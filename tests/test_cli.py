@@ -169,3 +169,48 @@ def test_reused_parser_keeps_outputs(capsys):
         outs.append(capsys.readouterr().out)
     assert outs[2] == outs[0]
     assert json.loads(outs[0])["inputs"]["n"] == [3]
+
+
+ENVELOPE = {"schema", "operation", "inputs", "ok"}
+
+
+@pytest.mark.parametrize(
+    "args, operation, fields",
+    [
+        (["expand", "--series", "A", "--n", "4"], "expand", {"expression", "monomial_part", "series_constant", "weights"}),
+        (["verify", "affine", "--trials", "3"], "affine", {"max_relerr", "tolerance", "escalated", "hp_defect"}),
+        (["verify", "weights", "--trials", "3"], "weight_homogeneity", {"failures"}),
+        (["norm", "--function", "koebe", "--grid-j", "3", "--grid-m", "8"], "norm", {"report", "rows"}),
+        (["bound", "--n", "3", "--function", "koebe"], "bound", {"rows"}),
+        (["dzero", "--grid-r", "8", "--grid-m", "16"], "dzero", {"value", "weighted_magnitude", "norm_bound"}),
+        (["aw", "--grid-r", "8", "--grid-m", "16"], "aw", {"section_value", "sup_bound", "roundtrip"}),
+        (
+            ["repro", "--grid-r", "16", "--grid-m", "16"],
+            "repro",
+            {"lhs", "rhs", "rhs_alt_sign", "relerr", "tail_estimate", "grid"},
+        ),
+        (["kernel-criterion", "--grid-r", "8", "--grid-m", "16"], "kernel-criterion", {"lhs", "rhs", "relerr", "n", "series"}),
+        (["theta", "--radius", "2"], "theta", {"value", "tail_estimate", "automorphy_bound", "automorphy_residual", "ball_size"}),
+        (
+            ["pairing", "--f", "identity", "--g", "identity", "--grid-r", "8", "--grid-m", "16"],
+            "pairing",
+            {"value", "conjugate_symmetry_relerr"},
+        ),
+        (["bergman", "--k", "1", "--grid-r", "8", "--grid-m", "16"], "bergman", {"checks"}),
+        (["solve", "ode", "--order", "6"], "solve-ode", {"f_coeffs", "wronskian", "linear_residual", "schwarzian_residual"}),
+        (["solve", "homog-a", "--n", "5"], "solve-homog-a", {"residual"}),
+        (["solve", "homog-b", "--n", "4"], "solve-homog-b", {"residual"}),
+    ],
+)
+def test_every_subcommand_reports_in_one_envelope(capsys, args, operation, fields):
+    code = run(args + ["--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert set(rep) == ENVELOPE | fields
+    assert rep["schema"] == "v1" and rep["operation"] == operation
+    assert isinstance(rep["ok"], bool) and code == (0 if rep["ok"] else 1)
+
+
+def test_text_report_runs_schema_operation_inputs_fields_ok(capsys):
+    run(["repro", "--grid-r", "16", "--grid-m", "16"])
+    keys = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+    assert keys == ["schema", "operation", "inputs", "lhs", "rhs", "relerr", "rhs_alt_sign", "tail_estimate", "grid", "ok"]

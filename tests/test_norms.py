@@ -13,11 +13,15 @@ import pytest
 from schwarzian_lab import (
     SampleGrid,
     a_series_bound,
+    ahlfors_weill_density,
     b_series_bound,
     bn_norm_estimate,
     bn_norm_report,
     bound_check,
     catalog,
+    d0_beta_norm_bound,
+    exterior_disc_quadrature,
+    kernel_criterion_check,
     rotated_koebe,
     schlicht_family,
     sigma_a,
@@ -25,6 +29,7 @@ from schwarzian_lab import (
     sigma_phi,
 )
 from schwarzian_lab.integrals import vec_eval
+from schwarzian_lab.norms import bound_row
 from schwarzian_lab.symbolic import evaluate
 
 REL_SLACK = 1e-9
@@ -118,3 +123,24 @@ def test_batched_sigma_matches_scalar_jets(series, n):
         scalar = np.array([evaluate(expr, fn.jet(complex(z), n)) for z in pts])
         err = np.max(np.abs(batched - scalar) * weight)
         assert err <= 1e-10 * max(1.0, bound), (name, err)
+
+
+def _criterion(series):
+    nu = ahlfors_weill_density(catalog("taylor", coeffs=(1, 0.5, 0.25j, 1)))
+    return kernel_criterion_check(nu, 4, 0.3 + 0.1j, series, exterior_disc_quadrature(R=8, M=16))
+
+
+SERIES_USERS = {
+    "bound_row": lambda series: bound_row(series, 4, 100.0),
+    "bound_check": lambda series: bound_check(series, 4, catalog("koebe"), grid=SampleGrid(J=3, M=8)),
+    "d0_beta_norm_bound": lambda series: d0_beta_norm_bound(4, series),
+    "kernel_criterion_check": _criterion,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_USERS))
+def test_series_is_validated_and_case_blind(name):
+    use = SERIES_USERS[name]
+    with pytest.raises(ValueError, match="unknown series"):
+        use("x")
+    assert use("a") == use("A") != use("B")

@@ -21,29 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import compare
-from .integrals import QuadGrid, disc_quadrature, legendre_rule, quad2d, vec_eval, weighted_pairing
-from .maps import (
-    DISC,
-    EXTERIOR_DISC,
-    LOWER_HALF,
-    UPPER_HALF,
-    AnalyticFn,
-    HyperbolicDomain,
-    Moebius,
-    _c2pair,
-    poincare_density,
-)
+from .integrals import QuadGrid, disc_quadrature, legendre_rule, vec_eval, weighted_pairing
+from .maps import DISC, LOWER_HALF, UPPER_HALF, AnalyticFn, HyperbolicDomain, Moebius, _c2pair, poincare_density
 
 
 class GroupError(Exception):
     pass
 
 
-def _preserves_disc(g: Moebius, tol: float = 1e-9) -> bool:
+def _preserves_disc(g: Moebius) -> bool:
     if abs(g(0.2 + 0.1j)) >= 1:
         return False
     for theta in (0.0, 1.0, 2.5, 4.0):
-        if abs(abs(g(np.exp(1j * theta))) - 1.0) > tol:
+        if abs(abs(g(np.exp(1j * theta))) - 1.0) > 1e-9:
             return False
     return True
 
@@ -132,10 +122,11 @@ def group_from_descriptor(desc: dict) -> list:
 # -- Poincare series ----------------------------------------------------------
 
 
-def sup_on_disc(f, rad: float = 0.999, n_r: int = 25, n_t: int = 64) -> float:
-    """Sampled estimate of sup |f| over the closed unit disc."""
-    r = np.linspace(0.0, rad, n_r)
-    t = np.linspace(0.0, 2 * np.pi, n_t, endpoint=False)
+def sup_on_disc(f) -> float:
+    """Sampled estimate of sup |f| over the closed unit disc: 25 radii up to
+    0.999 crossed with 64 angles."""
+    r = np.linspace(0.0, 0.999, 25)
+    t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     pts = (r[:, None] * np.exp(1j * t[None, :])).ravel()
     return float(np.max(np.abs(vec_eval(f, pts))))
 
@@ -162,7 +153,7 @@ class ThetaResult:
         return self.value
 
 
-def poincare_theta(f, q: int, ball: GroupBall, z: complex, f_sup: float | None = None) -> ThetaResult:
+def poincare_theta(f, q: int, ball: GroupBall, z: complex) -> ThetaResult:
     """Truncated Poincare series at z with decay-based error bounds.
 
     The tail over words longer than the ball radius is estimated
@@ -186,8 +177,7 @@ def poincare_theta(f, q: int, ball: GroupBall, z: complex, f_sup: float | None =
         # at radius >= 1 a one-element ball means every generator is the identity
         bound = 0.0 if ball.radius > 0 or not ball.generators else math.inf
         return ThetaResult(value, bound, bound, 0.0, 0.0, ball.radius)
-    if f_sup is None:
-        f_sup = sup_on_disc(f)
+    f_sup = sup_on_disc(f)
     b_r = ball.boundary_sum(z, q)
     b_prev = ball.boundary_sum(z, q, ball.radius - 1)
     ratio = b_r / b_prev if b_prev > 0 else 0.0
@@ -196,9 +186,10 @@ def poincare_theta(f, q: int, ball: GroupBall, z: complex, f_sup: float | None =
     return ThetaResult(value, tail, auto, b_r, ratio, ball.radius)
 
 
-def automorphy_residual(f, q: int, ball: GroupBall, z: complex, g0: Moebius | None = None) -> float:
-    """|Theta(g0 z) g0'(z)^q - Theta(z)| for the truncated series."""
-    g0 = g0 or ball.generators[0]
+def automorphy_residual(f, q: int, ball: GroupBall, z: complex) -> float:
+    """|Theta(g0 z) g0'(z)^q - Theta(z)| for the truncated series, with g0
+    the ball's first generator."""
+    g0 = ball.generators[0]
     z = complex(z)
     lhs = complex(theta_values(f, q, ball, g0(z))) * g0.deriv(z) ** q
     rhs = complex(theta_values(f, q, ball, z))
@@ -336,15 +327,14 @@ def theta_l1_check(h, s: int, ball: GroupBall, fd_grid: QuadGrid, disc_grid: Qua
 
 
 def bergman_kernel(domain: HyperbolicDomain = DISC):
-    """Classical Bergman kernel k(z, w) of the domain, vectorized in both
-    arguments.  On the disc k(z,w) = 1/(pi (1 - z conj(w))^2); the other
-    domains carry the pull-back of this along a biholomorphism."""
+    """Classical Bergman kernel k(z, w) of the disc or a half-plane,
+    vectorized in both arguments.  On the disc k(z,w) = 1/(pi (1 - z
+    conj(w))^2); the half-planes carry the pull-back of this along a
+    biholomorphism."""
     if domain is DISC:
         return lambda z, w: 1.0 / (np.pi * (1.0 - np.asarray(z) * np.conj(w)) ** 2)
     if domain in (UPPER_HALF, LOWER_HALF):
         return lambda z, w: -1.0 / (np.pi * (np.asarray(z) - np.conj(w)) ** 2)
-    if domain is EXTERIOR_DISC:
-        return lambda z, w: 1.0 / (np.pi * (np.asarray(z) * np.conj(w) - 1.0) ** 2)
     raise ValueError(f"no Bergman kernel for domain {domain!r}")
 
 

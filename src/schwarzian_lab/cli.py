@@ -241,7 +241,10 @@ def cmd_expand(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    _require(args.series is None or args.target == "covariance", f"argument --series: {args.target} takes no series")
     if args.target == "weights":
+        _require(args.n is None, "argument --n: weights draws its own orders")
+        _require(args.tol is None, "argument --tol: weights is exact and takes no tolerance")
         return checks.weight_suite(trials=args.trials, seed=args.seed)
     if args.n:
         bol = args.target == "bol"
@@ -250,7 +253,7 @@ def cmd_verify(args) -> dict:
         _require(not bad, f"argument --n: {args.target} needs {'even ' if bol else ''}orders >= {lo}, got {bad}")
     kwargs = {"trials": args.trials, "seed": args.seed}
     if args.target == "covariance":
-        kwargs["series"] = args.series
+        kwargs["series"] = args.series or "A"
     if args.n:
         kwargs["n_values"] = tuple(args.n)
     if args.tol is not None:
@@ -458,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="randomized identity suites")
     p.add_argument("target", choices=sorted(checks.VERIFY_SUITES))
-    p.add_argument("--series", choices=("A", "B"), default="A", help="series for the covariance law")
-    p.add_argument("--n", type=int, nargs="*", help="operator orders to draw from")
+    p.add_argument("--series", choices=("A", "B"), default=None, help="series for the covariance law (default A)")
+    p.add_argument("--n", type=int, nargs="+", help="operator orders to draw from")
     p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, UPPER_HALF, HyperbolicDomain
+from .maps import DISC, EXTERIOR_DISC, UPPER_HALF, HyperbolicDomain
 from .checks import compare
 from .symbolic import DiffExpr, monomial_coefficients, series_constant, series_letter, sigma_expr
 
@@ -83,17 +83,14 @@ def exterior_disc_quadrature(R: int = 96, M: int = 256) -> QuadGrid:
     return QuadGrid(EXTERIOR_DISC, nodes, weights, {"kind": "exterior_disc", "R": R, "M": M})
 
 
-def half_plane_quadrature(domain: HyperbolicDomain = UPPER_HALF, R: int = 128, M: int = 128, radius: float = 40.0) -> QuadGrid:
-    """Polar rule on a half-plane truncated at the given radius; both the
-    radial and the angular directions use Gauss-Legendre nodes."""
-    if domain.tag not in ("upper_half", "lower_half"):
-        raise ValueError("half_plane_quadrature needs a half-plane domain")
+def half_plane_quadrature(R: int = 128, M: int = 128, radius: float = 40.0) -> QuadGrid:
+    """Polar rule on the upper half-plane truncated at the given radius; both
+    the radial and the angular directions use Gauss-Legendre nodes."""
     r, wr = _gauss_legendre(R, 0.0, radius)
-    lo, hi = (0.0, math.pi) if domain.tag == "upper_half" else (-math.pi, 0.0)
-    theta, wt = _gauss_legendre(M, lo, hi)
+    theta, wt = _gauss_legendre(M, 0.0, math.pi)
     nodes = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
     weights = ((wr * r)[:, None] * wt[None, :]).ravel()
-    return QuadGrid(domain, nodes, weights, {"kind": "half_plane", "R": R, "M": M, "radius": radius})
+    return QuadGrid(UPPER_HALF, nodes, weights, {"kind": "half_plane", "R": R, "M": M, "radius": radius})
 
 
 def quad2d(integrand, grid: QuadGrid) -> complex:
@@ -109,8 +106,7 @@ def half_plane_tail_estimate(integrand, grid: QuadGrid, decay: float = 4.0) -> f
     """Bound on the discarded |z| > radius mass, assuming |F| <= C r^-decay
     beyond the truncation circle with C calibrated on the outer arc."""
     radius = grid.meta["radius"]
-    lo, hi = (0.0, math.pi) if grid.domain.tag == "upper_half" else (-math.pi, 0.0)
-    theta = np.linspace(lo + 1e-3, hi - 1e-3, 181)
+    theta = np.linspace(1e-3, math.pi - 1e-3, 181)
     ring = radius * np.exp(1j * theta)
     peak = float(np.max(np.abs(vec_eval(integrand, ring))))
     if decay <= 2.0:
@@ -293,14 +289,6 @@ def w1_term(nu: DensityFn, z, grid: QuadGrid | None = None, norm_terms=(0.0, 0.0
     return -quad2d(integrand, grid) / math.pi
 
 
-def finite_difference(fn, z: complex, k: int, h: float = 1e-2) -> complex:
-    """Central finite difference of order k (binomial stencil)."""
-    total = 0j
-    for j in range(k + 1):
-        total += (-1.0) ** j * math.comb(k, j) * fn(z + (k / 2.0 - j) * h)
-    return total / h**k
-
-
 def beltrami_from_bers(phi, q: int) -> DensityFn:
     """Coefficient mu on the upper half-plane reproducing phi in B_q of the
     lower half-plane:  mu(eta) = -((q+1)/pi) * phi(conj eta) * (eta - conj eta)^q.
@@ -328,7 +316,7 @@ def repro_check(phi, q: int, z: complex, grid: QuadGrid | None = None) -> dict:
     """
     if z.imag >= 0:
         raise ValueError("evaluation point must lie in the lower half-plane")
-    grid = grid or half_plane_quadrature(UPPER_HALF)
+    grid = grid or half_plane_quadrature()
     mu = beltrami_from_bers(phi, q)
     mu_vals = mu(grid.nodes)
     lhs = complex(phi(z))

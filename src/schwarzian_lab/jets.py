@@ -31,8 +31,13 @@ class JetError(ValueError):
     pass
 
 
+# Exactness is decided by exact type: one set lookup, where isinstance would
+# go through the numbers.Rational ABC for every float, numpy or mpmath value.
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
+    return type(x) in _EXACT_TYPES
 
 
 def _over_common(coeffs):
@@ -45,12 +50,13 @@ def _over_common(coeffs):
     """
     den, frac = 1, False
     for c in coeffs:
-        if isinstance(c, Fraction):
+        t = type(c)
+        if t is Fraction:
             frac = True
             d = c.denominator
             if den % d:
                 den = den // gcd(den, d) * d
-        elif not isinstance(c, int):
+        elif t is not int:
             return None
     if not frac:
         return list(coeffs), 1, False
@@ -176,7 +182,7 @@ def jet_reciprocal(a: Jet) -> Jet:
     if exact:
         x, d, _ = exact
         return Jet(a.center, _exact_reciprocal(x, d))
-    inv0 = Fraction(1, 1) / c0 if _is_exact(c0) else 1.0 / c0
+    inv0 = 1.0 / c0
     out = [inv0]
     for n in range(1, a.order + 1):
         s = sum(a.coeffs[k] * out[n - k] for k in range(1, n + 1))
@@ -268,15 +274,16 @@ def _exact_pow(a: Jet, exact, alpha: Fraction) -> Jet:
     return Jet(a.center, tuple(out))
 
 
-def jet_compose(outer: Jet, inner: Jet, tol: float = 1e-9) -> Jet:
+def jet_compose(outer: Jet, inner: Jet) -> Jet:
     """Jet of outer∘inner at inner's center.
 
     Requires the value of `inner` at its center to coincide with the center
-    of `outer` (recentering is the caller's job, e.g. via `jet_shift`).
+    of `outer` to 1e-9, absolute or relative (recentering is the caller's
+    job, e.g. via `jet_shift`).
     """
     v = inner.coeffs[0]
     mismatch = abs(v - outer.center)
-    if _any((mismatch > tol) & (mismatch > tol * abs(v))):
+    if _any((mismatch > 1e-9) & (mismatch > 1e-9 * abs(v))):
         raise JetError(f"composition value/center mismatch: inner(center)={v}, outer.center={outer.center}")
     n = min(outer.order, inner.order)
     zero = 0 if _is_exact(v) and _is_exact(outer.coeffs[0]) else 0.0 + 0j
@@ -315,7 +322,7 @@ def jet_reverse(a: Jet) -> Jet:
     if exact:
         x, d, _ = exact
         return Jet(a.center, _exact_reverse(x, d))
-    inv1 = Fraction(1, 1) / c[1] if _is_exact(c[1]) else 1.0 / c[1]
+    inv1 = 1.0 / c[1]
     zero = c[0] * 0
     g = [zero, inv1] + [zero] * (n - 1)
     powers = [None, g] + [[zero] * (n + 1) for _ in range(n - 1)]

@@ -34,7 +34,7 @@ def moebius_jet(a, b, c, d, z0, order: int) -> Jet:
 def taylor_jet(coeffs, center, z0, order: int) -> Jet:
     """Jet at z0 of the polynomial sum c_k (z - center)^k.  The coefficients
     and z0 may be numpy arrays over a batch of polynomials and points."""
-    coeffs = list(coeffs) + [0j] * max(0, order + 1 - len(coeffs))
+    coeffs = list(coeffs) + [0] * max(0, order + 1 - len(coeffs))
     shifted = jet_shift(jet_from_coeffs(coeffs, center), z0 - center)
     return jet_from_coeffs(shifted.coeffs[: order + 1], z0)
 
@@ -77,12 +77,6 @@ class Moebius:
     def jet(self, z0, order: int) -> Jet:
         """Jet at z0, a point or an array of points."""
         return moebius_jet(self.a, self.b, self.c, self.d, z0, order)
-
-    def matches(self, other: "Moebius", tol: float = 1e-9) -> bool:
-        """Equality in PSL(2,C): coefficient quadruples agree up to sign."""
-        v1 = np.array([self.a, self.b, self.c, self.d])
-        v2 = np.array([other.a, other.b, other.c, other.d])
-        return min(np.abs(v1 - v2).max(), np.abs(v1 + v2).max()) < tol
 
     # -- constructors --------------------------------------------------------
 
@@ -198,10 +192,6 @@ class AnalyticFn:
     def to_json(self) -> str:
         return json.dumps(self._d, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "AnalyticFn":
-        return cls(json.loads(text))
-
     def _moebius(self) -> Moebius:
         k = self._d["kind"]
         if k == "identity":
@@ -254,7 +244,7 @@ class AnalyticFn:
         k = self._d["kind"]
         if k == "koebe":
             z = jet_variable(z0, order)
-            one_minus = 1.0 - z
+            one_minus = 1 - z
             return z * jet_reciprocal(one_minus * one_minus)
         if k in ("identity", "cayley", "rotation", "moebius"):
             return self._moebius().jet(z0, order)
@@ -286,7 +276,7 @@ class AnalyticFn:
 
 
 def _poly_jet(coeffs, z: Jet) -> Jet:
-    acc = jet_from_coeffs((coeffs[-1],) + (0j,) * z.order, z.center)
+    acc = jet_from_coeffs((coeffs[-1],) + (0,) * z.order, z.center)
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc

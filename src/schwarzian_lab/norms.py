@@ -1,6 +1,6 @@
 """Hyperbolic sup-norm (B_n) estimation on structured sample grids.
 
-The B_n norm of a function phi on a hyperbolic domain is
+The B_n norm of a function phi on the unit disc is
 sup |phi(z)| * lambda(z)^(-n).  Sampling can only certify lower bounds for a
 sup, so every estimate here is reported as a lower bound; the sharp-bound
 checks phrase their claims accordingly (estimate <= bound + fp slack).
@@ -9,12 +9,12 @@ checks phrase their claims accordingly (estimate <= bound + fp slack).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import integrals
-from .maps import DISC, AnalyticFn, HyperbolicDomain
+from .maps import DISC, AnalyticFn
 from .symbolic import DiffExpr, evaluate, series_letter, sigma_expr
 
 # Points per evaluation call; caps the batched jets' temporaries (the bound
@@ -31,7 +31,6 @@ class SampleGrid:
 
     J: int = 14
     M: int = 256
-    domain: HyperbolicDomain = field(default=DISC)
 
     def __post_init__(self):
         if self.M < 8 or self.M % 2:
@@ -43,10 +42,7 @@ class SampleGrid:
         radii = 1.0 - 0.5 ** np.arange(1, self.J + 1)
         angles = 2.0 * math.pi * np.arange(self.M) / self.M
         rings = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-        pts = np.concatenate([np.array([0.0 + 0.0j]), rings])
-        if self.domain.tag == "exterior_disc":
-            pts = 1.0 / np.conj(pts[1:])
-        return pts
+        return np.concatenate([np.array([0.0 + 0.0j]), rings])
 
 
 def bn_norm_estimate(phi, n: int, grid: SampleGrid | None = None) -> float:
@@ -62,13 +58,13 @@ def bn_norm_report(phi, n: int, grid: SampleGrid | None = None) -> dict:
     vals = np.concatenate([integrals.vec_eval(phi, pts[i : i + BLOCK_POINTS]) for i in range(0, pts.size, BLOCK_POINTS)])
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite sample in norm estimation")
-    weighted = np.abs(vals) * grid.domain.density(pts) ** (-float(n))
+    weighted = np.abs(vals) * DISC.density(pts) ** (-float(n))
     i = int(np.argmax(weighted))
     return {
         "estimate": float(weighted[i]),
         "argmax": complex(pts[i]),
         "n": n,
-        "grid": {"J": grid.J, "M": grid.M, "domain": grid.domain.tag},
+        "grid": {"J": grid.J, "M": grid.M, "domain": DISC.tag},
         "kind": "lower_bound",
     }
 
@@ -109,8 +105,6 @@ def bound_ok(row: dict) -> bool:
     return bool(row["margin"] >= -1e-9 * max(1.0, row["bound"]))
 
 
-def bound_check(series: str, n: int, fn: AnalyticFn, expr: DiffExpr | None = None, grid: SampleGrid | None = None) -> dict:
+def bound_check(series: str, n: int, fn: AnalyticFn, grid: SampleGrid | None = None) -> dict:
     """Estimate ||sigma_n[f]||_{B_{n-1}} on the grid; the row of `bound_row`."""
-    if expr is None:
-        expr = sigma_expr(series, n)
-    return bound_row(series, n, bn_norm_estimate(sigma_phi(fn, expr), n - 1, grid))
+    return bound_row(series, n, bn_norm_estimate(sigma_phi(fn, sigma_expr(series, n)), n - 1, grid))

@@ -17,6 +17,7 @@ from math import lcm
 from .jets import (
     Jet,
     JetError,
+    _is_exact,
     _over_common,
     jet_antiderive,
     jet_derive,
@@ -82,10 +83,6 @@ def _exact_linear_basis(phi: Jet, order: int, exact, c0: Fraction, c1: Fraction)
     return jet_from_coeffs(out, phi.center)
 
 
-def _exact(a: Jet) -> bool:
-    return all(isinstance(c, (int, Fraction)) for c in a.coeffs)
-
-
 def schwarzian_solve(phi: Jet, order: int | None = None) -> OdeSolution:
     """Jet solution of S_f = phi with f(c) = 0, f'(c) = 1.
 
@@ -97,7 +94,7 @@ def schwarzian_solve(phi: Jet, order: int | None = None) -> OdeSolution:
     order = phi.order + 3 if order is None else order
     if order < 3:
         raise ValueError("order must be at least 3 to carry a Schwarzian")
-    exact = _exact(phi)
+    exact = all(_is_exact(c) for c in phi.coeffs)
     one = Fraction(1) if exact else 1.0
     zero = Fraction(0) if exact else 0.0
     h1 = _linear_basis(phi, order, zero, one)
@@ -132,7 +129,7 @@ def homogeneous_b(n: int, alpha, order: int = 14) -> Jet:
     coeffs = alpha + [0] * (order + 1 - len(alpha))
     p = jet_from_coeffs(coeffs[: order + 1], 0.0)
     fp = jet_pow(p, Fraction(-2, n - 2))
-    return jet_antiderive(fp, Fraction(0) if _exact(fp) else 0.0)
+    return jet_antiderive(fp, Fraction(0) if all(_is_exact(c) for c in fp.coeffs) else 0.0)
 
 
 def homogeneous_b_residual(n: int, alpha, order: int = 14, through: int = 8) -> float:

@@ -35,9 +35,7 @@ from .jets import (
     derivative_values,
     jet_const,
     jet_derive,
-    jet_pow,
     jet_reciprocal,
-    jet_shift,
 )
 
 Key = tuple  # (2*e1, e2, e3, ..., eK), trailing zeros trimmed
@@ -316,19 +314,18 @@ def _term_value(key, us, val):
     return val
 
 
-def evaluate(e: DiffExpr, f: Jet, z_offset=0):
-    """Numeric value of e[f] at f.center + z_offset.
+def evaluate(e: DiffExpr, f: Jet):
+    """Numeric value of e[f] at f.center.
 
-    The jet is recentered by `jet_shift`, derivative values u_k = f^(k) are
-    read off, and the Laurent polynomial is evaluated.  Requires jet order
-    >= the largest derivative index in `e` and u_1 != 0 there.  A batched jet
-    gives an array of values, one per point.
+    The derivative values u_k = f^(k) are read off the jet and the Laurent
+    polynomial is evaluated.  Requires jet order >= the largest derivative
+    index in `e` and u_1 != 0 there.  A batched jet gives an array of
+    values, one per point.
     """
     top = e.max_index()
     if f.order < top:
         raise ValueError(f"jet order {f.order} below required derivative index {top}")
-    g = jet_shift(f, z_offset) if z_offset != 0 else f
-    us = (None,) + derivative_values(g)[1:]
+    us = (None,) + derivative_values(f)[1:]
     if _any(us[1] == 0):
         raise ValueError("vanishing first derivative at evaluation point")
     cast = _coeff_cast(us[1:])

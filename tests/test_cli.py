@@ -135,6 +135,12 @@ def test_bad_group_descriptor(capsys):
         ["solve", "homog-b", "--tol", "-1"],
         ["verify", "affine", "--tol", "nan"],
         ["verify", "affine", "--tol", "-1"],
+        ["verify", "weights", "--n", "4"],
+        ["verify", "affine", "--n"],
+        ["verify", "weights", "--tol", "1e-3"],
+        ["verify", "weights", "--series", "A"],
+        ["verify", "affine", "--series", "B"],
+        ["verify", "bol", "--series", "A"],
         ["aw", "--tol", "0"],
         ["repro", "--tol", "inf"],
         ["kernel-criterion", "--tol", "nan"],
@@ -150,6 +156,8 @@ def test_bad_numeric_parameters_are_usage_errors(capsys, args):
 
 
 def test_in_range_edge_parameters_still_run(capsys):
+    assert run(["verify", "covariance", "--trials", "3"]) == 0
+    assert "series: A" in capsys.readouterr().out
     assert run(["verify", "bol", "--n", "2", "--trials", "3"]) == 0
     assert run(["solve", "homog-a", "--n", "4", "--poly", "0.5"]) == 0
     assert run(["solve", "homog-b", "--n", "5", "--alpha", "1,0.5,0.25,0.1"]) == 0

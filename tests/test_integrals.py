@@ -31,7 +31,6 @@ from schwarzian_lab.automorphic import fundamental_annulus_grid
 from schwarzian_lab.integrals import (
     beltrami_from_bers,
     exterior_levels,
-    finite_difference,
     legendre_rule,
     quad2d,
     w1_term,
@@ -122,6 +121,14 @@ def test_kernel_criterion_identity():
             rep = kernel_criterion_check(nu, n, 0.3 + 0.1j, series)
             assert abs(rep["lhs"]) > 1e-3  # nondegenerate comparison
             assert rep["relerr"] < 1e-10, (n, series)
+
+
+def finite_difference(fn, z: complex, k: int, h: float = 1e-2) -> complex:
+    """Central finite difference of order k (binomial stencil)."""
+    total = 0j
+    for j in range(k + 1):
+        total += (-1.0) ** j * math.comb(k, j) * fn(z + (k / 2.0 - j) * h)
+    return total / h**k
 
 
 def test_w1_normalization_invariance():

@@ -2,7 +2,9 @@
 analytic-function catalog."""
 
 import cmath
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from schwarzian_lab import (
     rotated_koebe,
     schlicht_family,
 )
+from schwarzian_lab.maps import taylor_jet
 
 SAMPLES = [0.1 + 0.2j, -0.4j, 0.55, -0.3 - 0.25j]
 
@@ -100,7 +103,7 @@ def test_json_round_trip():
     fns = [catalog("koebe"), catalog("rotation", theta=0.4), rotated_koebe(1.1),
            catalog("taylor", coeffs=[0, 1, 0.5 + 0.25j])]
     for fn in fns:
-        back = AnalyticFn.from_json(fn.to_json())
+        back = AnalyticFn(json.loads(fn.to_json()))
         for z in SAMPLES:
             assert abs(back(z) - fn(z)) < 1e-14
 
@@ -171,3 +174,10 @@ def test_array_jets_match_scalar_jets():
             for k in range(order + 1):
                 b = np.broadcast_to(batched.coeffs[k], pts.shape)[i]
                 assert abs(b - scalar.coeffs[k]) <= 1e-12 * max(1.0, abs(scalar.coeffs[k])), (desc["kind"], z, k)
+
+
+def test_taylor_jet_keeps_exact_coefficients_exact():
+    # 1/2 + z + z^2/3 at z0 = 1/3, asked for more orders than it has terms
+    jet = taylor_jet([Fraction(1, 2), 1, Fraction(1, 3)], 0, Fraction(1, 3), 5)
+    assert jet.coeffs == (Fraction(47, 54), Fraction(11, 9), Fraction(1, 3), 0, 0, 0)
+    assert all(type(c) is Fraction for c in jet.coeffs)

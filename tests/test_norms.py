@@ -6,11 +6,13 @@ is relative (the sharp values grow like 4^n n!).
 """
 
 import cmath
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from schwarzian_lab import (
+    DISC,
     SampleGrid,
     a_series_bound,
     ahlfors_weill_density,
@@ -114,7 +116,7 @@ def test_batched_sigma_matches_scalar_jets(series, n):
     # scalar jets are the reference for the batched path
     grid = SampleGrid(J=14, M=16)
     pts = grid.points()
-    weight = grid.domain.density(pts) ** (1.0 - n)
+    weight = DISC.density(pts) ** (1.0 - n)
     expr = sigma_a(n) if series == "A" else sigma_b(n)
     bound = a_series_bound(n) if series == "A" else b_series_bound(n)
     fns = schlicht_family() + [("rotated_koebe", rotated_koebe(t)) for t in (0.7, 2.9)]
@@ -144,3 +146,15 @@ def test_series_is_validated_and_case_blind(name):
     with pytest.raises(ValueError, match="unknown series"):
         use("x")
     assert use("a") == use("A") != use("B")
+
+
+@pytest.mark.parametrize("series,n,bound", [("A", 3, 6), ("A", 4, 48), ("A", 5, 576), ("B", 4, 96), ("B", 5, 1890)])
+def test_exact_koebe_jet_attains_the_sharp_bounds(series, n, bound):
+    # the dyadic grid point where the A5 and B5 rows take their argmax: at a
+    # Fraction point the Koebe jet stays exact and meets each bound exactly
+    z = -(1 - Fraction(1, 2**13))
+    jet = catalog("koebe").jet(z, n)
+    assert all(type(c) is Fraction for c in jet.coeffs)
+    value = evaluate(sigma_a(n) if series == "A" else sigma_b(n), jet)
+    assert abs(value) * (1 - z * z) ** (n - 1) == bound
+    assert bound == (a_series_bound(n) if series == "A" else b_series_bound(n))

@@ -11,6 +11,18 @@ hyperbolic ones: conjugating the generator to a pure dilation turns the
 quotient into a round half-annulus, which we sample with Gauss-Legendre
 nodes and pull back to the disc with the exact Jacobian.  That is accurate
 to quadrature order, unlike rejection sampling against isometric circles.
+
+The disc-side integrals of the Bergman projection and of the unfolding lemma
+are computed on the basis z^k, which the rotation-invariant weight
+(1 - |w|^2)^(2s-2) keeps orthogonal, with
+
+    <z^k, z^k>_s = integral of |w|^(2k) (1 - |w|^2)^(2s-2) dA
+                 = pi k! (2s-2)! / (k+2s-1)!.
+
+The projection takes one FFT per ring of a `disc_quadrature` grid, where the
+trapezoid rule in the angle is spectrally accurate, and Gauss moments in the
+radius; the lemma reads Taylor coefficients off an FFT on a circle.  Neither
+builds a kernel matrix.
 """
 
 from __future__ import annotations
@@ -303,14 +315,43 @@ def fundamental_annulus_grid(
     return QuadGrid(DISC, nodes, weights.astype(float), meta)
 
 
-def lemma_scalar_check(f, h, spec: PairingSpec, ball: GroupBall, fd_grid: QuadGrid, disc_grid: QuadGrid | None = None) -> dict:
+LEMMA_FFT = 64  # points of the FFT that reads f's Taylor coefficients
+LEMMA_RADIUS = 0.5  # radius of the circle it samples
+
+
+def lemma_scalar_check(f, h, spec: PairingSpec, ball: GroupBall, fd_grid: QuadGrid) -> dict:
     """Compare <f, Theta[h]> over a fundamental domain against <f, h> over
-    the whole disc, for automorphic f.  Unfolding makes the two equal."""
-    disc_grid = disc_grid or disc_quadrature()
+    the whole disc, for automorphic f.  Unfolding makes the two equal.
+
+    h must be a polynomial, a `taylor` AnalyticFn of degree d < LEMMA_FFT/2
+    (ValueError otherwise).  The disc side is then the coefficient sum
+
+        <f, h>_D = sum_{k<=d} f_k conj(h_k) pi k! (2s-2)! / (k+2s-1)!,
+
+    with h_k from h's jet at 0 and f_k from a LEMMA_FFT-point FFT of f on
+    |z| = LEMMA_RADIUS.  `coeff_tail` is the largest coefficient in the
+    upper half of that FFT.  For holomorphic f that half holds only modes
+    >= LEMMA_FFT/2, so for decaying coefficients it bounds the modes
+    >= LEMMA_FFT that alias onto each f_k LEMMA_RADIUS^k.
+    """
+    if spec.domain is not DISC:
+        raise ValueError("the unfolding lemma pairs over the unit disc")
+    desc = h.descriptor() if isinstance(h, AnalyticFn) else {}
+    if desc.get("kind") != "taylor":
+        raise ValueError("lemma_scalar_check needs a polynomial h: a taylor AnalyticFn")
+    d = len(desc["coeffs"]) - 1
+    if d >= LEMMA_FFT // 2:
+        raise ValueError(f"h has degree {d}; the coefficient FFT resolves degrees below {LEMMA_FFT // 2}")
     theta_h = lambda z: theta_values(h, spec.s, ball, z)
     lhs = wp_pairing(f, theta_h, spec, fd_grid)
-    rhs = wp_pairing(f, h, spec, disc_grid)
-    return compare(lhs, rhs)
+    circle = LEMMA_RADIUS * np.exp(2j * math.pi * np.arange(LEMMA_FFT) / LEMMA_FFT)
+    modes = np.fft.fft(vec_eval(f, circle)) / LEMMA_FFT
+    f_k = modes[: d + 1] / LEMMA_RADIUS ** np.arange(d + 1)
+    h_k = np.asarray(h.jet(0.0, d).coeffs, dtype=complex)
+    s2 = 2 * spec.s - 2
+    norms = [math.pi * math.factorial(k) * math.factorial(s2) / math.factorial(k + s2 + 1) for k in range(d + 1)]
+    rhs = complex(np.sum(f_k * np.conj(h_k) * norms))
+    return compare(lhs, rhs, coeff_tail=float(np.max(np.abs(modes[LEMMA_FFT // 2 :]))))
 
 
 def theta_l1_check(h, s: int, ball: GroupBall, fd_grid: QuadGrid, disc_grid: QuadGrid | None = None) -> dict:
@@ -347,20 +388,46 @@ def s_bergman_kernel(domain: HyperbolicDomain, s: int):
     return lambda z, w: pref * k(z, w) ** s
 
 
+def _disc_rings(grid: QuadGrid):
+    """Radii, ring weights and angle count of a `disc_quadrature` grid, whose
+    nodes run ring by ring from angle 0; ValueError for any other grid."""
+    if grid.domain is not DISC or grid.meta.get("kind") != "disc":
+        raise ValueError("the Bergman projection needs a disc_quadrature product grid")
+    m = grid.meta["M"]
+    first = np.arange(grid.meta["R"]) * m
+    return grid.nodes[first].real, grid.weights[first], m
+
+
 def bergman_project(f, s: int, z, grid: QuadGrid | None = None):
     """Weighted Bergman projection (beta f)(z) = integral of
-    lambda^(2-2s)(w) K_s(z,w) f(w) over the domain.
+    lambda^(2-2s)(w) K_s(z,w) f(w) over the disc, on the basis z^k:
 
-    Fixes holomorphic f of the right growth; z may be a scalar or an array
-    (the kernel matrix is built in one shot).
+        beta f = sum_k c_k z^k,
+        c_k = ((2s-1)/pi) C(k+2s-1, k) integral of f conj(w)^k (1-|w|^2)^(2s-2) dA.
+
+    On a `disc_quadrature` grid (ValueError for any other) of M angles, one
+    FFT per ring gives the angular integrals and Gauss moments
+    w_r r^(k+1) (1-r^2)^(2s-2) the radial ones, for k < M/2; the sum is
+    evaluated by Horner's rule.  Fixes holomorphic f of the right growth;
+    z may be a scalar or an array.
     """
+    if s < 2:
+        raise ValueError("weight must be >= 2")
     grid = grid or disc_quadrature()
-    kernel = s_bergman_kernel(grid.domain, s)
-    lam = poincare_density(grid.domain, grid.nodes)
-    fw = vec_eval(f, grid.nodes) * lam ** (2.0 - 2.0 * s) * grid.weights
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    vals = kernel(zs[:, None], grid.nodes[None, :]) @ fw
-    return complex(vals[0]) if np.ndim(z) == 0 else vals
+    r, ring_w, m = _disc_rings(grid)
+    rings = vec_eval(f, grid.nodes).reshape(r.size, m)
+    k = np.arange(m // 2)
+    modes = np.fft.fft(rings, axis=1)[:, : m // 2]
+    moments = (ring_w * (1.0 - r * r) ** (2 * s - 2))[:, None] * r[:, None] ** k
+    binom = np.ones(k.size)  # C(k+2s-1, k)
+    for j in range(1, 2 * s):
+        binom *= (k + j) / j
+    c = (2 * s - 1) / math.pi * binom * np.sum(moments * modes, axis=0)
+    zs = np.asarray(z, dtype=complex)
+    vals = np.zeros_like(zs)
+    for ck in c[::-1]:
+        vals = vals * zs + ck
+    return complex(vals) if np.ndim(z) == 0 else vals
 
 
 def projection_symmetry_check(f, g, s: int, grid: QuadGrid | None = None) -> dict:

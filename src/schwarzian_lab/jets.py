@@ -155,7 +155,7 @@ class Jet:
 
 
 def _check_centers(a: Jet, b: Jet):
-    if _any(a.center != b.center):
+    if a.center is not b.center and _any(a.center != b.center):
         raise JetError(f"center mismatch: {a.center} vs {b.center}")
 
 

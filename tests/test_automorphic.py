@@ -24,6 +24,7 @@ from schwarzian_lab import (
     fundamental_annulus_grid,
     group_ball,
     group_from_descriptor,
+    half_plane_quadrature,
     lemma_scalar_check,
     metzger_element,
     poincare_theta,
@@ -156,18 +157,43 @@ def test_fundamental_domain_base_radius_invariance():
     assert abs(v1 - v2) / abs(v1) < 1e-5
 
 
+def _lemma(radius, f=None, h=None):
+    spec = PairingSpec(2)
+    ball = group_ball(_cyclic_gens(), radius)
+    fd = fundamental_annulus_grid(0.5, 2.8, 4.0)
+    F = catalog("taylor", coeffs=[0, 0, 0.5, 0.2])
+    f = f or (lambda z: theta_values(F, 2, ball, z))
+    return lemma_scalar_check(f, h or catalog("taylor", coeffs=[0, 1, 1]), spec, ball, fd)
+
+
 def test_lemma_scalar_pairing():
     # <f, Theta h>_G over the fundamental domain == <f, h> over the disc,
     # for automorphic f (here a truncated series itself)
-    spec = PairingSpec(2)
-    ball = group_ball(_cyclic_gens(), 12)
-    fd = fundamental_annulus_grid(0.5, 2.8, 4.0)
-    F = catalog("taylor", coeffs=[0, 0, 0.5, 0.2])
-    f_auto = lambda z: theta_values(F, 2, ball, z)
-    h = catalog("taylor", coeffs=[0, 1, 1])
-    rep = lemma_scalar_check(f_auto, h, spec, ball, fd)
-    assert abs(rep["lhs"]) > 1e-4  # nondegenerate configuration
-    assert rep["relerr"] < 1e-2
+    for h in (None, catalog("taylor", coeffs=[0.3j, 1 - 0.5j, 0.7j])):
+        rep = _lemma(12, h=h)
+        assert abs(rep["lhs"]) > 1e-4  # nondegenerate configuration
+        assert rep["relerr"] < 1e-10
+        assert rep["coeff_tail"] < 1e-8
+
+
+def test_lemma_error_falls_with_the_ball_radius():
+    # the disc side is exact, so what is left is the truncation of Theta
+    errs = [_lemma(r)["relerr"] for r in (8, 12, 16)]
+    assert errs[0] > errs[1] > errs[2]
+
+
+def test_lemma_fails_for_a_non_automorphic_f():
+    rep = _lemma(12, f=catalog("taylor", coeffs=[0, 0, 0.5, 0.2]))
+    assert rep["relerr"] > 1e-3
+
+
+def test_lemma_needs_a_polynomial_h():
+    with pytest.raises(ValueError):
+        _lemma(4, h=catalog("koebe"))
+    with pytest.raises(ValueError):
+        _lemma(4, h=lambda z: z)
+    with pytest.raises(ValueError):
+        _lemma(4, h=catalog("taylor", coeffs=[0] * 40 + [1]))
 
 
 def test_theta_l1_contraction():
@@ -219,25 +245,39 @@ def test_projection_kills_antiholomorphic():
 
 def test_projection_symmetry_in_pairing():
     # f = w^2 conj(w), g = w + conj(w): beta f = 2w/5, so both sides equal
-    # <2w/5, w + conj(w)> = pi/30.
+    # <2w/5, w + conj(w)> = pi/30.  The projection is exact on the basis z^k,
+    # so each side and every nodal value of beta f meet the closed form to
+    # round-off on every grid, the coarse one included.
     from schwarzian_lab.automorphic import projection_symmetry_check
-    from schwarzian_lab.integrals import disc_quadrature, weighted_pairing
 
     f = lambda w: np.asarray(w) ** 2 * np.conj(w)
     g = lambda w: np.asarray(w) + np.conj(w)
+    for R, M in [(24, 48), (48, 96), (96, 256)]:
+        grid = disc_quadrature(R=R, M=M)
+        rep = projection_symmetry_check(f, g, 2, grid)
+        assert abs(rep["lhs"] - math.pi / 30) < 1e-12, (R, M)
+        assert abs(rep["rhs"] - math.pi / 30) < 1e-12, (R, M)
+        nodal = bergman_project(f, 2, grid.nodes, grid)
+        assert np.max(np.abs(nodal - 2 * grid.nodes / 5)) < 1e-12, (R, M)
 
-    # The analytic value, by substituting the closed-form projection:
-    # polynomials are integrated exactly by the Gauss grid.
-    direct = weighted_pairing(lambda w: 2 * np.asarray(w) / 5, g, 2, disc_quadrature())
-    assert abs(direct - math.pi / 30) < 1e-12
 
-    rep = projection_symmetry_check(f, g, 2)
-    assert rep["relerr"] < 1e-9
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_projection_matches_dense_kernel_sum(s):
+    # oracle: the node sum of K_s(z, w) f(w) (1-|w|^2)^(2s-2) for a smooth
+    # non-polynomial f; at |z| <= 1/2 the kernel is smooth, so the sum is
+    # accurate on the default grid
+    f = lambda w: np.exp(w) * np.abs(w) ** 2
+    grid = disc_quadrature()
+    zs = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.5, 0.25 - 0.35j])
+    wgt = f(grid.nodes) * (1.0 - np.abs(grid.nodes) ** 2) ** (2 * s - 2) * grid.weights
+    dense = s_bergman_kernel(DISC, s)(zs[:, None], grid.nodes[None, :]) @ wgt
+    assert np.max(np.abs(dense)) > 0.1  # nondegenerate
+    assert np.max(np.abs(bergman_project(f, s, zs) - dense)) < 1e-10
 
-    # The symmetry check itself re-evaluates the projection at every node,
-    # and the near-boundary nodes are under-resolved on the coarse default
-    # grid: both sides carry the same quadrature error, which shrinks as the
-    # grid is refined.
-    fine = projection_symmetry_check(f, g, 2, disc_quadrature(R=48, M=96))
-    assert abs(fine["lhs"] - math.pi / 30) < abs(rep["lhs"] - math.pi / 30)
-    assert abs(fine["lhs"] - math.pi / 30) < 1e-3
+
+def test_projection_rejects_grids_without_rings():
+    fd = fundamental_annulus_grid(0.5, 2.8, 4.0, n_rad=8, n_ang=8)
+    with pytest.raises(ValueError):
+        bergman_project(lambda w: w, 2, 0.1, fd)
+    with pytest.raises(ValueError):
+        bergman_project(lambda w: w, 2, 0.1, half_plane_quadrature(R=8, M=8))

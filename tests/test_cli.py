@@ -92,6 +92,15 @@ def test_theta_report(capsys):
     assert rep["ball_size"] == 13
 
 
+def test_bergman_passes_on_a_coarse_grid(capsys):
+    # the projection is exact on the basis z^k, so an 8 x 16 grid fixes
+    # w^0..w^4 to round-off
+    assert run(["bergman", "--k", "4", "--grid-r", "8", "--grid-m", "16", "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    errs = [c["max_abs_err"] for c in rep["checks"] if "max_abs_err" in c]
+    assert len(errs) == 5 and max(errs) < 1e-12
+
+
 def test_bad_group_descriptor(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["theta", "--group", '{"kind": "NOPE"}'])

@@ -62,6 +62,19 @@ def test_composition_center_mismatch():
         jet_compose(outer, inner)
 
 
+def test_batched_center_mismatch_raises():
+    # equal centers held in two array objects still combine; unequal ones raise
+    z = np.array([0.1, 0.2j, -0.3])
+    a = jet_from_coeffs([1, 1], center=z)
+    same = jet_from_coeffs([2, 1], center=z.copy())
+    assert (a + same).coeffs[0] == 3 and (a * same).coeffs[1] == 3
+    moved = jet_from_coeffs([2, 1], center=z + np.array([0.0, 0.0, 1e-12]))
+    with pytest.raises(JetError):
+        a + moved
+    with pytest.raises(JetError):
+        a * moved
+
+
 def test_reversion():
     f = jet_from_coeffs([Fraction(0), Fraction(1), Fraction(1), Fraction(0), Fraction(0)])
     g = jet_reverse(f)

@@ -387,7 +387,7 @@ def cmd_bergman(args) -> dict:
     v0 = bergman_project(one, args.s, 0.0, grid)
     checks_list.append({"check": "constant at origin", "lhs": v0, "rhs": 1.0, "abs_err": abs(v0 - 1)})
     sym = projection_symmetry_check(
-        lambda w: np.asarray(w) ** 2 * np.conj(w), lambda w: np.asarray(w) + np.conj(w), args.s
+        lambda w: np.asarray(w) ** 2 * np.conj(w), lambda w: np.asarray(w) + np.conj(w), args.s, grid
     )
     checks_list.append({"check": "pairing symmetry", "relerr": sym["relerr"]})
     ok = worst < args.tol and abs(v0 - 1) < args.tol and sym["relerr"] < 1e-2

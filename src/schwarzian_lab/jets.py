@@ -14,8 +14,8 @@ integer-numerator kernel instead: each operand is put over one common
 denominator, the recurrence runs on Python ints, and each output coefficient
 is built as a single ``Fraction(numerator, denominator)``.  Products,
 reciprocals, powers (integer exponent, or rational exponent with c_0 = 1),
-reversion and antiderivatives stay exact this way, at one gcd per output
-coefficient instead of one per partial product.
+composition, reversion and antiderivatives stay exact this way, at one gcd
+per output coefficient instead of one per partial product.
 """
 
 from __future__ import annotations
@@ -280,18 +280,55 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
     Requires the value of `inner` at its center to coincide with the center
     of `outer` to 1e-9, absolute or relative (recentering is the caller's
     job, e.g. via `jet_shift`).
+
+    Power-table composition (Knuth, TAOCP vol. 2, §4.7): with u = inner - v
+    and P[k][m] = [w^m] u^k, which vanishes below m = k,
+    P[k][m] = sum_j u_j P[k-1][m-j] and out_m = sum_{k=1}^{m} outer_k P[k][m].
+    About n^3/6 coefficient products at order n, no intermediate jets.
+
+    Over exact coefficients u = x/d, outer = y/e the table runs on integers:
+    Q[k][m] = [w^m] X^k and out_m = sum_k y_k Q[k][m] d^(m-k) / (e d^m).
     """
     v = inner.coeffs[0]
     mismatch = abs(v - outer.center)
     if _any((mismatch > 1e-9) & (mismatch > 1e-9 * abs(v))):
         raise JetError(f"composition value/center mismatch: inner(center)={v}, outer.center={outer.center}")
     n = min(outer.order, inner.order)
-    zero = 0 if _is_exact(v) and _is_exact(outer.coeffs[0]) else 0.0 + 0j
-    u = Jet(inner.center, (zero,) + inner.coeffs[1 : n + 1])
-    acc = jet_const(outer.coeffs[n], inner.center, n)
-    for k in range(n - 1, -1, -1):
-        acc = acc * u + outer.coeffs[k]
-    return acc
+    c, u = outer.coeffs[: n + 1], inner.coeffs[: n + 1]
+    exact_c = _over_common(c)
+    exact_u = exact_c and _over_common(u)
+    if exact_u:
+        return Jet(inner.center, _exact_compose(c, exact_c, exact_u))
+    powers = _power_table(u, n)
+    out = [c[0]] + [sum(c[k] * powers[k][m] for k in range(1, m + 1)) for m in range(1, n + 1)]
+    return Jet(inner.center, tuple(out))
+
+
+def _power_table(u, n: int) -> list:
+    """P[k][m] = [w^m] (u - u_0)^k for 1 <= k <= m <= n; entries below m = k
+    are None."""
+    powers = [None, list(u)]
+    for k in range(2, n + 1):
+        lower = powers[k - 1]
+        row = [None] * k
+        for m in range(k, n + 1):
+            row.append(sum(u[j] * lower[m - j] for j in range(1, m - k + 2)))
+        powers.append(row)
+    return powers
+
+
+def _exact_compose(c, exact_c, exact_u) -> tuple:
+    """outer∘inner on the integer power table (see jet_compose)."""
+    (y, e, fy), (x, d, fx) = exact_c, exact_u
+    n = len(c) - 1
+    powers = _power_table(x, n)
+    d_pow = [1]
+    for _ in range(n):
+        d_pow.append(d_pow[-1] * d)
+    nums = [sum(y[k] * powers[k][m] * d_pow[m - k] for k in range(1, m + 1)) for m in range(1, n + 1)]
+    if not (fx or fy):
+        return (c[0],) + tuple(nums)
+    return (Fraction(c[0]),) + tuple(Fraction(num, e * d_pow[m]) for m, num in enumerate(nums, 1))
 
 
 def jet_reverse(a: Jet) -> Jet:

@@ -12,23 +12,38 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .jets import Jet, JetError, _any, jet_compose, jet_from_coeffs, jet_reciprocal, jet_shift, jet_variable
+from .jets import Jet, JetError, _any, _is_exact, jet_compose, jet_from_coeffs, jet_reciprocal, jet_shift, jet_variable
 
 
 class DomainError(ValueError):
     pass
 
 
+def _inverse(x):
+    """1/x, kept exact (a Fraction) for an int or Fraction x."""
+    return Fraction(1, x) if _is_exact(x) else 1.0 / x
+
+
 def moebius_jet(a, b, c, d, z0, order: int) -> Jet:
     """Jet of z -> (a z + b)/(c z + d) at z0.  The coefficients and z0 may be
-    numpy arrays over a batch of maps and points: one batched jet."""
-    if _any(abs(c * z0 + d) < 1e-14):
+    numpy arrays over a batch of maps and points: one batched jet.
+
+    Closed form, O(order) operations: with t = 1/(c z0 + d), the jet is
+    c_0 = (a z0 + b) t and c_k = (ad - bc) (-c)^(k-1) t^(k+1) for k >= 1.
+    Exact inputs (ints and Fractions) give exact coefficients."""
+    pole = c * z0 + d
+    if _any(abs(pole) < 1e-14):
         raise JetError("jet at the pole of a Moebius map")
-    z = jet_variable(z0, order)
-    return (z * a + b) * jet_reciprocal(z * c + d)
+    t = _inverse(pole)
+    coeffs = [(a * z0 + b) * t, (a * d - b * c) * t * t]
+    step = -c * t
+    for _ in range(order - 1):
+        coeffs.append(coeffs[-1] * step)
+    return Jet(z0, tuple(coeffs[: order + 1]))
 
 
 def taylor_jet(coeffs, center, z0, order: int) -> Jet:
@@ -243,9 +258,16 @@ class AnalyticFn:
         """Jet at z0, a point or an array of points (one batched jet)."""
         k = self._d["kind"]
         if k == "koebe":
-            z = jet_variable(z0, order)
-            one_minus = 1 - z
-            return z * jet_reciprocal(one_minus * one_minus)
+            # z/(1-z)^2 = sum_k (k + z0) (z - z0)^k / (1-z0)^(k+2)
+            if _any(z0 == 1):
+                raise JetError("jet at the pole of the Koebe function")
+            t = _inverse(1 - z0)
+            power = t * t
+            coeffs = [z0 * power]
+            for j in range(1, order + 1):
+                power = power * t
+                coeffs.append((j + z0) * power)
+            return Jet(z0, tuple(coeffs))
         if k in ("identity", "cayley", "rotation", "moebius"):
             return self._moebius().jet(z0, order)
         if k == "taylor":

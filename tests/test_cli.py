@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from schwarzian_lab.automorphic import projection_symmetry_check
 from schwarzian_lab.cli import build_parser, main
+from schwarzian_lab.integrals import disc_quadrature
 
 
 def run(args):
@@ -99,6 +102,21 @@ def test_bergman_passes_on_a_coarse_grid(capsys):
     rep = json.loads(capsys.readouterr().out)
     errs = [c["max_abs_err"] for c in rep["checks"] if "max_abs_err" in c]
     assert len(errs) == 5 and max(errs) < 1e-12
+
+
+def test_bergman_symmetry_check_runs_on_the_given_grid(capsys):
+    assert run(["bergman", "--grid-r", "8", "--grid-m", "16", "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    [sym] = [c for c in rep["checks"] if c["check"] == "pairing symmetry"]
+    want = projection_symmetry_check(
+        lambda w: np.asarray(w) ** 2 * np.conj(w), lambda w: np.asarray(w) + np.conj(w), 2, disc_quadrature(8, 16)
+    )
+    assert sym["relerr"] == want["relerr"]
+    # the 24 x 48 grid the check used to fall back to gives another value
+    default = projection_symmetry_check(
+        lambda w: np.asarray(w) ** 2 * np.conj(w), lambda w: np.asarray(w) + np.conj(w), 2
+    )
+    assert sym["relerr"] != default["relerr"]
 
 
 def test_bad_group_descriptor(capsys):

@@ -21,7 +21,7 @@ from schwarzian_lab import (
     jet_reverse,
     jet_variable,
 )
-from schwarzian_lab.jets import JetError, jet_antiderive, jet_shift
+from schwarzian_lab.jets import JetError, jet_antiderive, jet_const, jet_shift
 
 
 def test_variable_jet():
@@ -53,6 +53,58 @@ def test_composition():
     outer = jet_from_coeffs([1, 1, 1, 1], center=0)  # 1 + w + w^2 + w^3
     inner = jet_from_coeffs([0, 1, 1, 0])  # z + z^2
     assert jet_compose(outer, inner).coeffs == (1, 1, 2, 3)
+
+
+def _sympy_compose(outer, inner):
+    """Truncated composition of the two jets' polynomials in sympy."""
+    z = sympy.symbols("z")
+    rat = lambda x: sympy.Rational(x.numerator, x.denominator)
+    n = min(outer.order, inner.order)
+    u = sum(rat(Fraction(c)) * z**k for k, c in enumerate(inner.coeffs[1:], 1))
+    poly = sympy.expand(sum(rat(Fraction(c)) * u**k for k, c in enumerate(outer.coeffs)))
+    return tuple(Fraction(str(poly.coeff(z, k))) for k in range(n + 1))
+
+
+def _horner_compose(outer, inner):
+    """outer∘inner by Horner's rule over full jet products."""
+    n = min(outer.order, inner.order)
+    u = Jet(inner.center, (0j,) + inner.coeffs[1 : n + 1])
+    acc = jet_const(outer.coeffs[n], inner.center, n)
+    for k in range(n - 1, -1, -1):
+        acc = acc * u + outer.coeffs[k]
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_composition_matches_sympy(seed):
+    rng = random.Random(seed)
+    frac = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    value = frac()
+    outer = jet_from_coeffs([frac() for _ in range(rng.randint(3, 8))], center=value)
+    inner = jet_from_coeffs([value] + [frac() for _ in range(rng.randint(3, 8))], center=frac())
+    got = jet_compose(outer, inner)
+    assert got.coeffs == _sympy_compose(outer, inner)
+    assert got.center == inner.center
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_integer_composition_stays_integer():
+    outer = jet_from_coeffs([2, -1, 3, 0, 5], center=1)
+    inner = jet_from_coeffs([1, 4, -2, 7, 1], center=0)
+    got = jet_compose(outer, inner).coeffs
+    assert got == _sympy_compose(outer, inner) and all(type(c) is int for c in got)
+
+
+def test_batched_composition_matches_horner():
+    rng = np.random.default_rng(11)
+    draw = lambda: rng.normal(size=5) + 1j * rng.normal(size=5)
+    center = draw()
+    inner = jet_from_coeffs([center] + [draw() for _ in range(9)], center=0.3 * draw())
+    outer = jet_from_coeffs([draw() for _ in range(8)], center=center)
+    got, want = jet_compose(outer, inner), _horner_compose(outer, inner)
+    assert got.order == want.order == 7
+    for g, w in zip(got.coeffs, want.coeffs):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
 
 def test_composition_center_mismatch():

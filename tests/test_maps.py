@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from schwarzian_lab import (
     DISC,
@@ -21,7 +22,8 @@ from schwarzian_lab import (
     rotated_koebe,
     schlicht_family,
 )
-from schwarzian_lab.maps import taylor_jet
+from schwarzian_lab.jets import JetError
+from schwarzian_lab.maps import moebius_jet, taylor_jet
 
 SAMPLES = [0.1 + 0.2j, -0.4j, 0.55, -0.3 - 0.25j]
 
@@ -181,3 +183,79 @@ def test_taylor_jet_keeps_exact_coefficients_exact():
     jet = taylor_jet([Fraction(1, 2), 1, Fraction(1, 3)], 0, Fraction(1, 3), 5)
     assert jet.coeffs == (Fraction(47, 54), Fraction(11, 9), Fraction(1, 3), 0, 0, 0)
     assert all(type(c) is Fraction for c in jet.coeffs)
+
+
+# -- closed-form jets against sympy series -------------------------------------
+
+
+def _series_coeffs(expr, z0, order):
+    """Taylor coefficients of a sympy expression in z at the rational z0."""
+    z, w = sympy.symbols("z w")
+    center = sympy.Rational(z0.numerator, z0.denominator)
+    poly = sympy.series(expr(z).subs(z, center + w), w, 0, order + 1).removeO()
+    return tuple(Fraction(str(poly.coeff(w, k))) for k in range(order + 1))
+
+
+def _rat(x):
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@pytest.mark.parametrize(
+    "a, b, c, d, z0",
+    [
+        (2, 1, 3, 5, Fraction(1, 3)),
+        (Fraction(-1, 2), 3, Fraction(4, 7), Fraction(2, 3), Fraction(-5, 4)),
+        (1, -2, -3, 1, 0),
+        (Fraction(3, 2), Fraction(1, 5), 0, Fraction(-2, 3), Fraction(7, 3)),  # c = 0: affine
+    ],
+)
+def test_moebius_jet_matches_the_sympy_series(a, b, c, d, z0):
+    order = 7
+    jet = moebius_jet(a, b, c, d, z0, order)
+    want = _series_coeffs(lambda z: (_rat(a) * z + _rat(b)) / (_rat(c) * z + _rat(d)), Fraction(z0), order)
+    assert jet.coeffs == want
+    assert all(type(x) in (int, Fraction) for x in jet.coeffs)
+    assert jet.center == z0 and jet.order == order
+
+
+def test_batched_moebius_jet_matches_scalar_jets():
+    rng = np.random.default_rng(5)
+    a, b, c, d = (rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(4))
+    c[2] = 0.0
+    z0 = 0.4 * (rng.normal(size=6) + 1j * rng.normal(size=6))
+    batched = moebius_jet(a, b, c, d, z0, 8)
+    for i in range(6):
+        scalar = moebius_jet(complex(a[i]), complex(b[i]), complex(c[i]), complex(d[i]), complex(z0[i]), 8)
+        for got, want in zip(batched.coeffs, scalar.coeffs):
+            assert abs(got[i] - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_moebius_jet_raises_next_to_the_pole():
+    # (z + 2)/(z - 1/2): the pole at 1/2, approached to within 1e-15
+    with pytest.raises(JetError):
+        moebius_jet(1.0, 2.0, 1.0, -0.5, 0.5 + 1e-15, 4)
+    with pytest.raises(JetError):
+        moebius_jet(1, 2, 2, -1, Fraction(1, 2), 4)
+    with pytest.raises(JetError):
+        moebius_jet(1.0, 2.0, 1.0, -0.5, np.array([0.0, 0.5 - 1e-15j]), 4)
+
+
+@pytest.mark.parametrize("z0", [Fraction(1, 3), Fraction(-2, 5)])
+def test_koebe_jet_matches_the_sympy_series(z0):
+    jet = catalog("koebe").jet(z0, 6)
+    assert jet.coeffs == _series_coeffs(lambda z: z / (1 - z) ** 2, z0, 6)
+    assert all(type(x) in (int, Fraction) for x in jet.coeffs)
+
+
+def test_koebe_jet_at_the_origin_is_exact():
+    coeffs = catalog("koebe").jet(0, 5).coeffs
+    assert coeffs == (0, 1, 2, 3, 4, 5)
+    assert all(type(x) in (int, Fraction) for x in coeffs)
+
+
+def test_koebe_jet_raises_at_the_pole():
+    with pytest.raises(JetError):
+        catalog("koebe").jet(1, 3)
+    with pytest.raises(JetError):
+        catalog("koebe").jet(np.array([0.5, 1.0 + 0j]), 3)

@@ -179,23 +179,25 @@ def _int_at_least(lo: int, even: bool = False):
 def parse_function(spec: str) -> AnalyticFn:
     """Function descriptors: catalog names (koebe, identity, cayley),
     ``rotation:theta``, ``rotated-koebe:theta``, ``taylor:c0,c1,...``,
-    inline JSON descriptors, or ``@path`` to a JSON file."""
-    if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            return AnalyticFn(json.load(fh))
-    if spec.startswith("{"):
-        return AnalyticFn(json.loads(spec))
-    if spec.startswith("taylor:"):
-        coeffs = _complex_list(spec[len("taylor:") :])
-        return AnalyticFn({"kind": "taylor", "center": [0.0, 0.0], "coeffs": [[c.real, c.imag] for c in coeffs]})
-    if spec.startswith("rotation:"):
-        return catalog("rotation", theta=float(spec.split(":", 1)[1]))
-    if spec.startswith("rotated-koebe:"):
-        return rotated_koebe(float(spec.split(":", 1)[1]))
+    inline JSON descriptors, or ``@path`` to a JSON file.  A spec that does
+    not parse, or a descriptor of an unknown kind or missing a field, is an
+    `ArgumentTypeError` (exit 2)."""
     try:
+        if spec.startswith("@"):
+            with open(spec[1:]) as fh:
+                return AnalyticFn(json.load(fh))
+        if spec.startswith("{"):
+            return AnalyticFn(json.loads(spec))
+        if spec.startswith("taylor:"):
+            coeffs = _complex_list(spec[len("taylor:") :])
+            return AnalyticFn({"kind": "taylor", "center": [0.0, 0.0], "coeffs": [[c.real, c.imag] for c in coeffs]})
+        if spec.startswith("rotation:"):
+            return catalog("rotation", theta=float(spec.split(":", 1)[1]))
+        if spec.startswith("rotated-koebe:"):
+            return rotated_koebe(float(spec.split(":", 1)[1]))
         return catalog(spec)
-    except (KeyError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"unknown function spec {spec!r}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid function spec {spec!r}: {exc}") from None
 
 
 def parse_density(spec: str) -> DensityFn:

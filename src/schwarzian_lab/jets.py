@@ -160,9 +160,9 @@ def _check_centers(a: Jet, b: Jet):
 
 
 def jet_variable(center, order: int) -> Jet:
-    """The identity function z as a jet at `center`."""
+    """The identity function z as a jet at `center`, order + 1 coefficients."""
     one = 1 if _is_exact(center) else 1.0
-    return Jet(center, (center, one) + (0 * one,) * max(0, order - 1))
+    return Jet(center, ((center, one) + (0 * one,) * (order - 1))[: order + 1])
 
 
 def jet_const(value, center, order: int) -> Jet:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import Jet, JetError, _any, _is_exact, jet_compose, jet_from_coeffs, jet_reciprocal, jet_shift, jet_variable
+from .jets import Jet, JetError, _any, _is_exact, jet_derive, jet_from_coeffs, jet_shift, jet_variable
 
 
 class DomainError(ValueError):
@@ -48,10 +48,13 @@ def moebius_jet(a, b, c, d, z0, order: int) -> Jet:
 
 def taylor_jet(coeffs, center, z0, order: int) -> Jet:
     """Jet at z0 of the polynomial sum c_k (z - center)^k.  The coefficients
-    and z0 may be numpy arrays over a batch of polynomials and points."""
-    coeffs = list(coeffs) + [0] * max(0, order + 1 - len(coeffs))
-    shifted = jet_shift(jet_from_coeffs(coeffs, center), z0 - center)
-    return jet_from_coeffs(shifted.coeffs[: order + 1], z0)
+    and z0 may be numpy arrays over a batch of polynomials and points.
+
+    Shifts the polynomial's own coefficients, then truncates or pads with
+    zeros of the top coefficient's type and batch shape."""
+    shifted = jet_shift(jet_from_coeffs(coeffs, center), z0 - center).coeffs
+    zero = 0 * shifted[-1]
+    return Jet(z0, shifted[: order + 1] + (zero,) * (order + 1 - len(shifted)))
 
 
 @dataclass(frozen=True)
@@ -181,25 +184,42 @@ def _pair2c(p) -> complex:
     return complex(p[0], p[1])
 
 
+# Each descriptor kind and the fields it requires besides "kind".
+_KIND_FIELDS = {
+    "koebe": (),
+    "identity": (),
+    "cayley": (),
+    "rotation": ("theta",),
+    "taylor": ("center", "coeffs"),
+    "moebius": ("mat",),
+    "rational": ("num", "den"),
+    "pullback_diff": ("k", "q", "mat"),
+}
+
+
 class AnalyticFn:
     """A holomorphic function given by a JSON-serializable descriptor.
 
     Kinds: ``koebe``, ``identity``, ``cayley``, ``rotation`` (theta),
     ``taylor`` (center + coefficients, i.e. a polynomial), ``moebius``
     (coefficient matrix), ``rational`` (numerator/denominator coefficient
-    lists around 0), ``compose`` (chain of descriptors, outermost first),
-    and ``pullback_diff`` (z^k minus its weight-q pull-back under a Moebius
-    map, z^k - g(z)^k g'(z)^q). Descriptors round-trip through JSON
-    bit-exactly.
+    lists around 0), and ``pullback_diff`` (z^k minus its weight-q pull-back
+    under a Moebius map, z^k - g(z)^k g'(z)^q). Descriptors round-trip
+    through JSON bit-exactly.
+
+    Jets: the Moebius kinds and Koebe in closed form, ``taylor`` by shifting
+    its coefficients, ``rational`` as the quotient of two such polynomial
+    jets, and ``pullback_diff`` from the Moebius jet and its derivative.
     """
 
     def __init__(self, descriptor: dict):
         self._d = dict(descriptor)
         kind = self._d.get("kind")
-        if kind not in ("koebe", "identity", "cayley", "rotation", "taylor", "moebius", "rational", "compose", "pullback_diff"):
+        if kind not in _KIND_FIELDS:
             raise ValueError(f"unknown function kind {kind!r}")
-        if kind == "compose":
-            self._fns = [AnalyticFn(d) for d in self._d["fns"]]
+        missing = [f for f in _KIND_FIELDS[kind] if f not in self._d]
+        if missing:
+            raise ValueError(f"{kind} descriptor lacks {', '.join(map(repr, missing))}")
 
     def descriptor(self) -> dict:
         return json.loads(self.to_json())
@@ -243,11 +263,6 @@ class AnalyticFn:
             pn = sum(c * z**j for j, c in enumerate(num))
             pd = sum(c * z**j for j, c in enumerate(den))
             return pn / pd
-        if k == "compose":
-            v = z
-            for fn in reversed(self._fns):
-                v = fn(v)
-            return v
         if k == "pullback_diff":
             g = self._moebius_field("mat")
             kk, q = self._d["k"], self._d["q"]
@@ -273,35 +288,15 @@ class AnalyticFn:
         if k == "taylor":
             return taylor_jet([_pair2c(p) for p in self._d["coeffs"]], _pair2c(self._d["center"]), z0, order)
         if k == "rational":
-            z = jet_variable(z0, order)
             num = [_pair2c(p) for p in self._d["num"]]
             den = [_pair2c(p) for p in self._d["den"]]
-            pn = _poly_jet(num, z)
-            pd = _poly_jet(den, z)
-            return pn * jet_reciprocal(pd)
-        if k == "compose":
-            acc, point = None, z0
-            for fn in reversed(self._fns):
-                j = fn.jet(point, order)
-                point = j.coeffs[0]
-                acc = j if acc is None else jet_compose(j, acc)
-            return acc
+            return taylor_jet(num, 0, z0, order) / taylor_jet(den, 0, z0, order)
         if k == "pullback_diff":
             g = self._moebius_field("mat")
             kk, q = self._d["k"], self._d["q"]
-            z = jet_variable(z0, order)
-            gz = g.jet(z0, order)
-            # g'(z) = 1/(c z + d)^2 as a jet, exact rational form
-            dg = jet_reciprocal(_poly_jet([g.d, g.c], z) ** 2)
-            return z**kk - gz**kk * dg**q
+            gz = g.jet(z0, order + 1)
+            return jet_variable(z0, order) ** kk - gz**kk * jet_derive(gz) ** q
         raise ValueError(k)
-
-
-def _poly_jet(coeffs, z: Jet) -> Jet:
-    acc = jet_from_coeffs((coeffs[-1],) + (0,) * z.order, z.center)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
 
 
 def catalog(name: str, **params) -> AnalyticFn:
@@ -328,23 +323,16 @@ def catalog(name: str, **params) -> AnalyticFn:
 
 
 def rotated_koebe(theta: float) -> AnalyticFn:
-    """e^{-i theta} k(e^{i theta} z): schlicht, same norm profile as Koebe."""
-    return AnalyticFn(
-        {
-            "kind": "compose",
-            "fns": [
-                {"kind": "rotation", "theta": -theta},
-                {"kind": "koebe"},
-                {"kind": "rotation", "theta": theta},
-            ],
-        }
-    )
+    """e^{-i theta} k(e^{i theta} z) = z/(1 - e^{i theta} z)^2: schlicht, same
+    norm profile as Koebe."""
+    e = cmath.exp(1j * theta)
+    return AnalyticFn({"kind": "rational", "num": [[0.0, 0.0], [1.0, 0.0]], "den": [[1.0, 0.0], _c2pair(-2 * e), _c2pair(e * e)]})
 
 
 def schlicht_family() -> list:
     """Named functions that are univalent on the unit disc; the test bed for
     the sharp B_n norm bounds."""
-    half_plane = AnalyticFn({"kind": "rational", "num": [[0.0, 0.0], [1.0, 0.0]], "den": [[1.0, 0.0], [-1.0, 0.0]]})
+    half_plane = AnalyticFn({"kind": "moebius", "mat": [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]})
     odd_koebe = AnalyticFn(
         {"kind": "rational", "num": [[0.0, 0.0], [1.0, 0.0]], "den": [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]}
     )

@@ -44,6 +44,42 @@ def test_unknown_function_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "descriptor, reason",
+    [
+        ('{"kind": "frobnicate"}', "unknown function kind 'frobnicate'"),
+        ('{"kind": ', "Expecting value"),
+        ('{"kind": "rotation"}', "rotation descriptor lacks 'theta'"),
+        ('{"kind": "compose", "fns": [{"kind": "koebe"}]}', "unknown function kind 'compose'"),
+    ],
+    ids=["unknown-kind", "truncated-json", "missing-field", "compose"],
+)
+def test_bad_function_descriptor_is_a_one_line_usage_error(capsys, tmp_path, descriptor, reason):
+    path = tmp_path / "fn.json"
+    path.write_text(descriptor)
+    for spec in (descriptor, f"@{path}"):
+        with pytest.raises(SystemExit) as exc:
+            run(["norm", "--function", spec, "--grid-j", "2", "--grid-m", "8"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("schwarzian-lab norm: error: invalid function spec "), err
+        assert reason in err[0]
+
+
+def test_non_object_descriptor_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "fn.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(SystemExit) as exc:
+        run(["norm", "--function", f"@{path}"])
+    assert exc.value.code == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_rotated_koebe_norm_runs(capsys):
+    assert run(["norm", "--function", "rotated-koebe:1.1", "--series", "B", "--n", "5", "--grid-j", "6", "--grid-m", "32"]) == 0
+    assert "rotated-koebe:1.1" in capsys.readouterr().out
+
+
 def test_csv_requires_tabular_report(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["expand", "--series", "A", "--n", "3", "--format", "csv"])

@@ -30,6 +30,12 @@ def test_variable_jet():
     assert z(0.5) == 2j + 0.5
 
 
+def test_variable_jet_has_exactly_order_plus_one_coefficients():
+    assert jet_variable(2j, 0).coeffs == (2j,)
+    assert jet_variable(Fraction(1, 3), 1).coeffs == (Fraction(1, 3), 1)
+    assert jet_variable(0, 2).coeffs == (0, 1, 0)
+
+
 def test_product_truncates():
     f = jet_from_coeffs([0, 1, 1])  # z + z^2, order 2
     assert (f * f).coeffs == (0, 0, 1)  # z^4 term is beyond the order

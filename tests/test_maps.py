@@ -22,7 +22,7 @@ from schwarzian_lab import (
     rotated_koebe,
     schlicht_family,
 )
-from schwarzian_lab.jets import JetError
+from schwarzian_lab.jets import JetError, jet_compose
 from schwarzian_lab.maps import moebius_jet, taylor_jet
 
 SAMPLES = [0.1 + 0.2j, -0.4j, 0.55, -0.3 - 0.25j]
@@ -141,6 +141,13 @@ def test_descriptor_validation():
         AnalyticFn({"kind": "frobnicate"})
     with pytest.raises((KeyError, ValueError)):
         catalog("frobnicate")
+    # required fields are checked when the descriptor is read, not when used
+    with pytest.raises(ValueError, match="'theta'"):
+        AnalyticFn({"kind": "rotation"})
+    with pytest.raises(ValueError, match="'den'"):
+        AnalyticFn({"kind": "rational", "num": [[1.0, 0.0]]})
+    with pytest.raises(ValueError, match="unknown function kind 'compose'"):
+        AnalyticFn({"kind": "compose", "fns": [{"kind": "koebe"}]})
 
 
 def test_vectorized_evaluation():
@@ -259,3 +266,95 @@ def test_koebe_jet_raises_at_the_pole():
         catalog("koebe").jet(1, 3)
     with pytest.raises(JetError):
         catalog("koebe").jet(np.array([0.5, 1.0 + 0j]), 3)
+
+
+# -- schlicht-catalog jets -------------------------------------------------------
+
+
+def _old_rotated_koebe_jet(theta, z0, order):
+    """The former rotation∘Koebe∘rotation chain, composed jet by jet."""
+    inner = Moebius.rotation(theta).jet(z0, order)
+    middle = catalog("koebe").jet(inner.coeffs[0], order)
+    outer = Moebius.rotation(-theta).jet(middle.coeffs[0], order)
+    return jet_compose(outer, jet_compose(middle, inner))
+
+
+def _sympy_taylor(expr, z, z0, order):
+    """Taylor coefficients f^(k)(z0)/k! of a sympy expression in z, to 30 digits."""
+    return [complex(sympy.N((sympy.diff(expr, z, k) / sympy.factorial(k)).subs(z, z0), 30)) for k in range(order + 1)]
+
+
+@pytest.mark.parametrize("theta", [1.1, math.pi / 3])
+def test_rotated_koebe_jet_matches_the_composed_chain_and_sympy(theta):
+    pts = np.array([0.0, 0.3 + 0.2j, -0.55j, -0.7 + 0.1j, 0.6 - 0.35j])
+    order = 7
+    jet = rotated_koebe(theta).jet(pts, order)
+    chain = _old_rotated_koebe_jet(theta, pts, order)
+    z = sympy.symbols("z")
+    expr = z / (1 - sympy.exp(sympy.I * theta) * z) ** 2
+    assert jet.order == order
+    for i, z0 in enumerate(pts):
+        want = _sympy_taylor(expr, z, complex(z0), order)
+        for k in range(order + 1):
+            got = np.broadcast_to(jet.coeffs[k], pts.shape)[i]
+            old = np.broadcast_to(chain.coeffs[k], pts.shape)[i]
+            assert abs(got - want[k]) <= 1e-13 * max(1.0, abs(want[k])), (theta, z0, k)
+            assert abs(got - old) <= 1e-13 * max(1.0, abs(old)), (theta, z0, k)
+
+
+def test_half_plane_jet_is_the_moebius_jet():
+    half_plane = dict(schlicht_family())["half_plane"]
+    pts = np.array([0.0, 0.3 + 0.2j, -0.55j, 0.9 - 0.05j])
+    for z0 in (pts, 0.25 - 0.5j):
+        got = half_plane.jet(z0, 6).coeffs
+        want = moebius_jet(1, 0, -1, 1, z0, 6).coeffs
+        assert len(got) == len(want) == 7
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("z0", [Fraction(1, 5), Fraction(-1, 3)])
+def test_pullback_diff_jet_matches_the_sympy_series(z0):
+    # g(z) = (2z + 1)/(z + 3), g'(z) = 5/(z + 3)^2, stored unnormalized; the
+    # descriptor scales it to determinant 1, which leaves g and g' unchanged
+    k, q, order = 3, 2, 6
+    fn = AnalyticFn({"kind": "pullback_diff", "k": k, "q": q,
+                     "mat": [[2.0, 0.0], [1.0, 0.0], [1.0, 0.0], [3.0, 0.0]]})
+    want = _series_coeffs(lambda z: z**k - ((2 * z + 1) / (z + 3)) ** k * (5 / (z + 3) ** 2) ** q, z0, order)
+    jet = fn.jet(float(z0), order)
+    assert jet.order == order
+    for got, w in zip(jet.coeffs, want):
+        assert abs(got - float(w)) <= 1e-13 * max(1.0, abs(float(w)))
+
+
+def test_taylor_jet_below_at_and_above_the_degree():
+    # 2 - z + 3 z^3 (degree 3) at z0 = 1/2: shifted it is
+    # 15/8 + 5/4 w + 9/2 w^2 + 3 w^3
+    coeffs = [2, -1, 0, 3]
+    full = (Fraction(15, 8), Fraction(5, 4), Fraction(9, 2), 3)
+    for order in (1, 3, 5):
+        jet = taylor_jet(coeffs, 0, Fraction(1, 2), order)
+        assert jet.coeffs == (full + (0, 0))[: order + 1]
+        assert jet.order == order and jet.center == Fraction(1, 2)
+        assert all(type(c) in (int, Fraction) for c in jet.coeffs)
+    # all-int polynomial at an int point stays int, padding included
+    assert taylor_jet([1, 1], 0, 2, 3).coeffs == (3, 1, 0, 0)
+    assert all(type(c) is int for c in taylor_jet([1, 1], 0, 2, 3).coeffs)
+    # a center other than 0: (z - 1)^2 at z0 = 3 is 4 + 4 w + w^2
+    assert taylor_jet([0, 0, 1], 1, 3, 4).coeffs == (4, 4, 1, 0, 0)
+
+
+def test_batched_taylor_jet_pads_with_the_batch_shape():
+    pts = np.array([0.1 + 0.2j, -0.4j, 0.55])
+    coeffs = [0.5, 1.0 - 0.5j, 0.25j]
+    jet = taylor_jet(coeffs, 0.1, pts, 5)
+    assert jet.order == 5
+    for k, c in enumerate(jet.coeffs):
+        assert np.shape(c) == pts.shape, k
+    for i, z0 in enumerate(pts):
+        scalar = taylor_jet(coeffs, 0.1, complex(z0), 5)
+        w = z0 - 0.1
+        assert abs(scalar.coeffs[0] - (coeffs[0] + coeffs[1] * w + coeffs[2] * w * w)) < 1e-15
+        for k in range(6):
+            assert abs(jet.coeffs[k][i] - scalar.coeffs[k]) <= 1e-15
+    assert all(np.array_equal(c, np.zeros(3)) for c in jet.coeffs[3:])

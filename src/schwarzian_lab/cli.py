@@ -180,8 +180,8 @@ def parse_function(spec: str) -> AnalyticFn:
     """Function descriptors: catalog names (koebe, identity, cayley),
     ``rotation:theta``, ``rotated-koebe:theta``, ``taylor:c0,c1,...``,
     inline JSON descriptors, or ``@path`` to a JSON file.  A spec that does
-    not parse, or a descriptor of an unknown kind or missing a field, is an
-    `ArgumentTypeError` (exit 2)."""
+    not parse, or a descriptor of an unknown kind or with a missing or
+    malformed field, is an `ArgumentTypeError` (exit 2)."""
     try:
         if spec.startswith("@"):
             with open(spec[1:]) as fh:
@@ -189,8 +189,7 @@ def parse_function(spec: str) -> AnalyticFn:
         if spec.startswith("{"):
             return AnalyticFn(json.loads(spec))
         if spec.startswith("taylor:"):
-            coeffs = _complex_list(spec[len("taylor:") :])
-            return AnalyticFn({"kind": "taylor", "center": [0.0, 0.0], "coeffs": [[c.real, c.imag] for c in coeffs]})
+            return catalog("taylor", coeffs=_complex_list(spec[len("taylor:") :]))
         if spec.startswith("rotation:"):
             return catalog("rotation", theta=float(spec.split(":", 1)[1]))
         if spec.startswith("rotated-koebe:"):
@@ -361,8 +360,8 @@ def cmd_pairing(args) -> dict:
         gens, desc = _group(args)
         if len(gens) != 1:
             raise argparse.ArgumentTypeError("argument --group: fundamental-domain pairing needs a cyclic group")
-        t1, t2 = desc["fixpoints"]
-        grid = fundamental_annulus_grid(t1, t2, desc["multiplier"], n_rad=args.grid_r, n_ang=args.grid_m)
+        t1, t2 = map(float, desc["fixpoints"])
+        grid = fundamental_annulus_grid(t1, t2, float(desc["multiplier"]), n_rad=args.grid_r, n_ang=args.grid_m)
         domain_note = "cyclic fundamental domain"
     else:
         grid = disc_quadrature(R=args.grid_r, M=args.grid_m)

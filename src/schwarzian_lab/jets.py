@@ -68,7 +68,8 @@ def _fractions(nums, den) -> tuple:
 
 
 def _convolve(a, b, n: int) -> list:
-    """The first n+1 coefficients of the product of two integer sequences."""
+    """The first n+1 coefficients of the product of two sequences that each
+    hold at least n+1 terms."""
     return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
 
 
@@ -136,8 +137,7 @@ class Jet:
                 (na, da, fa), (nb, db, fb) = exact_a, exact_b
                 prod = _convolve(na, nb, n)
                 return Jet(self.center, _fractions(prod, da * db) if fa or fb else tuple(prod))
-            prod = [sum(a[i] * b[k - i] for i in range(max(0, k - (len(b) - 1)), min(k, len(a) - 1) + 1)) for k in range(n + 1)]
-            return Jet(self.center, tuple(prod))
+            return Jet(self.center, tuple(_convolve(a, b, n)))
         return Jet(self.center, tuple(c * other for c in self.coeffs))
 
     __rmul__ = __mul__

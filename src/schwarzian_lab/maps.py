@@ -115,6 +115,8 @@ class Moebius:
     def hyperbolic(cls, theta1: float, theta2: float, multiplier: float) -> "Moebius":
         """Disc-preserving hyperbolic map with axis endpoints e^{i theta_j}
         and the given real multiplier > 0 (translation length 2*log sqrt(m))."""
+        if not all(map(math.isfinite, (theta1, theta2, multiplier))):
+            raise ValueError("axis angles and multiplier must be finite")
         if multiplier <= 0 or multiplier == 1:
             raise ValueError("multiplier must be positive and != 1")
         p, q = cmath.exp(1j * theta1), cmath.exp(1j * theta2)
@@ -180,20 +182,89 @@ def _c2pair(z) -> list:
     return [z.real, z.imag]
 
 
-def _pair2c(p) -> complex:
-    return complex(p[0], p[1])
+def _get(d: dict, name: str, ok, want: str):
+    """Field `name` of the descriptor d; ValueError if it is missing or not ok."""
+    if name not in d:
+        raise ValueError(f"{d['kind']} descriptor lacks {name!r}")
+    if not ok(d[name]):
+        raise ValueError(f"{d['kind']} field {name!r} must be {want}, got {d[name]!r}")
+    return d[name]
 
 
-# Each descriptor kind and the fields it requires besides "kind".
-_KIND_FIELDS = {
-    "koebe": (),
-    "identity": (),
-    "cayley": (),
-    "rotation": ("theta",),
-    "taylor": ("center", "coeffs"),
-    "moebius": ("mat",),
-    "rational": ("num", "den"),
-    "pullback_diff": ("k", "q", "mat"),
+def _is_real(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _is_pair(p) -> bool:
+    return type(p) in (list, tuple) and len(p) == 2 and _is_real(p[0]) and _is_real(p[1])
+
+
+def _complexes(d: dict, name: str, count: int = 0) -> list:
+    """A nonempty list of [re, im] pairs, exactly `count` of them if given."""
+    ok = lambda ps: type(ps) in (list, tuple) and 0 < len(ps) == (count or len(ps)) and all(map(_is_pair, ps))
+    return [complex(*p) for p in _get(d, name, ok, f"{count or 'a nonempty list of'} [re, im] pairs of finite numbers")]
+
+
+def _koebe_jet(z0, order: int) -> Jet:
+    # z/(1-z)^2 = sum_k (k + z0) (z - z0)^k / (1-z0)^(k+2)
+    if _any(z0 == 1):
+        raise JetError("jet at the pole of the Koebe function")
+    t = _inverse(1 - z0)
+    power = t * t
+    coeffs = [z0 * power]
+    for j in range(1, order + 1):
+        power = power * t
+        coeffs.append((j + z0) * power)
+    return Jet(z0, tuple(coeffs))
+
+
+def _read_taylor(d: dict):
+    c0 = complex(*_get(d, "center", _is_pair, "an [re, im] pair of finite numbers"))
+    coeffs = _complexes(d, "coeffs")
+
+    def value(z):
+        w = z - c0
+        acc = np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0j
+        for c in reversed(coeffs):
+            acc = acc * w + c
+        return acc
+
+    return value, lambda z0, order: taylor_jet(coeffs, c0, z0, order)
+
+
+def _read_rational(d: dict):
+    num, den = _complexes(d, "num"), _complexes(d, "den")
+
+    def value(z):
+        return sum(c * z**j for j, c in enumerate(num)) / sum(c * z**j for j, c in enumerate(den))
+
+    return value, lambda z0, order: taylor_jet(num, 0, z0, order) / taylor_jet(den, 0, z0, order)
+
+
+def _read_pullback_diff(d: dict):
+    k, q = (_get(d, name, lambda x: type(x) is int, "an integer") for name in ("k", "q"))
+    g = Moebius(*_complexes(d, "mat", 4))
+
+    def jet(z0, order):
+        gz = g.jet(z0, order + 1)
+        return jet_variable(z0, order) ** k - gz**k * jet_derive(gz) ** q
+
+    return (lambda z: z**k - g(z) ** k * g.deriv(z) ** q), jet
+
+
+def _maps(m: Moebius):
+    return m, m.jet
+
+
+_KINDS = {
+    "koebe": lambda d: ((lambda z: z / (1.0 - z) ** 2), _koebe_jet),
+    "identity": lambda d: _maps(Moebius.identity()),
+    "cayley": lambda d: _maps(Moebius.cayley()),
+    "rotation": lambda d: _maps(Moebius.rotation(_get(d, "theta", _is_real, "a finite number"))),
+    "moebius": lambda d: _maps(Moebius(*_complexes(d, "mat", 4))),
+    "taylor": _read_taylor,
+    "rational": _read_rational,
+    "pullback_diff": _read_pullback_diff,
 }
 
 
@@ -207,19 +278,20 @@ class AnalyticFn:
     under a Moebius map, z^k - g(z)^k g'(z)^q). Descriptors round-trip
     through JSON bit-exactly.
 
-    Jets: the Moebius kinds and Koebe in closed form, ``taylor`` by shifting
-    its coefficients, ``rational`` as the quotient of two such polynomial
-    jets, and ``pullback_diff`` from the Moebius jet and its derivative.
+    The descriptor is read once: its kind's reader in `_KINDS` checks and
+    converts the fields (`ValueError` on a missing or malformed one) and
+    returns the value and jet maps.  Jets: the Moebius kinds and Koebe in
+    closed form, ``taylor`` by shifting its coefficients, ``rational`` as the
+    quotient of two such polynomial jets, and ``pullback_diff`` from the
+    Moebius jet and its derivative.
     """
 
     def __init__(self, descriptor: dict):
         self._d = dict(descriptor)
         kind = self._d.get("kind")
-        if kind not in _KIND_FIELDS:
+        if kind not in _KINDS:
             raise ValueError(f"unknown function kind {kind!r}")
-        missing = [f for f in _KIND_FIELDS[kind] if f not in self._d]
-        if missing:
-            raise ValueError(f"{kind} descriptor lacks {', '.join(map(repr, missing))}")
+        self._value, self._jet = _KINDS[kind](self._d)
 
     def descriptor(self) -> dict:
         return json.loads(self.to_json())
@@ -227,98 +299,24 @@ class AnalyticFn:
     def to_json(self) -> str:
         return json.dumps(self._d, sort_keys=True)
 
-    def _moebius(self) -> Moebius:
-        k = self._d["kind"]
-        if k == "identity":
-            return Moebius.identity()
-        if k == "cayley":
-            return Moebius.cayley()
-        if k == "rotation":
-            return Moebius.rotation(self._d["theta"])
-        if k == "moebius":
-            return self._moebius_field("mat")
-        raise ValueError(k)
-
-    def _moebius_field(self, field: str) -> Moebius:
-        m = self._d[field]
-        return Moebius(_pair2c(m[0]), _pair2c(m[1]), _pair2c(m[2]), _pair2c(m[3]))
-
     def __call__(self, z):
-        k = self._d["kind"]
-        if k == "koebe":
-            return z / (1.0 - z) ** 2
-        if k in ("identity", "cayley", "rotation", "moebius"):
-            return self._moebius()(z)
-        if k == "taylor":
-            c0 = _pair2c(self._d["center"])
-            coeffs = [_pair2c(p) for p in self._d["coeffs"]]
-            w = z - c0
-            acc = np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0j
-            for c in reversed(coeffs):
-                acc = acc * w + c
-            return acc
-        if k == "rational":
-            num = [_pair2c(p) for p in self._d["num"]]
-            den = [_pair2c(p) for p in self._d["den"]]
-            pn = sum(c * z**j for j, c in enumerate(num))
-            pd = sum(c * z**j for j, c in enumerate(den))
-            return pn / pd
-        if k == "pullback_diff":
-            g = self._moebius_field("mat")
-            kk, q = self._d["k"], self._d["q"]
-            return z**kk - g(z) ** kk * g.deriv(z) ** q
-        raise ValueError(k)
+        return self._value(z)
 
     def jet(self, z0, order: int) -> Jet:
         """Jet at z0, a point or an array of points (one batched jet)."""
-        k = self._d["kind"]
-        if k == "koebe":
-            # z/(1-z)^2 = sum_k (k + z0) (z - z0)^k / (1-z0)^(k+2)
-            if _any(z0 == 1):
-                raise JetError("jet at the pole of the Koebe function")
-            t = _inverse(1 - z0)
-            power = t * t
-            coeffs = [z0 * power]
-            for j in range(1, order + 1):
-                power = power * t
-                coeffs.append((j + z0) * power)
-            return Jet(z0, tuple(coeffs))
-        if k in ("identity", "cayley", "rotation", "moebius"):
-            return self._moebius().jet(z0, order)
-        if k == "taylor":
-            return taylor_jet([_pair2c(p) for p in self._d["coeffs"]], _pair2c(self._d["center"]), z0, order)
-        if k == "rational":
-            num = [_pair2c(p) for p in self._d["num"]]
-            den = [_pair2c(p) for p in self._d["den"]]
-            return taylor_jet(num, 0, z0, order) / taylor_jet(den, 0, z0, order)
-        if k == "pullback_diff":
-            g = self._moebius_field("mat")
-            kk, q = self._d["k"], self._d["q"]
-            gz = g.jet(z0, order + 1)
-            return jet_variable(z0, order) ** kk - gz**kk * jet_derive(gz) ** q
-        raise ValueError(k)
+        return self._jet(z0, order)
 
 
 def catalog(name: str, **params) -> AnalyticFn:
     """Named analytic functions: koebe | identity | cayley | rotation(theta)
     | taylor(coeffs, center=0)."""
-    if name == "koebe":
-        return AnalyticFn({"kind": "koebe"})
-    if name == "identity":
-        return AnalyticFn({"kind": "identity"})
-    if name == "cayley":
-        return AnalyticFn({"kind": "cayley"})
+    if name in ("koebe", "identity", "cayley"):
+        return AnalyticFn({"kind": name})
     if name == "rotation":
         return AnalyticFn({"kind": "rotation", "theta": float(params["theta"])})
     if name == "taylor":
-        center = params.get("center", 0)
-        return AnalyticFn(
-            {
-                "kind": "taylor",
-                "center": _c2pair(center),
-                "coeffs": [_c2pair(c) for c in params["coeffs"]],
-            }
-        )
+        coeffs = [_c2pair(c) for c in params["coeffs"]]
+        return AnalyticFn({"kind": "taylor", "center": _c2pair(params.get("center", 0)), "coeffs": coeffs})
     raise ValueError(f"unknown catalog entry {name!r}")
 
 

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from schwarzian_lab import AnalyticFn, catalog, rotated_koebe
 from schwarzian_lab.automorphic import projection_symmetry_check
-from schwarzian_lab.cli import build_parser, main
+from schwarzian_lab.cli import build_parser, main, parse_function
 from schwarzian_lab.integrals import disc_quadrature
 
 
@@ -64,6 +65,38 @@ def test_bad_function_descriptor_is_a_one_line_usage_error(capsys, tmp_path, des
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("schwarzian-lab norm: error: invalid function spec "), err
         assert reason in err[0]
+
+
+@pytest.mark.parametrize(
+    "spec, build",
+    [
+        ('{"kind": "rotation", "theta": "x"}', None),
+        ('{"kind": "rotation", "theta": NaN}', None),
+        ("rotation:nan", lambda: catalog("rotation", theta=float("nan"))),
+        ("rotated-koebe:inf", lambda: rotated_koebe(float("inf"))),
+        ('{"kind": "taylor", "center": [0, 0], "coeffs": []}', None),
+        ('{"kind": "taylor", "center": [0, 0, 1], "coeffs": [[0, 0], [1, 0]]}', None),
+        ('{"kind": "moebius", "mat": [[1, 0], [2, 0], [1, 0], [2, 0]]}', None),
+        ('{"kind": "moebius", "mat": [[1, 0], [0, 0]]}', None),
+        ('{"kind": "pullback_diff", "k": 1.5, "q": 2, "mat": [[1, 0], [0, 0], [0, 0], [1, 0]]}', None),
+    ],
+    ids=["theta-string", "theta-nan", "rotation-nan", "rotated-koebe-inf", "empty-coeffs", "3-entry-center",
+         "singular-mat", "2-pair-mat", "fractional-k"],
+)
+def test_malformed_descriptor_is_a_value_error_and_a_usage_error(capsys, spec, build):
+    # the descriptor is checked when the function is built, not when it is used
+    with pytest.raises(ValueError):
+        build() if build else AnalyticFn(json.loads(spec))
+    with pytest.raises(SystemExit) as exc:
+        run(["norm", "--function", spec, "--grid-j", "2", "--grid-m", "8"])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("schwarzian-lab norm: error: invalid function spec "), lines
+
+
+def test_taylor_spec_builds_the_catalog_descriptor():
+    fn = parse_function("taylor:0,1,0.5-0.25j")
+    assert fn.descriptor() == {"kind": "taylor", "center": [0.0, 0.0], "coeffs": [[0.0, 0.0], [1.0, 0.0], [0.5, -0.25]]}
 
 
 def test_non_object_descriptor_file_is_a_usage_error(capsys, tmp_path):
@@ -161,6 +194,16 @@ def test_bad_group_descriptor(capsys):
     assert exc.value.code == 2
 
 
+def test_pairing_reads_group_numbers_as_floats(capsys):
+    # JSON strings that name numbers pass the group check, so the fundamental
+    # domain must read them the same way
+    grid = ["--f", "taylor:0,1", "--g", "taylor:0,0.5,1", "--grid-r", "8", "--grid-m", "16", "--format", "json"]
+    assert run(["pairing", "--group", '{"kind": "cyclic", "fixpoints": ["0.5", 2.8], "multiplier": "4"}'] + grid) == 0
+    as_strings = json.loads(capsys.readouterr().out)
+    assert run(["pairing", "--group", '{"kind": "cyclic", "fixpoints": [0.5, 2.8], "multiplier": 4.0}'] + grid) == 0
+    assert as_strings == json.loads(capsys.readouterr().out)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -208,6 +251,9 @@ def test_bad_group_descriptor(capsys):
         ["repro", "--tol", "inf"],
         ["kernel-criterion", "--tol", "nan"],
         ["bergman", "--tol", "-1e-3"],
+        ["theta", "--group", '{"kind": "cyclic", "fixpoints": [0.5, 2.8], "multiplier": "nan"}'],
+        ["theta", "--group", '{"kind": "cyclic", "fixpoints": [0.5, "inf"], "multiplier": 4.0}'],
+        ["pairing", "--f", "identity", "--g", "identity", "--group", '{"kind": "cyclic", "fixpoints": [0.5, 2.8], "multiplier": 1e400}'],
     ],
 )
 def test_bad_numeric_parameters_are_usage_errors(capsys, args):

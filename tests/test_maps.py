@@ -83,6 +83,12 @@ def test_hyperbolic_generator():
         Moebius.hyperbolic(0.3, 0.3, 4.0)  # coincident axis endpoints
 
 
+@pytest.mark.parametrize("theta1, theta2, multiplier", [(0.3, 2.1, math.nan), (0.3, math.inf, 4.0), (math.nan, 2.1, 4.0), (0.3, 2.1, math.inf)])
+def test_hyperbolic_generator_rejects_non_finite_parameters(theta1, theta2, multiplier):
+    with pytest.raises(ValueError, match="finite"):
+        Moebius.hyperbolic(theta1, theta2, multiplier)
+
+
 def test_koebe_jet_and_values():
     k = catalog("koebe")
     assert k.jet(0, 5).coeffs == (0, 1, 2, 3, 4, 5)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import compare
-from .integrals import QuadGrid, disc_quadrature, legendre_rule, vec_eval, weighted_pairing
+from .integrals import QuadGrid, disc_quadrature, legendre_rule, product_rings, vec_eval, weighted_pairing
 from .maps import DISC, LOWER_HALF, UPPER_HALF, AnalyticFn, HyperbolicDomain, Moebius, _c2pair, poincare_density
 
 
@@ -388,16 +388,6 @@ def s_bergman_kernel(domain: HyperbolicDomain, s: int):
     return lambda z, w: pref * k(z, w) ** s
 
 
-def _disc_rings(grid: QuadGrid):
-    """Radii, ring weights and angle count of a `disc_quadrature` grid, whose
-    nodes run ring by ring from angle 0; ValueError for any other grid."""
-    if grid.domain is not DISC or grid.meta.get("kind") != "disc":
-        raise ValueError("the Bergman projection needs a disc_quadrature product grid")
-    m = grid.meta["M"]
-    first = np.arange(grid.meta["R"]) * m
-    return grid.nodes[first].real, grid.weights[first], m
-
-
 def bergman_project(f, s: int, z, grid: QuadGrid | None = None):
     """Weighted Bergman projection (beta f)(z) = integral of
     lambda^(2-2s)(w) K_s(z,w) f(w) over the disc, on the basis z^k:
@@ -414,7 +404,7 @@ def bergman_project(f, s: int, z, grid: QuadGrid | None = None):
     if s < 2:
         raise ValueError("weight must be >= 2")
     grid = grid or disc_quadrature()
-    r, ring_w, m = _disc_rings(grid)
+    r, ring_w, m = product_rings(grid, "disc")
     rings = vec_eval(f, grid.nodes).reshape(r.size, m)
     k = np.arange(m // 2)
     modes = np.fft.fft(rings, axis=1)[:, : m // 2]

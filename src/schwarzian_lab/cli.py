@@ -287,9 +287,16 @@ def cmd_bound(args) -> dict:
     return checks.report("bound", inputs, all(bound_ok(row) for row in rows), rows=rows)
 
 
+def _exterior_grid(args, order: int):
+    # the moment series of a kernel of order k reads the modes past k + 1
+    if args.grid_m <= order + 1:
+        raise argparse.ArgumentTypeError(f"argument --grid-m: a kernel of order {order} needs more than {order + 1} angles")
+    return exterior_disc_quadrature(R=args.grid_r, M=args.grid_m)
+
+
 def cmd_dzero(args) -> dict:
     nu = parse_density(args.density)
-    grid = exterior_disc_quadrature(R=args.grid_r, M=args.grid_m)
+    grid = _exterior_grid(args, args.n)
     expr = checks.sigma_expr(args.series, args.n)
     val = d0_beta(expr, nu, args.z, grid)
     lam = poincare_density(DISC, args.z)
@@ -304,7 +311,7 @@ def cmd_aw(args) -> dict:
     sval = ahlfors_weill(phi, args.z)
     nu = ahlfors_weill_density(phi)
     w = 1 / np.conj(args.z)
-    grid = exterior_disc_quadrature(R=args.grid_r, M=args.grid_m)
+    grid = _exterior_grid(args, 3)
     round_trip = d0_beta(checks.sigma_expr("A", 3), nu, w, grid)
     target = complex(phi(w))
     relerr = abs(round_trip - target) / max(abs(target), 1e-300)  # relative to the target alone
@@ -328,7 +335,7 @@ def cmd_repro(args) -> dict:
 
 def cmd_kernel_criterion(args) -> dict:
     nu = parse_density(args.density)
-    grid = exterior_disc_quadrature(R=args.grid_r, M=args.grid_m)
+    grid = _exterior_grid(args, args.n)
     rep = kernel_criterion_check(nu, args.n, args.z, args.series, grid)
     inputs = {"series": args.series, "n": args.n, "z": args.z, "density": args.density}
     return checks.report("kernel-criterion", inputs, rep["relerr"] < args.tol, **rep)

@@ -9,14 +9,13 @@ onto the punctured disc and removes all tail truncation for kernels decaying
 like |eta|^-4.  Half-plane integrals are polar-truncated at a finite radius
 with a recorded tail estimate.
 
-`d0_beta` and `kernel_criterion_check` with `grid=None` size their exterior
-grid from |z| and the kernel order (`exterior_levels`) and confirm it against
-the next-coarser level, stepping up until the relative change is at most
-QUAD_TOL = 1e-9 (or below the sums' round-off), and return the finer value;
-ValueError if the largest level cannot confirm it.  The criterion's report
-then adds `quad_error` (that change plus the round-off bound) and `nodes`
-(summed over the levels evaluated).  With an explicit grid both compute on
-that grid alone, as before.  Each evaluates the density once per grid.
+`d0_beta` and the left side of `kernel_criterion_check` run on the basis
+eta^-p: for |z| < 1 < |eta|, (z-eta)^-(k+1) is a power series in z whose
+coefficients are moments m_p = integral of nu eta^-p, and one FFT per ring of
+an exterior product grid gives every m_p with p < M (`exterior_moments`).
+With `grid=None` they build one grid sized a priori (`exterior_grid`), and
+the criterion reports `nodes` and `quad_error`.  Its right side (through
+`weighted_pairing`) and `w1_term` stay node sums, independent of the moments.
 """
 
 from __future__ import annotations
@@ -81,6 +80,34 @@ def exterior_disc_quadrature(R: int = 96, M: int = 256) -> QuadGrid:
     nodes = 1.0 / np.conj(zeta)
     weights = base.weights * np.abs(zeta) ** -4
     return QuadGrid(EXTERIOR_DISC, nodes, weights, {"kind": "exterior_disc", "R": R, "M": M})
+
+
+def product_rings(grid: QuadGrid, kind: str):
+    """Gauss radii r, ring weights and angle count M of a `disc_quadrature`
+    (kind "disc") or `exterior_disc_quadrature` grid (kind "exterior_disc"),
+    whose nodes run ring by ring from angle 0: r e^(i theta) on the disc,
+    e^(i theta) / r on the exterior.  ValueError for any other grid."""
+    if grid.meta.get("kind") != kind:
+        raise ValueError(f"expected a {kind}_quadrature product grid, got {grid.meta.get('kind', grid.domain.tag)!r}")
+    R, M = grid.meta["R"], grid.meta["M"]
+    return _gauss_legendre(R, 0.0, 1.0)[0], grid.weights[::M], M
+
+
+def exterior_moments(nu_vals, grid: QuadGrid):
+    """m_p = integral over |eta| > 1 of nu(eta) eta^-p dA for p < M, and the
+    same moments of |nu|, from nu's values on an `exterior_disc_quadrature`
+    grid.  With eta = e^(i theta) / r, eta^-p = r^p e^(-i p theta): one FFT per
+    ring takes the angular integrals and the ring weights times r^p the
+    radial ones."""
+    r, ring_w, m = product_rings(grid, "exterior_disc")
+    if not np.all(np.isfinite(nu_vals)):
+        raise ValueError("non-finite density value on quadrature node")
+    rings = np.reshape(nu_vals, (r.size, m))
+    powers = np.cumprod(np.hstack((ring_w[:, None], np.tile(r[:, None], m - 1))), axis=1)  # w r^p
+    absolute = np.abs(rings).sum(axis=1) @ powers
+    modes = np.fft.fft(rings, axis=1)
+    modes *= powers
+    return modes.sum(axis=0), absolute
 
 
 def half_plane_quadrature(R: int = 128, M: int = 128, radius: float = 40.0) -> QuadGrid:
@@ -166,62 +193,24 @@ def ahlfors_weill_density(phi, phi_b2_norm: float | None = None) -> DensityFn:
 # -- integral operators --------------------------------------------------------
 
 
-# Relative change between two exterior levels below which the finer level's
-# value is accepted when the caller passes no grid.
+# Largest size of the first kernel mode an auto-sized exterior grid drops.
 QUAD_TOL = 1e-9
-# A change this small against the summed |terms| is float round-off: the sums
-# cannot resolve it, so it confirms a value that is close to zero.
-ROUNDOFF = 64 * 2.0**-52
-# Node counts per direction of the auto-sized exterior grids; one refinement
-# step moves both counts one rung up, about 1.5x each.
+# Node counts per direction of the auto-sized exterior grids, about 1.5x apart.
 EXTERIOR_RUNGS = (4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768)
 
 
-def exterior_levels(z: complex, order: int) -> list:
-    """(R, M) of the a priori coarse level and of every level above it.
-
-    On Ahlfors-Weill sections the radial Gauss rule settles with about
-    2*order nodes at any |z| <= 0.9, so the coarse level takes R >= 2*order.
-    The angular trapezoid rule's error is the kernel's first aliased Fourier
-    mode, C(M + order, order) |z|^M, so it takes the fewest angles M >= 2R
-    that put that mode below QUAD_TOL.  A caller compares each level with the
-    one below it; the last level has 768 angles.
-    """
-    rungs, r = EXTERIOR_RUNGS, abs(z)
-    i = next((i for i, R in enumerate(rungs) if R >= 2 * order), None)
-    if i is None:
-        raise ValueError(f"kernel order {order} is beyond the auto-sized exterior grids")
-    j = next(
-        (j for j, M in enumerate(rungs) if M >= 2 * rungs[i] and math.comb(M + order, order) * r**M <= QUAD_TOL),
-        len(rungs) - 2,
-    )
-    return list(zip(rungs[i:], rungs[min(j, len(rungs) - 2) :]))
-
-
-def _settle(coeffs: dict, nu, z: complex, evaluate):
-    """Run evaluate(nu_values, grid) -> tuple of values on exterior levels from
-    the a priori coarse one upward, until one level changes every value by at
-    most QUAD_TOL relative, or by no more than the sums' round-off.  Returns
-    that level's values, the change plus the round-off bound as the error, and
-    the nodes of every level evaluated.  The round-off bound is ROUNDOFF times
-    the d0_beta sum over |terms| on the coarse level."""
-    levels = exterior_levels(z, max((k for k, _l in coeffs), default=0))
-    grid = exterior_disc_quadrature(*levels[0])
-    nu_vals = _density_values(nu, grid)
-    coarse = evaluate(nu_vals, grid)
-    roundoff = ROUNDOFF * sum(
-        abs(float(a)) * math.factorial(k) / math.pi * quad2d(lambda eta: np.abs(nu_vals / (z - eta) ** (k + 1)), grid).real
-        for (k, _l), a in coeffs.items()
-    )
-    nodes = grid.nodes.size
-    for R, M in levels[1:]:
-        grid = exterior_disc_quadrature(R, M)
-        fine = evaluate(_density_values(nu, grid), grid)
-        nodes += grid.nodes.size
-        if all(abs(f - c) <= max(QUAD_TOL * max(abs(f), abs(c)), roundoff) for f, c in zip(fine, coarse)):
-            return fine, max(abs(f - c) for f, c in zip(fine, coarse)) + roundoff, nodes
-        coarse = fine
-    raise ValueError(f"exterior quadrature did not settle to {QUAD_TOL:g} by the {R} x {M} grid at |z| = {abs(z):.3g}")
+def exterior_grid(z: complex, power: int) -> QuadGrid:
+    """The grid `d0_beta` and `kernel_criterion_check` build when given none,
+    sized a priori from |z| and the top kernel power p = k + 1 of (z-eta)^-p:
+    R >= 2p radii, with which the radial Gauss rule settles on Ahlfors-Weill
+    sections at |z| <= 0.9, and the fewest angles M >= 2R that bring the first
+    dropped kernel mode, about C(M + p, p) |z|^M, below QUAD_TOL.  Both counts
+    come from EXTERIOR_RUNGS; ValueError past its 768 angles."""
+    R = next((R for R in EXTERIOR_RUNGS if R >= 2 * power), EXTERIOR_RUNGS[-1])
+    M = next((M for M in EXTERIOR_RUNGS if M >= 2 * R and math.comb(M + power, power) * abs(z) ** M <= QUAD_TOL), None)
+    if M is None:
+        raise ValueError(f"kernel power {power} at |z| = {abs(z):.3g} needs more than {EXTERIOR_RUNGS[-1]} angles")
+    return exterior_disc_quadrature(R, M)
 
 
 def _density_values(nu, grid: QuadGrid):
@@ -231,34 +220,48 @@ def _density_values(nu, grid: QuadGrid):
     return nu(grid.nodes)
 
 
-def _d0_sum(coeffs: dict, nu_vals, z: complex, grid: QuadGrid) -> complex:
-    """The d0_beta sum over the grid from nu's values on its nodes."""
-    total = 0j
-    for (k, _l), a in sorted(coeffs.items()):
-        kernel = quad2d(lambda eta: nu_vals / (z - eta) ** (k + 1), grid)
-        total += float(a) * ((-1.0) ** k * math.factorial(k) / math.pi) * kernel
-    return total
+def _d0_series(coeffs: dict, nu_vals, z: complex, grid: QuadGrid):
+    """The d0_beta sum from nu's values on an exterior product grid, and a
+    bound on its error: the series' tail past the last mode plus round-off.
+
+    I_k = (-1)^(k+1) S_k with S_k = sum_j C(j+k, k) z^j m_(j+k+1), so the
+    (k, l) term is -(a_kl k!/pi) S_k.  The same sums over the moments of |nu|
+    weigh the round-off, and the last of those bounds every dropped |m_p|.
+    """
+    moments, absolute = exterior_moments(nu_vals, grid)
+    m, r = moments.size, abs(z)
+    total, size, tail = 0j, 0.0, 0.0
+    for (k, _l), a in coeffs.items():
+        if m <= k + 1:
+            raise ValueError(f"a kernel of order {k} needs more than {k + 1} angles, the grid has {m}")
+        a = float(a) * math.factorial(k)
+        j = np.arange(1, m - k - 1)
+        t = np.cumprod(np.r_[1.0, z * (j + k) / j])  # C(j+k, k) z^j for j < M-k-1
+        total += a * np.dot(t, moments[k + 1 :])
+        size += abs(a) * np.dot(np.abs(t), absolute[k + 1 :])
+        ratio = r * m / (m - k)  # bounds the ratio of successive dropped terms
+        tail += abs(a) * math.comb(m - 1, k) * r ** (m - k - 1) * absolute[-1] / (1.0 - ratio) if ratio < 1.0 else math.inf
+    return complex(-total / math.pi), (tail + size * np.finfo(float).eps * m) / math.pi
 
 
 def d0_beta(coeffs, nu, z: complex, grid: QuadGrid | None = None) -> complex:
     """Differential at the origin of a higher Bers map, applied to nu:
 
         sum over (k,l) of a_{k,l} * ((-1)^k k!/pi) * I_k,
-        I_k = integral over the exterior disc of nu(eta)/(z-eta)^(k+1).
+        I_k = integral over the exterior disc of nu(eta)/(z-eta)^(k+1)
+            = (-1)^(k+1) sum_j C(j+k, k) z^j m_(j+k+1),
 
+    with the moments m_p = integral of nu eta^-p from `exterior_moments`.
     `coeffs` is either the {(k,l): a_kl} map of degree-one coefficients or a
     canonical DiffExpr from which they are extracted.  Linear in nu, which is
-    evaluated once per grid.  With no grid, the exterior grid is sized from
-    |z| and the top kernel order and confirmed against the next-coarser level
-    (`exterior_levels`); ValueError if no level up to 768 angles confirms the
-    value to QUAD_TOL.
+    evaluated once.  The grid must be an `exterior_disc_quadrature` grid
+    (ValueError for any other); with none, `exterior_grid` sizes one from |z|
+    and the top kernel power.
     """
     if isinstance(coeffs, DiffExpr):
         coeffs = monomial_coefficients(coeffs)
-    if grid is not None:
-        return _d0_sum(coeffs, _density_values(nu, grid), z, grid)
-    (total,), _error, _nodes = _settle(coeffs, nu, z, lambda nu_vals, g: (_d0_sum(coeffs, nu_vals, z, g),))
-    return total
+    grid = grid or exterior_grid(z, 1 + max((k for k, _l in coeffs), default=0))
+    return _d0_series(coeffs, _density_values(nu, grid), z, grid)[0]
 
 
 def d0_beta_norm_bound(n: int, series: str) -> float:
@@ -330,26 +333,18 @@ def kernel_criterion_check(nu, n: int, z: complex, series: str = "A", grid: Quad
     """Pairing form of the differential:  d0_beta(sigma_n)(nu)(z) equals
     -(n! c(n)/pi) * <omega_z^{n+1}, conj(nu) lambda^2>_2 with
     omega_z^l(w) = (w-z)^(-l), the pairing taken over the exterior disc at
-    weight s = 2.  Both sides are computed independently (the right side
-    through the generic weighted-pairing code path) from one evaluation of nu
-    per grid.  With no grid, both sides are auto-sized together as in
-    d0_beta, and the report adds `quad_error` (the larger change of a side
-    between the two levels, plus the round-off bound) and `nodes` (summed
-    over every level evaluated)."""
+    weight s = 2.  The left side is d0_beta's moment series, the right side a
+    node sum of `weighted_pairing` over the same values of nu.  With no grid,
+    `exterior_grid` sizes one and the report adds `nodes` and `quad_error`:
+    the series' own bound plus |lhs - rhs|, which bounds both sides."""
     expr = sigma_expr(series, n)
     coeffs = monomial_coefficients(expr)
     c = float(series_constant(expr))
-
-    def sides(nu_vals, g):
-        lam = g.domain.density
-        lhs = _d0_sum(coeffs, nu_vals, z, g)
-        pairing = weighted_pairing(lambda w: (w - z) ** (-(n + 1.0)), lambda w: np.conj(nu_vals) * lam(w) ** 2, 2, g)
-        return lhs, -(math.factorial(n) * c / math.pi) * pairing
-
-    if grid is not None:
-        lhs, rhs = sides(_density_values(nu, grid), grid)
-        extra = {}
-    else:
-        (lhs, rhs), error, nodes = _settle(coeffs, nu, z, sides)
-        extra = {"quad_error": error, "nodes": nodes}
+    auto = grid is None
+    grid = grid or exterior_grid(z, 1 + max((k for k, _l in coeffs), default=0))
+    nu_vals = _density_values(nu, grid)
+    lhs, error = _d0_series(coeffs, nu_vals, z, grid)
+    pairing = weighted_pairing(lambda w: (w - z) ** (-(n + 1.0)), lambda w: np.conj(nu_vals) * grid.domain.density(w) ** 2, 2, grid)
+    rhs = -(math.factorial(n) * c / math.pi) * pairing
+    extra = {"quad_error": error + abs(lhs - rhs), "nodes": grid.nodes.size} if auto else {}
     return compare(lhs, rhs, n=n, series=series_letter(series), **extra)

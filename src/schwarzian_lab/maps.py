@@ -234,6 +234,8 @@ def _read_taylor(d: dict):
 
 def _read_rational(d: dict):
     num, den = _complexes(d, "num"), _complexes(d, "den")
+    if not any(den):
+        raise ValueError(f"rational field 'den' must have a nonzero coefficient, got {d['den']!r}")
 
     def value(z):
         return sum(c * z**j for j, c in enumerate(num)) / sum(c * z**j for j, c in enumerate(den))
@@ -242,7 +244,8 @@ def _read_rational(d: dict):
 
 
 def _read_pullback_diff(d: dict):
-    k, q = (_get(d, name, lambda x: type(x) is int, "an integer") for name in ("k", "q"))
+    k = _get(d, "k", lambda x: type(x) is int and x >= 0, "an integer >= 0 (z^k has a pole at 0 for k < 0)")
+    q = _get(d, "q", lambda x: type(x) is int, "an integer")
     g = Moebius(*_complexes(d, "mat", 4))
 
     def jet(z0, order):

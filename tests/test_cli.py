@@ -79,9 +79,11 @@ def test_bad_function_descriptor_is_a_one_line_usage_error(capsys, tmp_path, des
         ('{"kind": "moebius", "mat": [[1, 0], [2, 0], [1, 0], [2, 0]]}', None),
         ('{"kind": "moebius", "mat": [[1, 0], [0, 0]]}', None),
         ('{"kind": "pullback_diff", "k": 1.5, "q": 2, "mat": [[1, 0], [0, 0], [0, 0], [1, 0]]}', None),
+        ('{"kind": "rational", "num": [[1, 0]], "den": [[0, 0], [0, 0]]}', None),
+        ('{"kind": "pullback_diff", "k": -1, "q": 2, "mat": [[1, 0], [0, 0], [0, 0], [1, 0]]}', None),
     ],
     ids=["theta-string", "theta-nan", "rotation-nan", "rotated-koebe-inf", "empty-coeffs", "3-entry-center",
-         "singular-mat", "2-pair-mat", "fractional-k"],
+         "singular-mat", "2-pair-mat", "fractional-k", "zero-den", "negative-k"],
 )
 def test_malformed_descriptor_is_a_value_error_and_a_usage_error(capsys, spec, build):
     # the descriptor is checked when the function is built, not when it is used
@@ -92,6 +94,21 @@ def test_malformed_descriptor_is_a_value_error_and_a_usage_error(capsys, spec, b
     assert exc.value.code == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("schwarzian-lab norm: error: invalid function spec "), lines
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ['{"kind": "rational", "num": [[1, 0]], "den": [[0, 0]]}',
+     '{"kind": "pullback_diff", "k": -1, "q": 2, "mat": [[1, 0], [0, 0], [0, 0], [1, 0]]}'],
+    ids=["zero-den", "negative-k"],
+)
+def test_descriptor_with_a_pole_is_a_usage_error_under_theta(capsys, spec):
+    # rejected when read, before theta evaluates a pole everywhere or at 0
+    with pytest.raises(SystemExit) as exc:
+        run(["theta", "--f", spec, "--radius", "2"])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("schwarzian-lab theta: error: invalid function spec "), lines
 
 
 def test_taylor_spec_builds_the_catalog_descriptor():
@@ -254,6 +271,9 @@ def test_pairing_reads_group_numbers_as_floats(capsys):
         ["theta", "--group", '{"kind": "cyclic", "fixpoints": [0.5, 2.8], "multiplier": "nan"}'],
         ["theta", "--group", '{"kind": "cyclic", "fixpoints": [0.5, "inf"], "multiplier": 4.0}'],
         ["pairing", "--f", "identity", "--g", "identity", "--group", '{"kind": "cyclic", "fixpoints": [0.5, 2.8], "multiplier": 1e400}'],
+        ["dzero", "--n", "5", "--grid-m", "6"],
+        ["aw", "--grid-m", "4"],
+        ["kernel-criterion", "--n", "4", "--grid-m", "5"],
     ],
 )
 def test_bad_numeric_parameters_are_usage_errors(capsys, args):
@@ -272,6 +292,9 @@ def test_in_range_edge_parameters_still_run(capsys):
     assert run(["solve", "homog-b", "--n", "5", "--alpha", "1,0.5,0.25,0.1"]) == 0
     assert run(["solve", "homog-b", "--n", "5", "--order", "4"]) == 0
     assert run(["solve", "homog-a", "--n", "6", "--poly", "0.5", "--order", "6"]) == 0
+    assert run(["dzero", "--n", "5", "--grid-r", "8", "--grid-m", "7"]) == 0
+    # runs, and fails: 5 angles fold the section's mode 5 onto mode 0
+    assert run(["aw", "--grid-r", "8", "--grid-m", "5"]) == 1
 
 
 def test_parser_is_built_once():

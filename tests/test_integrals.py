@@ -3,6 +3,7 @@ the differential of the period-type map at the origin, the reproducing
 formula, and the kernel-power pairing criterion."""
 
 import cmath
+import json
 import math
 import random
 
@@ -28,9 +29,11 @@ from schwarzian_lab import (
     weighted_pairing,
 )
 from schwarzian_lab.automorphic import fundamental_annulus_grid
+from schwarzian_lab.cli import main
 from schwarzian_lab.integrals import (
+    QuadGrid,
     beltrami_from_bers,
-    exterior_levels,
+    exterior_grid,
     legendre_rule,
     quad2d,
     w1_term,
@@ -211,15 +214,6 @@ def test_d0_beta_matches_closed_form(coeffs):
 # -- auto-sized exterior grids -------------------------------------------------
 
 
-def old_d0_beta(coeffs, nu, z, grid):
-    """The per-term loop d0_beta ran before it evaluated nu once per grid."""
-    total = 0j
-    for (k, _l), a in sorted(coeffs.items()):
-        kernel = quad2d(lambda eta: nu(eta) / (z - eta) ** (k + 1), grid)
-        total += float(a) * ((-1.0) ** k * math.factorial(k) / math.pi) * kernel
-    return total
-
-
 def random_sections(seed, count, max_radius):
     """Seeded Ahlfors-Weill sections of random polynomials with a coefficient
     of degree >= n-3 (lower degrees are annihilated), and points |z| <= max_radius."""
@@ -291,32 +285,42 @@ def test_auto_grid_rejects_density_on_wrong_domain():
 def test_auto_grid_raises_where_no_level_confirms():
     nu = ahlfors_weill_density(catalog("taylor", coeffs=[0, 0, 1]), 1.0)
     z = 0.995 * cmath.exp(0.4j)
-    with pytest.raises(ValueError, match="did not settle"):
+    with pytest.raises(ValueError, match="more than 768 angles"):
         d0_beta(sigma_a(3), nu, z)
-    with pytest.raises(ValueError, match="did not settle"):
+    with pytest.raises(ValueError, match="more than 768 angles"):
         kernel_criterion_check(nu, 3, z)
 
 
-def test_exterior_levels_follow_z_and_order():
-    near, far = exterior_levels(0.2, 3), exterior_levels(0.8, 3)
-    assert near[0][1] < far[0][1]  # more angles as |z| nears the circle
-    assert exterior_levels(0.2, 6)[0][0] > near[0][0]  # more radii for a higher order
-    for levels in (near, far):
-        assert all(m >= 2 * r for r, m in levels)
-        assert all(r1 > r0 and m1 > m0 for (r0, m0), (r1, m1) in zip(levels, levels[1:]))
+def test_exterior_grid_follows_z_and_order():
+    near, far = exterior_grid(0.2, 3).meta, exterior_grid(0.8, 3).meta
+    assert near["M"] < far["M"]  # more angles as |z| nears the circle
+    assert exterior_grid(0.2, 6).meta["R"] > near["R"]  # more radii for a higher order
+    for meta in (near, far):
+        assert meta["M"] >= 2 * meta["R"]
 
 
 def symbolic_coeffs(n, series):
     return monomial_coefficients(sigma_a(n) if series == "A" else sigma_b(n))
 
 
+def explicit_closed_form(coeffs, nu_spec, z):
+    """d0_beta of a {(k, l): a_kl} map on the density nu_spec: a Taylor list for
+    its Ahlfors-Weill section (the (k, l) term is a_kl times the k-th
+    derivative of the triple antiderivative) or an (a, b) monomial pair."""
+    if isinstance(nu_spec, tuple):
+        return sum(float(a) * monomial_closed_form(*nu_spec, k, z) for (k, _l), a in coeffs.items())
+    return sum(float(a) * aw_closed_form(nu_spec, k, "A", z) for (k, _l), a in coeffs.items())
+
+
 @pytest.mark.parametrize("grid", [exterior_disc_quadrature(R=24, M=48), exterior_disc_quadrature(R=10, M=30)],
                          ids=["24x48", "10x30"])
 def test_explicit_grid_values_match_per_term_loop(grid):
     z = 0.3 + 0.1j
-    for nu in (ahlfors_weill_density(catalog("taylor", coeffs=[1, 0.5, 0.25j, 1]), 1.0), monomial_density(-1, 4)):
+    taylor = [1, 0.5, 0.25j, 1]
+    for nu, spec in ((ahlfors_weill_density(catalog("taylor", coeffs=taylor), 1.0), taylor), (monomial_density(-1, 4), (-1, 4))):
         for coeffs in ({(2, 1): 1, (3, 1): -0.5, (4, 2): 2}, symbolic_coeffs(5, "B")):
-            assert d0_beta(coeffs, nu, z, grid) == old_d0_beta(coeffs, nu, z, grid)
+            exact = explicit_closed_form(coeffs, spec, z)
+            assert abs(d0_beta(coeffs, nu, z, grid) - exact) <= 1e-12 * max(abs(exact), 1.0), (coeffs, spec)
         for n, series in ((3, "A"), (5, "B")):
             rep = kernel_criterion_check(nu, n, z, series, grid)
             expr = sigma_a(n) if series == "A" else sigma_b(n)
@@ -324,8 +328,40 @@ def test_explicit_grid_values_match_per_term_loop(grid):
             pairing = weighted_pairing(lambda w: (w - z) ** (-(n + 1.0)),
                                        lambda w: np.conj(nu(w)) * grid.domain.density(w) ** 2, 2, grid)
             assert set(rep) == {"lhs", "rhs", "relerr", "n", "series"}
-            assert rep["lhs"] == old_d0_beta(monomial_coefficients(expr), nu, z, grid)
+            assert rep["lhs"] == d0_beta(expr, nu, z, grid)
             assert rep["rhs"] == -(math.factorial(n) * c / math.pi) * pairing
+
+
+@pytest.mark.parametrize("radius, tol", [(0.3, 1e-12), (0.7, 1e-12), (0.9, 1e-12), (0.97, 1e-10)])
+def test_moment_series_matches_closed_form_near_the_circle(radius, tol):
+    coeffs = [1, 0.5, 0.25j, 1]
+    nu = ahlfors_weill_density(catalog("taylor", coeffs=coeffs), 1.0)
+    grid = exterior_disc_quadrature(32, 256)
+    for z in (radius, radius * cmath.exp(2.2j)):
+        for n in (3, 4, 5):
+            for series, expr in (("A", sigma_a(n)), ("B", sigma_b(n))):
+                exact = aw_closed_form(coeffs, n, series, z)
+                assert abs(exact) > 1e-3
+                assert abs(d0_beta(expr, nu, z, grid) - exact) / abs(exact) <= tol, (z, n, series)
+
+
+def test_dzero_on_the_default_grid_near_the_circle(capsys):
+    # a node sum on this 96 x 256 grid reads 210.48, the kernel's high modes
+    # aliased onto the section's; the closed form is d^5/dz^5 z^5/60 = 2
+    assert main(["dzero", "--z", "0.97", "--n", "5", "--density", "aw:taylor:0,0,1", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    value = complex(*report["value"])
+    assert abs(value - 2.0) <= 1e-10
+
+
+def test_moment_series_needs_an_exterior_product_grid():
+    ones = lambda eta: np.ones_like(eta)
+    square = exterior_disc_quadrature(8, 16)
+    for grid in (disc_quadrature(8, 16), QuadGrid(EXTERIOR_DISC, square.nodes, square.weights)):
+        with pytest.raises(ValueError, match="exterior_disc_quadrature product grid"):
+            d0_beta(sigma_a(3), ones, 0.1, grid)
+        with pytest.raises(ValueError, match="exterior_disc_quadrature product grid"):
+            kernel_criterion_check(ones, 3, 0.1, "A", grid)
 
 
 def test_repro_check_values_match_per_call_density():

@@ -156,6 +156,17 @@ def test_descriptor_validation():
         AnalyticFn({"kind": "compose", "fns": [{"kind": "koebe"}]})
 
 
+def test_descriptors_with_a_pole_are_rejected_when_read():
+    mat = [[1, 0], [0, 0], [0, 0], [1, 0]]
+    with pytest.raises(ValueError, match="'den' must have a nonzero coefficient"):
+        AnalyticFn({"kind": "rational", "num": [[1, 0]], "den": [[0, 0], [0.0, -0.0]]})
+    with pytest.raises(ValueError, match="'k' must be an integer >= 0"):
+        AnalyticFn({"kind": "pullback_diff", "k": -1, "q": 2, "mat": mat})
+    # the nearest valid descriptors still read and evaluate
+    assert AnalyticFn({"kind": "rational", "num": [[1, 0]], "den": [[0, 0], [1, 0]]})(0.5) == 2.0
+    assert AnalyticFn({"kind": "pullback_diff", "k": 0, "q": 2, "mat": mat})(0.5) == 0.0
+
+
 def test_vectorized_evaluation():
     k = catalog("koebe")
     zs = np.array(SAMPLES)

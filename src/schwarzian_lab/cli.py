@@ -327,7 +327,7 @@ def cmd_aw(args) -> dict:
 
 def cmd_repro(args) -> dict:
     phi = parse_function(args.phi) if args.phi else inverse_power_fn(args.q)
-    grid = half_plane_quadrature(R=args.grid_r, M=args.grid_m, radius=args.radius)
+    grid = half_plane_quadrature(R=args.grid_r, M=args.grid_m)
     rep = repro_check(phi, args.q, args.z, grid)
     inputs = {"q": args.q, "z": args.z, "phi": args.phi or f"(z-i)^(-{2 * args.q})"}
     return checks.report("repro", inputs, rep["relerr"] < args.tol, **rep)
@@ -511,10 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_int_at_least(1), default=2)
     p.add_argument("--z", type=_point_in(LOWER_HALF), default=-2j)
     p.add_argument("--phi", default=None, help="defaults to (z-i)^(-2q)")
-    p.add_argument("--grid-r", type=_int_at_least(1), default=128)
-    p.add_argument("--grid-m", type=_int_at_least(1), default=128)
-    p.add_argument("--radius", type=_positive_float, default=40.0)
-    _add_common(p, tol=1e-2)
+    _add_common(p, tol=1e-2, grid=True)
     p.set_defaults(func=cmd_repro)
 
     p = sub.add_parser("kernel-criterion", help="pairing form of the differential against the kernel power")

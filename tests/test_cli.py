@@ -246,8 +246,8 @@ def test_pairing_reads_group_numbers_as_floats(capsys):
         ["theta", "--group", '{"kind": "cyclic", "fixpoints": [0.5, 0.5], "multiplier": 4.0}'],
         ["dzero", "--grid-r", "0"],
         ["bergman", "--grid-m", "-4"],
-        ["repro", "--radius", "-1"],
-        ["repro", "--radius", "0"],
+        ["repro", "--grid-r", "0"],
+        ["repro", "--grid-m", "-4"],
         ["solve", "homog-b", "--n", "5", "--order", "3"],
         ["solve", "homog-a", "--n", "6", "--order", "3"],
         ["solve", "homog-a", "--n", "6", "--order", "5"],
@@ -282,6 +282,16 @@ def test_bad_numeric_parameters_are_usage_errors(capsys, args):
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("schwarzian-lab ") and "error: argument" in err[-1]
+
+
+def test_repro_has_no_radius_and_reproduces_on_the_default_grid(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["repro", "--radius", "40"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --radius 40" in capsys.readouterr().err
+    for q in ("2", "3", "4"):
+        assert run(["repro", "--q", q, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["relerr"] <= 1e-13
 
 
 def test_in_range_edge_parameters_still_run(capsys):
@@ -327,7 +337,7 @@ ENVELOPE = {"schema", "operation", "inputs", "ok"}
         (
             ["repro", "--grid-r", "16", "--grid-m", "16"],
             "repro",
-            {"lhs", "rhs", "rhs_alt_sign", "relerr", "tail_estimate", "grid"},
+            {"lhs", "rhs", "rhs_alt_sign", "relerr", "grid"},
         ),
         (["kernel-criterion", "--grid-r", "8", "--grid-m", "16"], "kernel-criterion", {"lhs", "rhs", "relerr", "n", "series"}),
         (["theta", "--radius", "2"], "theta", {"value", "tail_estimate", "automorphy_bound", "automorphy_residual", "ball_size"}),
@@ -353,4 +363,4 @@ def test_every_subcommand_reports_in_one_envelope(capsys, args, operation, field
 def test_text_report_runs_schema_operation_inputs_fields_ok(capsys):
     run(["repro", "--grid-r", "16", "--grid-m", "16"])
     keys = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
-    assert keys == ["schema", "operation", "inputs", "lhs", "rhs", "relerr", "rhs_alt_sign", "tail_estimate", "grid", "ok"]
+    assert keys == ["schema", "operation", "inputs", "lhs", "rhs", "relerr", "rhs_alt_sign", "grid", "ok"]

@@ -204,7 +204,7 @@ def covariance_spec(series: str, n_values=(3, 4, 5, 6)) -> Spec:
             g = random_moebius(rng)
             z = random_point(rng)
             gz = g(z)
-            # f'(gz) summed as jet_shift sums the linear coefficient
+            # f'(gz), the linear coefficient of f's jet at gz
             fp = sum(k * f[k] * gz ** (k - 1) for k in range(1, len(f)))
             if abs(g.deriv(z)) > 1e-2 and abs(gz) < 20 and abs(fp) > 1e-3:
                 return {"n": n, "f": f, "g": (g.a, g.b, g.c, g.d), "z": z}

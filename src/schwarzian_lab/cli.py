@@ -43,7 +43,7 @@ from .integrals import (
     kernel_criterion_check,
     repro_check,
 )
-from .jets import jet_from_coeffs
+from .jets import JetError, jet_from_coeffs
 from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, AnalyticFn, catalog, poincare_density, rotated_koebe, schlicht_family
 from .norms import SampleGrid, bn_norm_report, bound_check, bound_ok, bound_row, sigma_phi
 from .ode import homogeneous_a_check, homogeneous_b_residual, ode_residual, schwarzian_solve
@@ -266,7 +266,10 @@ def cmd_norm(args) -> dict:
     fn = parse_function(args.function)
     expr = checks.sigma_expr(args.series, args.n)
     grid = SampleGrid(J=args.grid_j, M=args.grid_m)
-    rep = bn_norm_report(sigma_phi(fn, expr), args.n - 1, grid)
+    try:
+        rep = bn_norm_report(sigma_phi(fn, expr), args.n - 1, grid)
+    except JetError as exc:  # every jet the catalog cannot take is at a pole
+        raise argparse.ArgumentTypeError(f"argument --function: {args.function!r} has a pole at a sample point: {exc}") from None
     row = bound_row(args.series, args.n, rep["estimate"])
     inputs = {"function": args.function, "series": args.series, "n": args.n}
     return checks.report("norm", inputs, bound_ok(row), report=rep, rows=[{"function": args.function, **row}])
@@ -507,7 +510,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, tol=2e-2, grid=True)
     p.set_defaults(func=cmd_aw)
 
-    p = sub.add_parser("repro", help="half-plane reproducing formula for Bers-type densities")
+    p = sub.add_parser(
+        "repro",
+        help="half-plane reproducing formula for Bers-type densities",
+        description="Half-plane reproducing formula, on the Cayley image of the disc rule. "
+        "For the default phi = (w-i)^(-2q) the error falls geometrically in the grid size at a rate set by the pulled-back pole "
+        "zeta0 = (z-i)/(z+i): the nearer |zeta0| is to 1 (z near the real axis or far from i), the slower, "
+        "and z = 100-1j reads relerr 1.07 on the default 96 x 256 grid. For q = 1 the pulled-back density "
+        "is not smooth at zeta = 1 and the error falls only like M^-2 in the angle count "
+        "(4.4e-4 at z = -2i on 96 x 256, 2.8e-5 on 96 x 1024).",
+    )
     p.add_argument("--q", type=_int_at_least(1), default=2)
     p.add_argument("--z", type=_point_in(LOWER_HALF), default=-2j)
     p.add_argument("--phi", default=None, help="defaults to (z-i)^(-2q)")

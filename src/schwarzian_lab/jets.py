@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 import numpy as np
 
@@ -416,12 +416,19 @@ def jet_shift(a: Jet, w) -> Jet:
 
     Exact for polynomials; for truncations of longer series this is the
     documented recentering convention (the discarded tail stays discarded).
+
+    Repeated synthetic division (Horner): pass i folds w * b_(k+1) into b_k
+    for k = N-1 down to i, which leaves b_j = sum_k C(k, j) a_k w^(k-j) after
+    N passes, N(N+1)/2 products and no powers of w.  The top coefficient
+    takes w's batch shape too, so every output coefficient has it.
     """
-    n = a.order
-    coeffs = []
-    for j in range(n + 1):
-        coeffs.append(sum(comb(k, j) * a.coeffs[k] * w ** (k - j) for k in range(j, n + 1)))
-    return Jet(a.center + w, tuple(coeffs))
+    b = list(a.coeffs)
+    n = len(b) - 1
+    b[n] = b[n] + 0 * w
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            b[k] = b[k] + w * b[k + 1]
+    return Jet(a.center + w, tuple(b))
 
 
 def derivative_values(a: Jet):

@@ -240,7 +240,26 @@ def _read_rational(d: dict):
     def value(z):
         return sum(c * z**j for j, c in enumerate(num)) / sum(c * z**j for j, c in enumerate(den))
 
-    return value, lambda z0, order: taylor_jet(num, 0, z0, order) / taylor_jet(den, 0, z0, order)
+    return value, lambda z0, order: _rational_jet(num, den, z0, order)
+
+
+def _rational_jet(num, den, z0, order: int) -> Jet:
+    """Jet at z0 of num/den, the quotient num * (1/den) of the two shifted
+    polynomials p and q.  Both recurrences, 1/q and the product, run over
+    p's and q's own coefficients only, O(order * degree) products: the
+    terms they skip are the exact zeros past each degree, so the result has
+    the bits of the quotient of the zero-padded jets."""
+    p = jet_shift(jet_from_coeffs(num, 0), z0).coeffs
+    q = jet_shift(jet_from_coeffs(den, 0), z0).coeffs
+    if _any(q[0] == 0):
+        raise JetError("jet at a pole of a rational function")
+    inv0 = 1.0 / q[0]
+    recip, out = [inv0], []
+    for n in range(1, order + 1):
+        recip.append(-inv0 * sum(q[k] * recip[n - k] for k in range(1, min(n, len(q) - 1) + 1)))
+    for n in range(order + 1):
+        out.append(sum(p[k] * recip[n - k] for k in range(min(n, len(p) - 1) + 1)))
+    return Jet(z0, tuple(out))
 
 
 def _read_pullback_diff(d: dict):
@@ -285,8 +304,8 @@ class AnalyticFn:
     converts the fields (`ValueError` on a missing or malformed one) and
     returns the value and jet maps.  Jets: the Moebius kinds and Koebe in
     closed form, ``taylor`` by shifting its coefficients, ``rational`` as the
-    quotient of two such polynomial jets, and ``pullback_diff`` from the
-    Moebius jet and its derivative.
+    quotient of two such shifted polynomials over their own coefficients,
+    and ``pullback_diff`` from the Moebius jet and its derivative.
     """
 
     def __init__(self, descriptor: dict):

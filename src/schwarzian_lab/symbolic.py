@@ -297,41 +297,51 @@ def _coeff_cast(values):
     return float
 
 
-def _term_value(key, us, val):
-    """The term val * prod u_k^e_k; `val` is the coefficient, already cast."""
-    for i, e in enumerate(key):
-        if e == 0:
-            continue
-        k = i + 1
-        if k == 1:
-            if e % 2 != 0:
-                raise ValueError("evaluate needs a canonical expression (integral u_1 exponents)")
-            p = e // 2
-            u = Fraction(us[1]) if isinstance(us[1], int) else us[1]
-            val = val * u**p
-        else:
-            val = val * us[k] ** e
-    return val
+def _power(row: list, x: int):
+    """row[x] of the power list row = [None, u, u^2, ...], which grows by
+    repeated products as far as x."""
+    while len(row) <= x:
+        row.append(row[-1] * row[1])
+    return row[x]
 
 
 def evaluate(e: DiffExpr, f: Jet):
     """Numeric value of e[f] at f.center.
 
     The derivative values u_k = f^(k) are read off the jet and the Laurent
-    polynomial is evaluated.  Requires jet order >= the largest derivative
-    index in `e` and u_1 != 0 there.  A batched jet gives an array of
-    values, one per point.
+    polynomial is evaluated term by term from one table of their powers per
+    call: the row of u_k holds u_k, u_k^2, ... by repeated products, as far
+    as some term has needed, and one more row the powers of 1/u_1, from one
+    reciprocal, so no term raises a power of its own.  Requires jet order
+    >= the largest derivative index in `e` and u_1 != 0 there.  A batched
+    jet gives an array of values, one per point.
     """
     top = e.max_index()
     if f.order < top:
         raise ValueError(f"jet order {f.order} below required derivative index {top}")
-    us = (None,) + derivative_values(f)[1:]
-    if _any(us[1] == 0):
+    us = derivative_values(f)
+    u1 = us[1]
+    if _any(u1 == 0):
         raise ValueError("vanishing first derivative at evaluation point")
     cast = _coeff_cast(us[1:])
+    rows = [[None, u] for u in us[1 : top + 1]]
+    inv = None
     total = None
     for key, coeff in e.terms.items():
-        v = _term_value(key, us, cast(coeff))
+        v = cast(coeff)
+        for i, x in enumerate(key):
+            if not x:
+                continue
+            row = rows[i]
+            if i == 0:
+                if x % 2 != 0:
+                    raise ValueError("evaluate needs a canonical expression (integral u_1 exponents)")
+                x //= 2
+                if x < 0:
+                    if inv is None:
+                        inv = [None, Fraction(1) / u1 if _is_exact(u1) else 1 / u1]
+                    row, x = inv, -x
+            v = v * (row[x] if x < len(row) else _power(row, x))
         total = v if total is None else total + v
     if total is None:
         return Fraction(0) if all(_is_exact(u) for u in us[1:]) else 0j

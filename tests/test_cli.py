@@ -111,6 +111,22 @@ def test_descriptor_with_a_pole_is_a_usage_error_under_theta(capsys, spec):
     assert len(lines) == 1 and lines[0].startswith("schwarzian-lab theta: error: invalid function spec "), lines
 
 
+@pytest.mark.parametrize(
+    "den",
+    ["[[0.5, 0], [-1, 0]]", "[[0, 0], [1, 0]]"],
+    ids=["pole-at-grid-point-0.5", "pole-at-0"],
+)
+def test_pole_at_a_sample_point_is_a_usage_error_under_norm(capsys, den):
+    # a valid descriptor, so it reads; 1/den has its pole on the grid
+    spec = f'{{"kind": "rational", "num": [[1, 0]], "den": {den}}}'
+    with pytest.raises(SystemExit) as exc:
+        run(["norm", "--function", spec, "--grid-j", "2", "--grid-m", "8"])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("schwarzian-lab norm: error: argument --function: "), lines
+    assert "has a pole at a sample point" in lines[0]
+
+
 def test_taylor_spec_builds_the_catalog_descriptor():
     fn = parse_function("taylor:0,1,0.5-0.25j")
     assert fn.descriptor() == {"kind": "taylor", "center": [0.0, 0.0], "coeffs": [[0.0, 0.0], [1.0, 0.0], [0.5, -0.25]]}

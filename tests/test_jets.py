@@ -4,6 +4,7 @@ coefficients."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -261,6 +262,38 @@ def test_shift_reexpands():
     g = jet_shift(f, 1.0)  # recenter at z = 1
     assert g.center == 1.0
     assert abs(g(0.25) - f(1.25)) < 1e-12
+
+
+def _binomial_shift(coeffs, w) -> tuple:
+    """b_j = sum_k C(k, j) a_k w^(k-j), the shift formula term by term."""
+    n = len(coeffs) - 1
+    return tuple(sum(comb(k, j) * coeffs[k] * w ** (k - j) for k in range(j, n + 1)) for j in range(n + 1))
+
+
+def test_shift_equals_the_binomial_formula():
+    rng = random.Random(18)
+    pts = np.array([0.3 - 0.2j, -1.1j, 0.75])
+    for deg in range(8):
+        exact = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(deg + 1)]
+        w = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        got = jet_shift(jet_from_coeffs(exact, Fraction(1, 3)), w)
+        assert got.coeffs == _binomial_shift(exact, w) and got.center == Fraction(1, 3) + w
+        assert all(type(c) is Fraction for c in got.coeffs)
+        ints = [rng.randint(-9, 9) for _ in range(deg + 1)]
+        got = jet_shift(jet_from_coeffs(ints), 3).coeffs
+        assert got == _binomial_shift(ints, 3) and all(type(c) is int for c in got)
+
+        cplx = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(deg + 1)]
+        wc = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        got = jet_shift(jet_from_coeffs(cplx), wc).coeffs
+        for g, want in zip(got, _binomial_shift(cplx, wc)):
+            assert abs(g - want) <= 1e-14 * max(1.0, abs(want)), (deg, g, want)
+        # a batch of shifts: every coefficient, the top one too, has w's shape
+        batched = jet_shift(jet_from_coeffs(cplx), pts).coeffs
+        assert all(np.shape(c) == pts.shape for c in batched)
+        for i, wi in enumerate(pts):
+            for g, want in zip(batched, _binomial_shift(cplx, complex(wi))):
+                assert abs(g[i] - want) <= 1e-14 * max(1.0, abs(want)), (deg, i)
 
 
 # -- algebra laws on exact coefficients ---------------------------------------

@@ -22,7 +22,7 @@ from schwarzian_lab import (
     rotated_koebe,
     schlicht_family,
 )
-from schwarzian_lab.jets import JetError, jet_compose
+from schwarzian_lab.jets import Jet, JetError, jet_compose, jet_from_coeffs, jet_reciprocal, jet_shift
 from schwarzian_lab.maps import moebius_jet, taylor_jet
 
 SAMPLES = [0.1 + 0.2j, -0.4j, 0.55, -0.3 - 0.25j]
@@ -200,6 +200,38 @@ def test_array_jets_match_scalar_jets():
             for k in range(order + 1):
                 b = np.broadcast_to(batched.coeffs[k], pts.shape)[i]
                 assert abs(b - scalar.coeffs[k]) <= 1e-12 * max(1.0, abs(scalar.coeffs[k])), (desc["kind"], z, k)
+
+
+def _padded_quotient(num, den, z0, order):
+    """num/den as the quotient of the zero-padded (or truncated) shifted
+    polynomials: a full reciprocal and a full product, the zeros included."""
+
+    def padded(coeffs):
+        shifted = jet_shift(jet_from_coeffs([complex(*c) for c in coeffs], 0), z0).coeffs
+        return Jet(z0, (shifted + (0 * shifted[-1],) * order)[: order + 1])
+
+    return padded(num) * jet_reciprocal(padded(den))
+
+
+def test_rational_jet_has_the_bits_of_the_padded_quotient():
+    rng = np.random.default_rng(18)
+    random_den = [[1.0, 0.0]] + [[float(x), float(y)] for x, y in rng.uniform(-0.3, 0.3, (2, 2))]
+    descriptors = [
+        {"kind": "rational", "num": [[0.0, 0.0], [1.0, 0.0]], "den": [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]},
+        rotated_koebe(1.1).descriptor(),
+        rotated_koebe(math.pi / 3).descriptor(),
+        {"kind": "rational", "num": [[float(x), float(y)] for x, y in rng.uniform(-2, 2, (4, 2))], "den": random_den},
+    ]
+    points = [np.array([0.0, 0.5, 0.3 + 0.2j, -0.55j, -0.7 + 0.1j, 0.999 - 0.01j, 0.9375j]), 0.25 - 0.6j]
+    for desc in descriptors:
+        fn = AnalyticFn(desc)
+        for z0 in points:
+            for order in (0, 1, 2, 5, 7):  # below, at and above both degrees
+                got, want = fn.jet(z0, order), _padded_quotient(desc["num"], desc["den"], z0, order)
+                assert got.center is z0 and got.order == order
+                for k in range(order + 1):
+                    assert np.shape(got.coeffs[k]) == np.shape(z0)
+                    assert np.array_equal(got.coeffs[k], want.coeffs[k]), (desc, order, k)
 
 
 def test_taylor_jet_keeps_exact_coefficients_exact():

@@ -31,7 +31,8 @@ from schwarzian_lab import (
     to_string,
 )
 from schwarzian_lab.checks import random_function
-from schwarzian_lab.symbolic import monomial_coefficients
+from schwarzian_lab.jets import derivative_values
+from schwarzian_lab.symbolic import evaluate, monomial_coefficients
 
 
 def test_classical_schwarzian_string():
@@ -357,3 +358,37 @@ def test_expansion_matches_sympy_differentiation(series):
             reference, ours = -2 * fp ** (half - 1) * (fp ** (1 - half)).diff(z, n - 1), sigma_b(n)
         diff = reference.xreplace(to_u) - _diffexpr_to_sympy(ours, u)
         assert sympy.cancel(diff) == 0, (series, n)
+
+
+def _per_term_product(e, f):
+    """e[f] term by term, each factor raised with `**`: the sum over e's
+    terms of c * u_1^(e_1) * u_2^(e_2) * ... with u_k = f^(k)."""
+    us = (None,) + derivative_values(f)[1:]
+    total = Fraction(0)
+    for key, coeff in e.terms.items():
+        term = coeff * Fraction(us[1]) ** (key[0] // 2)
+        for k, exp in enumerate(key[1:], start=2):
+            term *= us[k] ** exp
+        total += term
+    return total
+
+
+def test_evaluate_on_exact_jets_equals_the_per_term_product():
+    import mpmath
+
+    rng = random.Random(18)
+    # gaps in the key, a constant term and u_1 powers of both signs
+    mixed = DiffExpr({(-6, 0, 2): Fraction(3, 7), (4, 1): Fraction(-1, 2), (0,): 5, (-2, 0, 0, 1): 2})
+    for n in range(3, 9):
+        for expr in (sigma_a(n), sigma_b(n), mixed):
+            top = max(expr.max_index(), n)
+            for center in (Fraction(1, 3), 2):
+                coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(top + 1)]
+                coeffs[1] = coeffs[1] or Fraction(1, 2)
+                for jet in (jet_from_coeffs(coeffs, center), jet_from_coeffs([c.numerator for c in coeffs], center)):
+                    got = evaluate(expr, jet)
+                    assert type(got) is Fraction and got == _per_term_product(expr, jet), (n, expr)
+                    # mpmath coefficients keep their working precision
+                    with mpmath.workdps(50):
+                        hp = evaluate(expr, jet_from_coeffs([mpmath.mpf(c.numerator) / c.denominator for c in jet.coeffs], center))
+                        assert abs(hp - mpmath.mpf(got.numerator) / got.denominator) <= mpmath.mpf(10) ** -45 * max(1, abs(hp))

@@ -47,7 +47,7 @@ from .jets import JetError, jet_from_coeffs
 from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, AnalyticFn, catalog, poincare_density, rotated_koebe, schlicht_family
 from .norms import SampleGrid, bn_norm_report, bound_check, bound_ok, bound_row, sigma_phi
 from .ode import homogeneous_a_check, homogeneous_b_residual, ode_residual, schwarzian_solve
-from .symbolic import classical, evaluate_jet, monomial_part, series_constant, to_string
+from .symbolic import CriticalPointError, classical, evaluate_jet, monomial_part, series_constant, to_string
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -270,6 +270,8 @@ def cmd_norm(args) -> dict:
         rep = bn_norm_report(sigma_phi(fn, expr), args.n - 1, grid)
     except JetError as exc:  # every jet the catalog cannot take is at a pole
         raise argparse.ArgumentTypeError(f"argument --function: {args.function!r} has a pole at a sample point: {exc}") from None
+    except CriticalPointError as exc:
+        raise argparse.ArgumentTypeError(f"argument --function: {args.function!r} has f' = 0 at a sample point: {exc}") from None
     row = bound_row(args.series, args.n, rep["estimate"])
     inputs = {"function": args.function, "series": args.series, "n": args.n}
     return checks.report("norm", inputs, bound_ok(row), report=rep, rows=[{"function": args.function, **row}])
@@ -526,7 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, tol=1e-2, grid=True)
     p.set_defaults(func=cmd_repro)
 
-    p = sub.add_parser("kernel-criterion", help="pairing form of the differential against the kernel power")
+    p = sub.add_parser(
+        "kernel-criterion",
+        help="pairing form of the differential against the kernel power",
+        description="Pairing form of the differential against the kernel power. The left side is the moment series, "
+        "the right side a node sum on the grid, and near the unit circle the node sum needs more angles: "
+        "--z 0.97 --n 5 --density aw:taylor:0,0,1 reads relerr 0.99 on the default 96 x 256 grid "
+        "and 1.6e-4 with --grid-m 768.",
+    )
     p.add_argument("--series", choices=("A", "B"), default="A")
     p.add_argument("--n", type=_int_at_least(3), default=3)
     p.add_argument("--z", type=_point_in(DISC), default=0.3 + 0.1j)

@@ -3,11 +3,15 @@ operators built on it: the differential of the higher Bers maps at the
 origin, the first-order Beltrami term, the Ahlfors-Weill section, the
 corrected reproducing formula, and the omega-function pairing criterion.
 
+Every grid is a Gauss-Legendre x trapezoid product rule.  Each Gauss-Legendre
+rule (`legendre_rule`) is Newton on the three-term recurrence for P_n from
+asymptotic guesses: O(n^2) work in a few sweeps of O(n) vector operations, no eigenproblem.
 Exterior-disc integrals are computed through the substitution
 eta = 1/conj(zeta), d^2 eta = |zeta|^-4 d^2 zeta, which maps the exterior
 onto the punctured disc and removes all tail truncation for kernels decaying
-like |eta|^-4.  Half-plane ones go through the Cayley map eta =
-i(1+zeta)/(1-zeta), d^2 eta = 4|1-zeta|^-4 d^2 zeta, and are not truncated.
+like |eta|^-4; the grid is built from its radial and angular factors.
+Half-plane ones go through the Cayley map eta = i(1+zeta)/(1-zeta),
+d^2 eta = 4|1-zeta|^-4 d^2 zeta, and are not truncated.
 
 `d0_beta` and the left side of `kernel_criterion_check` run on the basis
 eta^-p: for |z| < 1 < |eta|, (z-eta)^-(k+1) is a power series in z whose
@@ -50,12 +54,57 @@ class QuadGrid:
 
 @lru_cache(maxsize=None)
 def legendre_rule(n: int) -> tuple:
-    """Gauss-Legendre nodes and weights of order n on [-1, 1], computed once
-    per process and shared read-only by every grid that uses them."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights of order n >= 1 on [-1, 1], computed
+    once per process and shared read-only by every grid that uses them.
+
+    Newton on P_n from Tricomi's guesses cos(t_k) (1 - (n-1)/(8n^3) -
+    (39 - 28/sin^2 t_k)/(384n^4)), t_k = pi(4k-1)/(4n+2), over the
+    nonnegative nodes only: each step is one sweep of the three-term
+    recurrence, O(n) vector operations, which also gives the weights
+    2/((1-x^2) P_n'^2), with P_n' carried to the updated node by one Taylor
+    step of Legendre's equation.  It stops once the step's own quadratic
+    error, x dx^2/(1-x^2), is at most 2^-55.  The negative nodes
+    follow by exact symmetry, and odd n has the node 0 exactly.  No
+    eigenproblem is solved.
+    """
+    if n < 1:
+        raise ValueError(f"Gauss-Legendre rule needs order n >= 1, got {n}")
+    t = math.pi / (4 * n + 2) * (4 * np.arange(1, (n + 1) // 2 + 1) - 1)
+    x = (1.0 - (n - 1) / (8 * n**3) - (39.0 - 28.0 / np.sin(t) ** 2) / (384 * n**4)) * np.cos(t)
+    if n % 2:
+        x[-1] = 0.0
+    for _ in range(10):
+        p, q = _legendre_pair(n, x)
+        s = 1.0 - x * x
+        dp = n * (q - x * p) / s  # P_n'
+        dx = p / dp
+        if np.all(x * dx * dx <= 2.0**-55 * s):
+            break
+        x = x - dx
+    else:
+        raise ArithmeticError(f"Newton on P_{n} did not settle in 10 sweeps")
+    dp *= 1.0 - dx * (2.0 * x - n * (n + 1) * dx) / s  # P_n' at x - dx, by P_n'' = (2x P_n' - n(n+1) P_n)/(1-x^2)
+    x = x - dx
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    half = n // 2
+    x, w = np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _legendre_pair(n: int, x: np.ndarray):
+    """P_n(x) and P_(n-1)(x) by the recurrence (j+1) P_(j+1) = (2j+1) x P_j -
+    j P_(j-1), written as P_(j+1) = t - j/(j+1) (P_(j-1) - t), t = x P_j, in
+    four in-place vector operations per degree."""
+    p0, p1 = np.ones_like(x), x.copy()
+    for j in range(1, n):
+        t = x * p1
+        p0 -= t
+        p0 *= j / (j + 1)
+        t -= p0
+        p0, p1 = p1, t
+    return p1, p0
 
 
 def _gauss_legendre(n: int):
@@ -63,23 +112,29 @@ def _gauss_legendre(n: int):
     return 0.5 * x + 0.5, 0.5 * w
 
 
+def _ring_grid(domain, radii, ring_weights, M: int, kind: str, R: int) -> QuadGrid:
+    """Product grid with nodes radii[i] e^(i theta_j), theta_j = 2 pi j / M,
+    ring by ring from angle 0, each ring's M nodes weighted ring_weights[i]:
+    one outer product and one repeat."""
+    ring = np.exp(1j * (2.0 * math.pi * np.arange(M) / M))
+    nodes = np.outer(radii, ring).ravel()
+    return QuadGrid(domain, nodes, np.repeat(ring_weights, M), {"kind": kind, "R": R, "M": M})
+
+
 def disc_quadrature(R: int = 96, M: int = 256) -> QuadGrid:
-    """Gauss-Legendre radial x uniform angular product rule on the unit disc."""
+    """Gauss-Legendre radial x uniform angular product rule on the unit disc:
+    nodes r e^(i theta), weights w_r r 2 pi/M."""
     r, wr = _gauss_legendre(R)
-    theta = 2.0 * math.pi * np.arange(M) / M
-    wt = 2.0 * math.pi / M
-    nodes = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    weights = ((wr * r)[:, None] * np.full(M, wt)[None, :]).ravel()
-    return QuadGrid(DISC, nodes, weights, {"kind": "disc", "R": R, "M": M})
+    return _ring_grid(DISC, r, wr * r * (2.0 * math.pi / M), M, "disc", R)
 
 
 def exterior_disc_quadrature(R: int = 96, M: int = 256) -> QuadGrid:
-    """Exterior of the closed unit disc via eta = 1/conj(zeta)."""
-    base = disc_quadrature(R, M)
-    zeta = base.nodes
-    nodes = 1.0 / np.conj(zeta)
-    weights = base.weights * np.abs(zeta) ** -4
-    return QuadGrid(EXTERIOR_DISC, nodes, weights, {"kind": "exterior_disc", "R": R, "M": M})
+    """Exterior of the closed unit disc as the image eta = 1/conj(zeta) of
+    `disc_quadrature`, d^2 eta = |zeta|^-4 d^2 zeta, built from its factors:
+    nodes e^(i theta)/r, weights w_r r^-3 2 pi/M."""
+    r, wr = _gauss_legendre(R)
+    inv = 1.0 / r
+    return _ring_grid(EXTERIOR_DISC, inv, wr * inv**3 * (2.0 * math.pi / M), M, "exterior_disc", R)
 
 
 def product_rings(grid: QuadGrid, kind: str):
@@ -116,8 +171,10 @@ def half_plane_quadrature(R: int = 32, M: int = 256) -> QuadGrid:
     `repro_check`'s integrands pull back analytic on the closed disc."""
     base = disc_quadrature(R, M)
     zeta = base.nodes
-    nodes = 1j * (1.0 + zeta) / (1.0 - zeta)
-    weights = base.weights * 4.0 * np.abs(1.0 - zeta) ** -4
+    d = 1.0 - zeta
+    nodes = 1j * (1.0 + zeta) / d
+    s = 1.0 / (d.real * d.real + d.imag * d.imag)  # 1/|1-zeta|^2
+    weights = base.weights * 4.0 * (s * s)
     return QuadGrid(UPPER_HALF, nodes, weights, {"kind": "half_plane", "R": R, "M": M})
 
 
@@ -180,7 +237,8 @@ def ahlfors_weill(phi, z) -> complex:
     if np.ndim(z) == 0 and abs(z) <= 1:
         raise ValueError("Ahlfors-Weill section lives on the exterior of the closed disc")
     zb = np.conj(z)
-    return -0.5 * phi(1.0 / zb) * (1.0 - np.abs(z) ** 2) ** 2 / zb**4
+    zb2 = zb * zb
+    return -0.5 * phi(1.0 / zb) * (1.0 - np.abs(z) ** 2) ** 2 / (zb2 * zb2)
 
 
 def ahlfors_weill_density(phi, phi_b2_norm: float | None = None) -> DensityFn:

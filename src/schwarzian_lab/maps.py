@@ -224,8 +224,8 @@ def _read_taylor(d: dict):
 
     def value(z):
         w = z - c0
-        acc = np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0j
-        for c in reversed(coeffs):
+        acc = np.full(np.shape(z), coeffs[-1]) if np.ndim(z) else coeffs[-1]
+        for c in coeffs[-2::-1]:
             acc = acc * w + c
         return acc
 

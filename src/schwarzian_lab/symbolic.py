@@ -41,6 +41,10 @@ from .jets import (
 Key = tuple  # (2*e1, e2, e3, ..., eK), trailing zeros trimmed
 
 
+class CriticalPointError(ValueError):
+    """`evaluate` met u_1 = f' = 0 at an evaluation point."""
+
+
 def _trim(key) -> Key:
     key = list(key)
     while len(key) > 1 and key[-1] == 0:
@@ -322,7 +326,7 @@ def evaluate(e: DiffExpr, f: Jet):
     us = derivative_values(f)
     u1 = us[1]
     if _any(u1 == 0):
-        raise ValueError("vanishing first derivative at evaluation point")
+        raise CriticalPointError("vanishing first derivative at evaluation point")
     cast = _coeff_cast(us[1:])
     rows = [[None, u] for u in us[1 : top + 1]]
     inv = None

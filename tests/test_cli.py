@@ -127,6 +127,16 @@ def test_pole_at_a_sample_point_is_a_usage_error_under_norm(capsys, den):
     assert "has a pole at a sample point" in lines[0]
 
 
+def test_vanishing_derivative_at_a_sample_point_is_a_usage_error_under_norm(capsys):
+    # f(z) = z^2 has f'(0) = 0 at the grid point 0, where sigma_n[f] divides by f'
+    with pytest.raises(SystemExit) as exc:
+        run(["norm", "--function", "taylor:0,0,1"])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("schwarzian-lab norm: error: argument --function: "), lines
+    assert "f' = 0 at a sample point" in lines[0]
+
+
 def test_taylor_spec_builds_the_catalog_descriptor():
     fn = parse_function("taylor:0,1,0.5-0.25j")
     assert fn.descriptor() == {"kind": "taylor", "center": [0.0, 0.0], "coeffs": [[0.0, 0.0], [1.0, 0.0], [0.5, -0.25]]}

@@ -7,6 +7,7 @@ import json
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -168,6 +169,97 @@ def test_density_domain_mismatch_rejected():
     nu = DensityFn(lambda eta: np.ones_like(eta), DISC, 1.0)
     with pytest.raises(ValueError):
         d0_beta(sigma_a(3), nu, 0.1, exterior_disc_quadrature(R=8, M=8))
+
+
+def mp_legendre_rule(n: int, dps: int = 40):
+    """Gauss-Legendre rule at dps digits: Newton on the three-term recurrence,
+    started from numpy's `leggauss` nodes."""
+    with mpmath.workdps(dps):
+        nodes, weights = [], []
+        for start in np.polynomial.legendre.leggauss(n)[0]:
+            x = mpmath.mpf(float(start))
+            for _ in range(20):
+                p0, p1 = mpmath.mpf(1), x
+                for j in range(1, n):
+                    p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+                dp = n * (p0 - x * p1) / (1 - x * x)
+                x -= p1 / dp
+                if abs(p1 / dp) < mpmath.mpf(10) ** (5 - dps):
+                    break
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        return nodes, weights
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 31, 32, 48, 96, 97])
+def test_legendre_rule_matches_mpmath(n):
+    x, w = legendre_rule(n)
+    xm, wm = mp_legendre_rule(n)
+    assert all(a < b for a, b in zip(xm, xm[1:]))  # n distinct roots, ascending
+    assert max(abs(float(a - b)) for a, b in zip(x, xm)) <= 2.3e-16
+    assert max(abs(float(a / b - 1)) for a, b in zip(w, wm)) <= 1e-11
+    assert abs(math.fsum(w) - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [192, 384])
+def test_legendre_rule_matches_leggauss_at_high_order(n):
+    x, w = legendre_rule(n)
+    xl, wl = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - xl)) <= 2.3e-16
+    # leggauss's own weights are off by 4e-11 (n = 192) and 4e-10 (n = 384) against 40-digit values
+    assert np.max(np.abs(w / wl - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 96, 97, 192])
+def test_legendre_rule_is_exactly_symmetric(n):
+    x, w = legendre_rule(n)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0)
+    if n % 2:
+        assert x[n // 2] == 0.0
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_legendre_rule_needs_a_positive_order(n):
+    with pytest.raises(ValueError):
+        legendre_rule(n)
+
+
+def test_disc_grid_keeps_its_node_by_node_bits():
+    x, w = legendre_rule(96)
+    r, wr = 0.5 * x + 0.5, 0.5 * w
+    theta = 2.0 * math.pi * np.arange(256) / 256
+    grid = disc_quadrature(96, 256)
+    assert np.array_equal(grid.nodes, (r[:, None] * np.exp(1j * theta)[None, :]).ravel())
+    assert np.array_equal(grid.weights, ((wr * r)[:, None] * np.full(256, 2.0 * math.pi / 256)[None, :]).ravel())
+
+
+def mapped_exterior_grid(R, M):
+    """The disc grid, then eta = 1/conj(zeta) node by node."""
+    base = disc_quadrature(R, M)
+    return 1.0 / np.conj(base.nodes), base.weights * np.abs(base.nodes) ** -4
+
+
+def mapped_half_plane_grid(R, M):
+    """The disc grid, then the Cayley map node by node."""
+    base = disc_quadrature(R, M)
+    zeta = base.nodes
+    return 1j * (1.0 + zeta) / (1.0 - zeta), base.weights * 4.0 * np.abs(1.0 - zeta) ** -4
+
+
+@pytest.mark.parametrize("R, M", [(8, 16), (96, 256), (192, 512)])
+@pytest.mark.parametrize(
+    "build, reference",
+    [(exterior_disc_quadrature, mapped_exterior_grid), (half_plane_quadrature, mapped_half_plane_grid)],
+    ids=["exterior_disc", "half_plane"],
+)
+def test_grids_match_the_mapped_disc_grid(build, reference, R, M):
+    grid = build(R, M)
+    nodes, weights = reference(R, M)
+    assert grid.meta["R"] == R and grid.meta["M"] == M
+    assert np.max(np.abs(grid.nodes - nodes) / np.abs(nodes)) <= 4e-15
+    assert np.max(np.abs(grid.weights / weights - 1.0)) <= 4e-15
 
 
 def test_legendre_rule_is_read_only():

@@ -234,6 +234,23 @@ def test_rational_jet_has_the_bits_of_the_padded_quotient():
                     assert np.array_equal(got.coeffs[k], want.coeffs[k]), (desc, order, k)
 
 
+def test_taylor_values_keep_the_bits_of_horner_from_zero():
+    coeffs = [0.5 - 0.25j, 1.0 + 0.5j, -0.25j, 0.125, 2.0 - 1.0j]
+    fn = catalog("taylor", coeffs=coeffs, center=0.1 - 0.2j)
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64)
+    acc = np.zeros_like(pts)
+    for c in reversed(coeffs):
+        acc = acc * (pts - (0.1 - 0.2j)) + c
+    assert np.array_equal(fn(pts), acc)
+    for z in pts[:8]:
+        scalar = 0j
+        for c in reversed(coeffs):
+            scalar = scalar * (complex(z) - (0.1 - 0.2j)) + c
+        assert fn(complex(z)) == scalar
+    assert np.array_equal(catalog("taylor", coeffs=[0.5j])(pts.reshape(8, 8)), np.full((8, 8), 0.5j))
+
+
 def test_taylor_jet_keeps_exact_coefficients_exact():
     # 1/2 + z + z^2/3 at z0 = 1/3, asked for more orders than it has terms
     jet = taylor_jet([Fraction(1, 2), 1, Fraction(1, 3)], 0, Fraction(1, 3), 5)

@@ -203,11 +203,20 @@ def parse_density(spec: str) -> DensityFn:
     """Densities on the exterior disc: ``aw:<function>`` for the bounded
     section of a holomorphic function, or ``const:<c>``."""
     if spec.startswith("aw:"):
-        return ahlfors_weill_density(parse_function(spec[3:]))
+        return _aw_density(parse_function(spec[3:]), "--density", spec)
     if spec.startswith("const:"):
         c = _complex(spec[len("const:") :])
         return DensityFn(lambda eta: np.full_like(np.asarray(eta, dtype=complex), c), EXTERIOR_DISC, abs(c))
     raise argparse.ArgumentTypeError(f"unknown density spec {spec!r} (use aw:<fn> or const:<c>)")
+
+
+def _aw_density(phi: AnalyticFn, option: str, spec: str) -> DensityFn:
+    """The section's density; a phi not finite on its B_2-norm sample grid is a usage error."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):  # no warnings from the pole
+            return ahlfors_weill_density(phi)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"argument {option}: {spec!r} is not finite at a sample point: {exc}") from None
 
 
 def inverse_power_fn(q: int) -> AnalyticFn:
@@ -294,8 +303,7 @@ def cmd_bound(args) -> dict:
 
 def _exterior_grid(args, order: int):
     # the moment series of a kernel of order k reads the modes past k + 1
-    if args.grid_m <= order + 1:
-        raise argparse.ArgumentTypeError(f"argument --grid-m: a kernel of order {order} needs more than {order + 1} angles")
+    _require(args.grid_m > order + 1, f"argument --grid-m: a kernel of order {order} needs more than {order + 1} angles")
     return exterior_disc_quadrature(R=args.grid_r, M=args.grid_m)
 
 
@@ -314,7 +322,7 @@ def cmd_dzero(args) -> dict:
 def cmd_aw(args) -> dict:
     phi = parse_function(args.phi)
     sval = ahlfors_weill(phi, args.z)
-    nu = ahlfors_weill_density(phi)
+    nu = _aw_density(phi, "--phi", args.phi)
     w = 1 / np.conj(args.z)
     grid = _exterior_grid(args, 3)
     round_trip = d0_beta(checks.sigma_expr("A", 3), nu, w, grid)
@@ -386,6 +394,8 @@ def cmd_pairing(args) -> dict:
 
 
 def cmd_bergman(args) -> dict:
+    # the projection resolves the angular modes below M/2 only
+    _require(args.grid_m > 2 * args.k, f"argument --grid-m: fixing w^{args.k} needs more than {2 * args.k} angles")
     grid = disc_quadrature(R=args.grid_r, M=args.grid_m)
     zs = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.6])
     checks_list = []

@@ -218,29 +218,26 @@ def _koebe_jet(z0, order: int) -> Jet:
     return Jet(z0, tuple(coeffs))
 
 
+def _horner(coeffs: list, w):
+    """sum_j coeffs[j] w^j by Horner's rule from the top coefficient; an
+    array w gives an array of its shape, also for a constant."""
+    acc = np.full(np.shape(w), coeffs[-1]) if np.ndim(w) else coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * w + c
+    return acc
+
+
 def _read_taylor(d: dict):
     c0 = complex(*_get(d, "center", _is_pair, "an [re, im] pair of finite numbers"))
     coeffs = _complexes(d, "coeffs")
-
-    def value(z):
-        w = z - c0
-        acc = np.full(np.shape(z), coeffs[-1]) if np.ndim(z) else coeffs[-1]
-        for c in coeffs[-2::-1]:
-            acc = acc * w + c
-        return acc
-
-    return value, lambda z0, order: taylor_jet(coeffs, c0, z0, order)
+    return (lambda z: _horner(coeffs, z - c0)), lambda z0, order: taylor_jet(coeffs, c0, z0, order)
 
 
 def _read_rational(d: dict):
     num, den = _complexes(d, "num"), _complexes(d, "den")
     if not any(den):
         raise ValueError(f"rational field 'den' must have a nonzero coefficient, got {d['den']!r}")
-
-    def value(z):
-        return sum(c * z**j for j, c in enumerate(num)) / sum(c * z**j for j, c in enumerate(den))
-
-    return value, lambda z0, order: _rational_jet(num, den, z0, order)
+    return (lambda z: _horner(num, z) / _horner(den, z)), lambda z0, order: _rational_jet(num, den, z0, order)
 
 
 def _rational_jet(num, den, z0, order: int) -> Jet:

@@ -13,8 +13,10 @@ trailing zeros trimmed; coefficients are ``fractions.Fraction``.  The formal
 derivative behind both series runs on plain integers: an expression is put
 over the lcm D of its denominators, one derivative maps integer numerators
 over D to integer numerators over 2D, and ``Fraction`` values are built
-once at the end.  Conversion to floating point happens only inside the
-evaluators.
+once at the end.  Evaluation is one loop over the terms that reads every
+factor from one power table, run on point values (``evaluate``), on float,
+batched or mpmath jets, or on series of integer numerators over one
+denominator (``evaluate_jet`` on an exact jet).
 """
 
 from __future__ import annotations
@@ -257,12 +259,7 @@ def monomial_part(e: DiffExpr) -> DiffExpr:
     These carry the coefficients a_{k,l} that drive the differential of the
     higher Bers maps at the origin.
     """
-    picked = {}
-    for key, coeff in e.terms.items():
-        high = key[1:]
-        if sum(high) == 1:
-            picked[key] = coeff
-    return DiffExpr(picked)
+    return DiffExpr({key: coeff for key, coeff in e.terms.items() if sum(key[1:]) == 1})
 
 
 def monomial_coefficients(e: DiffExpr) -> dict:
@@ -271,9 +268,7 @@ def monomial_coefficients(e: DiffExpr) -> dict:
     for key, coeff in monomial_part(e).terms.items():
         if key[0] % 2 != 0:
             raise ValueError("monomial coefficients need a canonical expression")
-        k = len(key)  # the single u_k factor sits at the top index
-        l = -key[0] // 2
-        out[(k, l)] = coeff
+        out[(len(key), -key[0] // 2)] = coeff  # the single u_k factor sits at the top index
     return out
 
 
@@ -301,35 +296,39 @@ def _coeff_cast(values):
     return float
 
 
-def _power(row: list, x: int):
-    """row[x] of the power list row = [None, u, u^2, ...], which grows by
-    repeated products as far as x."""
-    while len(row) <= x:
-        row.append(row[-1] * row[1])
-    return row[x]
+class _Series:
+    """A truncated series as integer numerators over one denominator: `*`
+    convolves the numerators and multiplies the denominators, `+` meets over
+    the lcm, and an int or a Fraction enters as a constant series."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: list, den: int):
+        self.nums, self.den = nums, den
+
+    def __mul__(self, other):
+        if isinstance(other, _Series):
+            return _Series(_convolve(self.nums, other.nums, len(self.nums) - 1), self.den * other.den)
+        return _Series([other.numerator * x for x in self.nums], self.den * other.denominator)
+
+    def __add__(self, other):
+        if not isinstance(other, _Series):
+            other = _Series([other.numerator] + [0] * (len(self.nums) - 1), other.denominator)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return _Series([a * x + b * y for x, y in zip(self.nums, other.nums)], den)
+
+    __rmul__, __radd__ = __mul__, __add__
 
 
-def evaluate(e: DiffExpr, f: Jet):
-    """Numeric value of e[f] at f.center.
-
-    The derivative values u_k = f^(k) are read off the jet and the Laurent
-    polynomial is evaluated term by term from one table of their powers per
-    call: the row of u_k holds u_k, u_k^2, ... by repeated products, as far
-    as some term has needed, and one more row the powers of 1/u_1, from one
-    reciprocal, so no term raises a power of its own.  Requires jet order
-    >= the largest derivative index in `e` and u_1 != 0 there.  A batched
-    jet gives an array of values, one per point.
-    """
-    top = e.max_index()
-    if f.order < top:
-        raise ValueError(f"jet order {f.order} below required derivative index {top}")
-    us = derivative_values(f)
-    u1 = us[1]
-    if _any(u1 == 0):
-        raise CriticalPointError("vanishing first derivative at evaluation point")
-    cast = _coeff_cast(us[1:])
-    rows = [[None, u] for u in us[1 : top + 1]]
-    inv = None
+def _sum_terms(e: DiffExpr, us, inv1, cast):
+    """The sum of e's terms over u_k = us[k - 1] and 1/u_1 = inv1, or None if
+    e has none: each term is its cast coefficient times powers read from one
+    table per call, whose row of u_k holds u_k, u_k^2, ... by repeated
+    products as far as some term has needed, and one more row those of 1/u_1.
+    The u_k are point values, jets, or `_Series`."""
+    rows = [[None, u] for u in us]
+    inv = [None, inv1]
     total = None
     for key, coeff in e.terms.items():
         v = cast(coeff)
@@ -339,89 +338,57 @@ def evaluate(e: DiffExpr, f: Jet):
             row = rows[i]
             if i == 0:
                 if x % 2 != 0:
-                    raise ValueError("evaluate needs a canonical expression (integral u_1 exponents)")
+                    raise ValueError("evaluation needs a canonical expression (integral u_1 exponents)")
                 x //= 2
                 if x < 0:
-                    if inv is None:
-                        inv = [None, Fraction(1) / u1 if _is_exact(u1) else 1 / u1]
                     row, x = inv, -x
-            v = v * (row[x] if x < len(row) else _power(row, x))
+            while len(row) <= x:
+                row.append(row[-1] * row[1])
+            v = v * row[x]
         total = v if total is None else total + v
+    return total
+
+
+def evaluate(e: DiffExpr, f: Jet):
+    """Numeric value of e[f] at f.center: the term loop on the values
+    u_k = f^(k) and on 1/u_1.  Requires jet order >= the largest derivative
+    index in `e` and u_1 != 0 there.  A batched jet gives an array of values,
+    one per point."""
+    top = e.max_index()
+    if f.order < top:
+        raise ValueError(f"jet order {f.order} below required derivative index {top}")
+    us = derivative_values(f)[1:]
+    u1 = us[0]
+    if _any(u1 == 0):
+        raise CriticalPointError("vanishing first derivative at evaluation point")
+    total = _sum_terms(e, us, Fraction(1) / u1 if _is_exact(u1) else 1 / u1, _coeff_cast(us))
     if total is None:
-        return Fraction(0) if all(_is_exact(u) for u in us[1:]) else 0j
+        return Fraction(0) if all(_is_exact(u) for u in us) else 0j
     return total
 
 
 def evaluate_jet(e: DiffExpr, f: Jet) -> Jet:
-    """e[f] as a jet at f.center (order drops by the top derivative index)."""
+    """e[f] as a jet at f.center (order drops by the top derivative index):
+    the term loop on the jets u_k = f^(k) cut to the output order and on one
+    jet reciprocal 1/u_1.  On an exact jet f = x/d the u_k are `_Series` over
+    d and 1/u_1 one over its own denominator."""
     top = e.max_index()
     if f.order < top:
         raise ValueError(f"jet order {f.order} below required derivative index {top}")
-    out_order = f.order - top
+    n = f.order - top
     exact = _over_common(f.coeffs)
     if exact:
-        return Jet(f.center, _evaluate_exact(e, exact[0], exact[1], top, out_order))
-    u_jets = {k: jet_derive(f, k) for k in range(1, top + 1)}
-    u1_inv = jet_reciprocal(u_jets[1])
-    cast = _coeff_cast(f.coeffs)
-    total = jet_const(0j, f.center, out_order)
-    for key, coeff in e.terms.items():
-        if key[0] % 2 != 0:
-            raise ValueError("evaluate_jet needs a canonical expression")
-        term = jet_const(cast(coeff), f.center, out_order)
-        p = key[0] // 2
-        base = u_jets[1] if p >= 0 else u1_inv
-        for _ in range(abs(p)):
-            term = term * base
-        for i, exp in enumerate(key[1:], start=2):
-            for _ in range(exp):
-                term = term * u_jets[i]
-        total = total + term
-    return total
-
-
-def _evaluate_exact(e: DiffExpr, x, d: int, top: int, n: int) -> tuple:
-    """evaluate_jet for f = x/d on integer numerators, cut to output order n.
-
-    u_k = f^(k) shares f's denominator d and 1/u_1 gets its own; each power
-    of a factor is built once and shared by every term that uses it, and the
-    terms are summed over one common denominator, so a Fraction is built only
-    for each output coefficient.
-    """
-    bases = {k: ([x[j + k] * perm(j + k, k) for j in range(n + 1)], d) for k in range(1, top + 1)}
-    inv_nums, inv_den, _ = _over_common(_exact_reciprocal(bases[1][0], d))
-    bases[-1] = (inv_nums, inv_den)  # key -1 stands for 1/u_1
-    powers = {}
-
-    def power(k, exp):
-        got = powers.get((k, exp))
-        if got is None:
-            if exp == 1:
-                got = bases[k]
-            else:
-                (nums, den), (b_nums, b_den) = power(k, exp - 1), bases[k]
-                got = (_convolve(nums, b_nums, n), den * b_den)
-            powers[(k, exp)] = got
-        return got
-
-    terms = []
-    for key, coeff in e.terms.items():
-        if key[0] % 2 != 0:
-            raise ValueError("evaluate_jet needs a canonical expression")
-        p = key[0] // 2
-        factors = [power(1 if p > 0 else -1, abs(p))] if p else []
-        factors += [power(k, exp) for k, exp in enumerate(key[1:], start=2) if exp]
-        nums, den = factors[0] if factors else ([1] + [0] * n, 1)
-        for f_nums, f_den in factors[1:]:
-            nums, den = _convolve(nums, f_nums, n), den * f_den
-        terms.append((coeff.numerator, coeff.denominator * den, nums))
-    common = lcm(*(den for _, den, _ in terms))
-    total = [0] * (n + 1)
-    for c, den, nums in terms:
-        scale = c * (common // den)
-        for k in range(n + 1):
-            total[k] += scale * nums[k]
-    return _fractions(total, common)
+        x, d, _ = exact
+        us = [_Series([x[j + k] * perm(j + k, k) for j in range(n + 1)], d) for k in range(1, top + 1)]
+        inv_nums, inv_den, _ = _over_common(_exact_reciprocal(us[0].nums, d))
+        total = _sum_terms(e, us, _Series(inv_nums, inv_den), lambda c: c)
+        total = _Series([0] * (n + 1), 1) + (0 if total is None else total)
+        return Jet(f.center, _fractions(total.nums, total.den))
+    us = [Jet(f.center, jet_derive(f, k).coeffs[: n + 1]) for k in range(1, top + 1)]
+    total = _sum_terms(e, us, jet_reciprocal(us[0]), _coeff_cast(f.coeffs))
+    if not isinstance(total, Jet):  # no terms, or only constant ones
+        total = jet_const(0 if total is None else total, f.center, n)
+    return jet_const(0j, f.center, n) + total
 
 
 # -- rendering --------------------------------------------------------------

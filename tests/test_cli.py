@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, output formats, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,25 @@ def test_pole_at_a_sample_point_is_a_usage_error_under_norm(capsys, den):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("schwarzian-lab norm: error: argument --function: "), lines
     assert "has a pole at a sample point" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["aw", "--phi", '{"kind":"rational","num":[[1,0]],"den":[[0,0],[1,0]]}'],
+     ["dzero", "--density", 'aw:{"kind":"rational","num":[[1,0]],"den":[[0,0],[1,0]]}'],
+     ["kernel-criterion", "--density", 'aw:{"kind":"moebius","mat":[[1,0],[0,0],[1,0],[-0.5,0]]}']],
+    ids=["aw-pole-at-0", "dzero-pole-at-0", "kernel-criterion-pole-at-grid-point-0.5"],
+)
+def test_pole_at_a_norm_sample_point_is_a_usage_error_under_the_section(capsys, argv):
+    # the section's sup bound samples phi's B_2 norm on the disc grid, where phi has its pole
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"schwarzian-lab {argv[0]}: error: argument {argv[1]}: "), lines
+    assert "is not finite at a sample point" in lines[0]
 
 
 def test_vanishing_derivative_at_a_sample_point_is_a_usage_error_under_norm(capsys):
@@ -272,6 +292,7 @@ def test_pairing_reads_group_numbers_as_floats(capsys):
         ["theta", "--group", '{"kind": "cyclic", "fixpoints": [0.5, 0.5], "multiplier": 4.0}'],
         ["dzero", "--grid-r", "0"],
         ["bergman", "--grid-m", "-4"],
+        ["bergman", "--k", "8", "--grid-r", "8", "--grid-m", "16"],
         ["repro", "--grid-r", "0"],
         ["repro", "--grid-m", "-4"],
         ["solve", "homog-b", "--n", "5", "--order", "3"],

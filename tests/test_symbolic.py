@@ -10,6 +10,7 @@ contain misprints, so the formula is authoritative here.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -303,9 +304,50 @@ def test_exact_evaluation_matches_jet_products(n, series, c0, c1, tail):
 
 
 def test_exact_evaluation_of_an_expression_without_u1_power():
+    import mpmath
+
     f = jet_from_coeffs([0, 2, Fraction(1, 3), 0, Fraction(-1, 2)], 0)
     e = monomial(Fraction(3, 2), 0, u2=1)  # (3/2) f'' = 1 - 9 z^2
-    assert evaluate_jet(e, f).coeffs == (1, 0, -9)
+    const = monomial(5)  # the term with no factors, key (0,)
+    # the constant after the other terms, before them, alone, and no terms at all
+    cases = [(e, (1, 0, -9)), (e + const, (6, 0, -9)), (const + e, (6, 0, -9)), (const, (5, 0, 0, 0)), (DiffExpr({}), (0, 0, 0, 0))]
+    assert list((const + e).terms) == [(0,), (0, 1)]
+    two = np.ones(2)
+    for expr, want in cases:
+        got = evaluate_jet(expr, f).coeffs
+        assert got == want and all(type(c) is Fraction for c in got), expr
+        value = evaluate(expr, f)
+        assert value == want[0] and type(value) is Fraction, expr
+        # the same jet as complex scalars, as a batch of two equal points, and at 50 digits
+        floats = evaluate_jet(expr, jet_from_coeffs([complex(c) for c in f.coeffs], 0j)).coeffs
+        assert floats == want and all(type(c) is complex for c in floats), expr
+        assert evaluate(expr, jet_from_coeffs([complex(c) for c in f.coeffs], 0j)) == want[0]
+        batch = jet_from_coeffs([complex(c) * two for c in f.coeffs], 0 * two)
+        assert all(np.all(c == w) for c, w in zip(evaluate_jet(expr, batch).coeffs, want)), expr
+        assert np.all(evaluate(expr, batch) == want[0]), expr
+        with mpmath.workdps(50):
+            hp = evaluate_jet(expr, jet_from_coeffs([mpmath.mpc(c.numerator) / c.denominator for c in map(Fraction, f.coeffs)], 0))
+        assert hp.coeffs == want and all(type(c) is (mpmath.mpc if expr.terms else complex) for c in hp.coeffs), expr
+
+
+def test_float_evaluation_matches_jet_products():
+    import mpmath
+
+    rng = random.Random(20)
+    for n in (3, 5, 8):
+        for e in (sigma_a(n), sigma_b(n)):
+            coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n + 5)]
+            coeffs[1] += 2
+            scalar = jet_from_coeffs(coeffs, 0.1j)
+            batched = jet_from_coeffs([np.array([c, 1j * c, c + 0.25]) for c in coeffs], np.full(3, 0.1j))
+            for f in (scalar, batched):
+                got = np.array(evaluate_jet(e, f).coeffs, dtype=complex)
+                want = np.array(_evaluate_by_jet_products(e, f), dtype=complex)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, e)
+            with mpmath.workdps(50):
+                hp = jet_from_coeffs([mpmath.mpc(c) for c in coeffs], 0.1j)
+                got, want = evaluate_jet(e, hp).coeffs, _evaluate_by_jet_products(e, hp)
+                assert max(abs(a - b) for a, b in zip(got, want)) <= mpmath.mpf(10) ** -45 * max(abs(b) for b in want)
 
 
 def test_evaluate_jet_needs_enough_order():
@@ -379,8 +421,9 @@ def test_evaluate_on_exact_jets_equals_the_per_term_product():
     rng = random.Random(18)
     # gaps in the key, a constant term and u_1 powers of both signs
     mixed = DiffExpr({(-6, 0, 2): Fraction(3, 7), (4, 1): Fraction(-1, 2), (0,): 5, (-2, 0, 0, 1): 2})
+    # a constant first term, and no terms at all
     for n in range(3, 9):
-        for expr in (sigma_a(n), sigma_b(n), mixed):
+        for expr in (sigma_a(n), sigma_b(n), mixed, DiffExpr({(0,): Fraction(-2, 3), (-2, 1): 1}), DiffExpr({})):
             top = max(expr.max_index(), n)
             for center in (Fraction(1, 3), 2):
                 coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(top + 1)]

@@ -34,6 +34,7 @@ import numpy as np
 
 from .checks import compare
 from .integrals import QuadGrid, disc_quadrature, legendre_rule, product_rings, vec_eval, weighted_pairing
+from .jets import _horner
 from .maps import DISC, LOWER_HALF, UPPER_HALF, AnalyticFn, HyperbolicDomain, Moebius, _c2pair, poincare_density
 
 
@@ -246,24 +247,23 @@ def wp_pairing(f, g, spec: PairingSpec, grid: QuadGrid) -> complex:
 
 def dilation_conjugator(theta1: float, theta2: float) -> Moebius:
     """Moebius map sending the disc onto the upper half-plane with the
-    boundary points e^{i theta1}, e^{i theta2} going to 0 and infinity.
+    boundary points p = e^{i theta1}, q = e^{i theta2} going to 0 and infinity.
 
-    Conjugating a hyperbolic generator with these axis endpoints by the
-    returned map yields a pure dilation zeta -> m zeta.
+    Closed form t(z) = u (z - p)/(z - q) with u = conj(v)/|v|, v = i p/(p - q).
+    (z - p)/(z - q) sends the circle to a line through 0 and carries the
+    circle's counter-clockwise tangent i p at p to v; the unit u turns v onto
+    the positive real axis.  The disc lies to the left of that tangent, so it
+    goes to the upper half-plane, with no choice of sign left: t(0) = u p/q
+    has Im t(0) = |t(0)| |p - q|/2 > 0.  Conjugating the hyperbolic generator
+    with these axis endpoints and multiplier m by t yields the pure dilation
+    zeta -> m zeta.
     """
     p, q = np.exp(1j * theta1), np.exp(1j * theta2)
     if abs(p - q) < 1e-12:
         raise GroupError("axis endpoints coincide")
-    t = Moebius(1, -p, 1, -q)
-    # t already maps the circle to a line through 0; rotate that line onto
-    # the real axis using the image of a third boundary point.
-    w = max((np.exp(1j * s) for s in np.linspace(0.1, 6.2, 7)), key=lambda u: min(abs(u - p), abs(u - q)))
-    u = t(w)
-    u /= abs(u)
-    out = Moebius(1 / u, 0, 0, 1).compose(t)
-    if complex(out(0)).imag < 0:
-        out = Moebius(-1, 0, 0, 1).compose(out)
-    return out
+    v = 1j * p / (p - q)
+    u = np.conj(v) / abs(v)
+    return Moebius(u, -u * p, 1, -q)
 
 
 def fundamental_annulus_grid(
@@ -278,20 +278,17 @@ def fundamental_annulus_grid(
     the hyperbolic map with the given axis and multiplier.
 
     In the conjugated picture the group is the dilation zeta -> m zeta on the
-    upper half-plane and {r0 <= |zeta| < m r0, 0 < arg zeta < pi} is a
+    upper half-plane, m = max(multiplier, 1/multiplier) for the generator or
+    its inverse, and {r0 <= |zeta| < m r0, 0 < arg zeta < pi} is a
     fundamental domain for any r0 > 0.  Nodes are Gauss-Legendre in
     (log|zeta|, arg zeta), pulled back to the disc with the area Jacobian
     |(T^{-1})'|^2, so the grid's nodes live in the disc and its weights
     integrate d^2z there.
     """
-    gen = Moebius.hyperbolic(theta1, theta2, multiplier)
+    if not (math.isfinite(multiplier) and multiplier > 0 and multiplier != 1):
+        raise ValueError("multiplier must be finite, positive and != 1")
     t = dilation_conjugator(theta1, theta2)
-    dil = t.compose(gen).compose(t.inverse())
-    m = complex(dil(1j) / 1j).real
-    if abs(complex(dil(2j) / 2j) - m) > 1e-8 or m <= 0:
-        raise GroupError("conjugated generator is not a dilation")
-    if m < 1:
-        m = 1 / m
+    m = max(multiplier, 1 / multiplier)
     xs, wx = legendre_rule(n_rad)
     ps, wp = legendre_rule(n_ang)
     length = math.log(m)
@@ -354,9 +351,10 @@ def lemma_scalar_check(f, h, spec: PairingSpec, ball: GroupBall, fd_grid: QuadGr
     return compare(lhs, rhs, coeff_tail=float(np.max(np.abs(modes[LEMMA_FFT // 2 :]))))
 
 
-def theta_l1_check(h, s: int, ball: GroupBall, fd_grid: QuadGrid, disc_grid: QuadGrid | None = None) -> dict:
-    """Truncated check of ||Theta[h]||_{L^1_s(F)} <= ||h||_{L^1_s(D)}."""
-    disc_grid = disc_grid or disc_quadrature()
+def theta_l1_check(h, s: int, ball: GroupBall, fd_grid: QuadGrid) -> dict:
+    """Truncated check of ||Theta[h]||_{L^1_s(F)} <= ||h||_{L^1_s(D)}, the
+    right side on the default `disc_quadrature` grid."""
+    disc_grid = disc_quadrature()
     lam_f = poincare_density(fd_grid.domain, fd_grid.nodes)
     lam_d = poincare_density(disc_grid.domain, disc_grid.nodes)
     lhs = float(np.sum(np.abs(theta_values(h, s, ball, fd_grid.nodes)) * lam_f ** (2 - s) * fd_grid.weights))
@@ -413,10 +411,7 @@ def bergman_project(f, s: int, z, grid: QuadGrid | None = None):
     for j in range(1, 2 * s):
         binom *= (k + j) / j
     c = (2 * s - 1) / math.pi * binom * np.sum(moments * modes, axis=0)
-    zs = np.asarray(z, dtype=complex)
-    vals = np.zeros_like(zs)
-    for ck in c[::-1]:
-        vals = vals * zs + ck
+    vals = _horner(c, np.asarray(z, dtype=complex))
     return complex(vals) if np.ndim(z) == 0 else vals
 
 

@@ -39,19 +39,20 @@ def series_bound_constant(series: str, n: int) -> int:
     return int(series_constant(sigma_expr(series, n)))
 
 
-def random_coeffs(rng: random.Random, deg: int = 6, scale: float = 0.15) -> tuple:
-    """Taylor coefficients at 0 with f(0) = 0, f'(0) = 1 and small higher
-    coefficients, so jets stay locally injective near the origin."""
+def random_coeffs(rng: random.Random, deg: int = 6) -> tuple:
+    """Taylor coefficients at 0 with f(0) = 0, f'(0) = 1 and higher ones
+    uniform in the square of half-side 0.15/k, so jets stay locally injective
+    near the origin."""
     coeffs = [0j, 1 + 0j]
     for k in range(2, deg + 1):
-        r = scale / k
+        r = 0.15 / k
         coeffs.append(complex(rng.uniform(-r, r), rng.uniform(-r, r)))
     return tuple(coeffs)
 
 
-def random_function(rng: random.Random, deg: int = 6, scale: float = 0.15) -> AnalyticFn:
+def random_function(rng: random.Random) -> AnalyticFn:
     """The polynomial of `random_coeffs` as a catalog function."""
-    return catalog("taylor", coeffs=random_coeffs(rng, deg, scale))
+    return catalog("taylor", coeffs=random_coeffs(rng))
 
 
 def random_moebius(rng: random.Random) -> Moebius:
@@ -61,8 +62,9 @@ def random_moebius(rng: random.Random) -> Moebius:
             return Moebius(a, b, c, d)
 
 
-def random_point(rng: random.Random, radius: float = 0.35) -> complex:
-    return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+def random_point(rng: random.Random) -> complex:
+    """Uniform in the square of half-side 0.35 about 0."""
+    return complex(rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35))
 
 
 FLOAT_EPS = float(np.finfo(float).eps)
@@ -182,14 +184,11 @@ def run_suite(operation: str, spec: Spec, trials: int, seed: int, tol: float, **
     )
 
 
-def _moebius_value(g, z):
-    a, b, c, d = g
-    return (a * z + b) / (c * z + d)
-
-
-def _moebius_deriv(g, z):
-    a, b, c, d = g
-    return (a * d - b * c) / (c * z + d) ** 2
+def _jets_at(t) -> tuple:
+    """The trial's Moebius jet gj at z and the jet of its f at g(z), both of
+    order n + 2; gj's first two coefficients are g(z) and g'(z)."""
+    gj = moebius_jet(*t["g"], t["z"], t["n"] + 2)
+    return taylor_jet(t["f"], 0j, gj.coeffs[0], t["n"] + 2), gj
 
 
 def covariance_spec(series: str, n_values=(3, 4, 5, 6)) -> Spec:
@@ -209,15 +208,13 @@ def covariance_spec(series: str, n_values=(3, 4, 5, 6)) -> Spec:
             if abs(g.deriv(z)) > 1e-2 and abs(gz) < 20 and abs(fp) > 1e-3:
                 return {"n": n, "f": f, "g": (g.a, g.b, g.c, g.d), "z": z}
 
-    def f_jet(t):
-        return taylor_jet(t["f"], 0j, _moebius_value(t["g"], t["z"]), t["n"] + 2)
-
     def lhs(t):
-        comp = jet_compose(f_jet(t), moebius_jet(*t["g"], t["z"], t["n"] + 2))
-        return evaluate(sigma_expr(series, t["n"]), comp)
+        fj, gj = _jets_at(t)
+        return evaluate(sigma_expr(series, t["n"]), jet_compose(fj, gj))
 
     def rhs(t):
-        return evaluate(sigma_expr(series, t["n"]), f_jet(t)) * _moebius_deriv(t["g"], t["z"]) ** (t["n"] - 1)
+        fj, gj = _jets_at(t)
+        return evaluate(sigma_expr(series, t["n"]), fj) * gj.coeffs[1] ** (t["n"] - 1)
 
     return Spec(draw, lhs, rhs)
 
@@ -315,18 +312,16 @@ def bol_spec(n_values=(4, 6)) -> Spec:
             if abs(g.deriv(z)) > 1e-2 and abs(g(z)) < 20:
                 return {"n": n, "f": f1, "g": (g.a, g.b, g.c, g.d), "z": z}
 
-    def f1_jet(t):
-        return taylor_jet(t["f"], 0j, _moebius_value(t["g"], t["z"]), t["n"] + 2)
-
     def lhs(t):
         n = t["n"]
-        gj = moebius_jet(*t["g"], t["z"], n + 2)
-        f2 = jet_compose(f1_jet(t), gj) * jet_pow(jet_derive(gj, 1), 1 - n // 2)
+        f1j, gj = _jets_at(t)
+        f2 = jet_compose(f1j, gj) * jet_pow(jet_derive(gj, 1), 1 - n // 2)
         return jet_derive(f2, n - 1).coeffs[0]
 
     def rhs(t):
         n = t["n"]
-        return jet_derive(f1_jet(t), n - 1).coeffs[0] * _moebius_deriv(t["g"], t["z"]) ** (n // 2)
+        f1j, gj = _jets_at(t)
+        return jet_derive(f1j, n - 1).coeffs[0] * gj.coeffs[1] ** (n // 2)
 
     return Spec(draw, lhs, rhs)
 

@@ -321,12 +321,14 @@ def cmd_dzero(args) -> dict:
 
 def cmd_aw(args) -> dict:
     phi = parse_function(args.phi)
+    w = 1 / np.conj(args.z)
+    with np.errstate(divide="ignore", invalid="ignore"):  # no warnings from a pole at w
+        target = complex(phi(w))
+    _require(np.isfinite(target), f"argument --phi: {args.phi!r} is not finite at 1/conj(z) = {w}")
     sval = ahlfors_weill(phi, args.z)
     nu = _aw_density(phi, "--phi", args.phi)
-    w = 1 / np.conj(args.z)
     grid = _exterior_grid(args, 3)
     round_trip = d0_beta(checks.sigma_expr("A", 3), nu, w, grid)
-    target = complex(phi(w))
     relerr = abs(round_trip - target) / max(abs(target), 1e-300)  # relative to the target alone
     return checks.report(
         "aw",

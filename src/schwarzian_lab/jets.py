@@ -14,8 +14,9 @@ integer-numerator kernel instead: each operand is put over one common
 denominator, the recurrence runs on Python ints, and each output coefficient
 is built as a single ``Fraction(numerator, denominator)``.  Products,
 reciprocals, powers (integer exponent, or rational exponent with c_0 = 1),
-composition, reversion and antiderivatives stay exact this way, at one gcd
-per output coefficient instead of one per partial product.
+reversion and antiderivatives stay exact this way, at one gcd per output
+coefficient instead of one per partial product.  Composition needs no kernel:
+its power table only adds and multiplies, so it stays exact on its own.
 """
 
 from __future__ import annotations
@@ -101,10 +102,7 @@ class Jet:
 
     def __call__(self, w):
         """Evaluate at center + w by Horner's rule."""
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * w + c
-        return acc
+        return _horner(self.coeffs, w)
 
     # -- ring operations ---------------------------------------------------
 
@@ -152,6 +150,15 @@ class Jet:
 
     def __pow__(self, alpha):
         return jet_pow(self, alpha)
+
+
+def _horner(coeffs, w):
+    """sum_j coeffs[j] w^j by Horner's rule from the top coefficient; an
+    array w gives an array of its shape, also for a constant."""
+    acc = np.full(np.shape(w), coeffs[-1]) if np.ndim(w) else coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * w + c
+    return acc
 
 
 def _check_centers(a: Jet, b: Jet):
@@ -284,10 +291,8 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
     Power-table composition (Knuth, TAOCP vol. 2, §4.7): with u = inner - v
     and P[k][m] = [w^m] u^k, which vanishes below m = k,
     P[k][m] = sum_j u_j P[k-1][m-j] and out_m = sum_{k=1}^{m} outer_k P[k][m].
-    About n^3/6 coefficient products at order n, no intermediate jets.
-
-    Over exact coefficients u = x/d, outer = y/e the table runs on integers:
-    Q[k][m] = [w^m] X^k and out_m = sum_k y_k Q[k][m] d^(m-k) / (e d^m).
+    About n^3/6 coefficient products at order n, no intermediate jets.  The
+    table never divides, so int and Fraction coefficients stay exact.
     """
     v = inner.coeffs[0]
     mismatch = abs(v - outer.center)
@@ -295,10 +300,6 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
         raise JetError(f"composition value/center mismatch: inner(center)={v}, outer.center={outer.center}")
     n = min(outer.order, inner.order)
     c, u = outer.coeffs[: n + 1], inner.coeffs[: n + 1]
-    exact_c = _over_common(c)
-    exact_u = exact_c and _over_common(u)
-    if exact_u:
-        return Jet(inner.center, _exact_compose(c, exact_c, exact_u))
     powers = _power_table(u, n)
     out = [c[0]] + [sum(c[k] * powers[k][m] for k in range(1, m + 1)) for m in range(1, n + 1)]
     return Jet(inner.center, tuple(out))
@@ -315,20 +316,6 @@ def _power_table(u, n: int) -> list:
             row.append(sum(u[j] * lower[m - j] for j in range(1, m - k + 2)))
         powers.append(row)
     return powers
-
-
-def _exact_compose(c, exact_c, exact_u) -> tuple:
-    """outer∘inner on the integer power table (see jet_compose)."""
-    (y, e, fy), (x, d, fx) = exact_c, exact_u
-    n = len(c) - 1
-    powers = _power_table(x, n)
-    d_pow = [1]
-    for _ in range(n):
-        d_pow.append(d_pow[-1] * d)
-    nums = [sum(y[k] * powers[k][m] * d_pow[m - k] for k in range(1, m + 1)) for m in range(1, n + 1)]
-    if not (fx or fy):
-        return (c[0],) + tuple(nums)
-    return (Fraction(c[0]),) + tuple(Fraction(num, e * d_pow[m]) for m, num in enumerate(nums, 1))
 
 
 def jet_reverse(a: Jet) -> Jet:

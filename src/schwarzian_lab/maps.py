@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import Jet, JetError, _any, _is_exact, jet_derive, jet_from_coeffs, jet_shift, jet_variable
+from .jets import Jet, JetError, _any, _horner, _is_exact, jet_derive, jet_from_coeffs, jet_shift, jet_variable
 
 
 class DomainError(ValueError):
@@ -216,15 +216,6 @@ def _koebe_jet(z0, order: int) -> Jet:
         power = power * t
         coeffs.append((j + z0) * power)
     return Jet(z0, tuple(coeffs))
-
-
-def _horner(coeffs: list, w):
-    """sum_j coeffs[j] w^j by Horner's rule from the top coefficient; an
-    array w gives an array of its shape, also for a constant."""
-    acc = np.full(np.shape(w), coeffs[-1]) if np.ndim(w) else coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * w + c
-    return acc
 
 
 def _read_taylor(d: dict):

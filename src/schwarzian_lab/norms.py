@@ -106,6 +106,6 @@ def bound_ok(row: dict) -> bool:
     return bool(row["margin"] >= -1e-9 * max(1.0, row["bound"]))
 
 
-def bound_check(series: str, n: int, fn: AnalyticFn, grid: SampleGrid | None = None) -> dict:
-    """Estimate ||sigma_n[f]||_{B_{n-1}} on the grid; the row of `bound_row`."""
-    return bound_row(series, n, bn_norm_estimate(sigma_phi(fn, sigma_expr(series, n)), n - 1, grid))
+def bound_check(series: str, n: int, fn: AnalyticFn) -> dict:
+    """Estimate ||sigma_n[f]||_{B_{n-1}} on the default grid; the row of `bound_row`."""
+    return bound_row(series, n, bn_norm_estimate(sigma_phi(fn, sigma_expr(series, n)), n - 1))

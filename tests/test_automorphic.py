@@ -32,7 +32,9 @@ from schwarzian_lab import (
     theta_l1_check,
     wp_pairing,
 )
+from schwarzian_lab import automorphic
 from schwarzian_lab.automorphic import GroupError, sup_on_disc, theta_values, dilation_conjugator
+from schwarzian_lab.jets import _horner
 
 CYCLIC = {"kind": "cyclic", "fixpoints": [0.5, 2.8], "multiplier": 4.0}
 
@@ -133,14 +135,35 @@ def test_wp_pairing_rejects_a_grid_on_another_domain():
 
 
 def test_dilation_conjugator_straightens_generator():
-    t = dilation_conjugator(0.5, 2.8)
-    g = Moebius.hyperbolic(0.5, 2.8, 4.0)
-    conj = t.compose(g).compose(t.inverse())
-    # t g t^-1 fixes 0 and infinity: a pure dilation of the half-plane
-    assert abs(conj.b / conj.a) < 1e-9 and abs(conj.c / conj.d) < 1e-9
-    ratio = (conj.a / conj.d).real
-    assert abs(ratio - 4.0) < 1e-9 or abs(ratio - 0.25) < 1e-9
-    assert t(complex(np.exp(0.5j))).imag < 1e-9  # axis endpoint lands on the real line
+    # the closed form over seeded axes and multipliers on both sides of 1
+    rng = np.random.default_rng(21)
+    zetas = np.array([1j, 0.5 + 2j, -3 + 0.1j])
+    for _ in range(60):
+        theta1 = rng.uniform(0, 2 * math.pi)
+        gap = rng.uniform(0.3, 2 * math.pi - 0.3)
+        theta2 = theta1 + gap
+        m = rng.choice([rng.uniform(0.2, 0.95), rng.uniform(1.05, 5.0)])
+        p, q = np.exp(1j * theta1), np.exp(1j * theta2)
+        t = dilation_conjugator(theta1, theta2)
+        assert abs(t(p)) <= 1e-12
+        assert abs(t.c * q + t.d) <= 1e-12 * (abs(t.c) + abs(t.d))
+        assert t(0).imag > 0
+        # four boundary points on each arc between the axis endpoints land on the real line
+        arcs = np.concatenate([theta1 + gap * np.arange(1, 5) / 5, theta2 + (2 * math.pi - gap) * np.arange(1, 5) / 5])
+        images = t(np.exp(1j * arcs))
+        assert np.all(np.abs(images.imag) <= 1e-12 * np.abs(images))
+        dil = t.compose(Moebius.hyperbolic(theta1, theta2, m)).compose(t.inverse())
+        assert np.max(np.abs(dil(zetas) - m * zetas)) <= 1e-12 * np.max(np.abs(m * zetas))
+
+
+def test_fundamental_domain_takes_the_multiplier_or_its_inverse():
+    for theta1, theta2, m in [(0.5, 2.8, 0.25), (1.0, 4.0, 0.7), (-2.0, 0.3, 1 / 3)]:
+        small = fundamental_annulus_grid(theta1, theta2, m, n_rad=8, n_ang=8)
+        large = fundamental_annulus_grid(theta1, theta2, 1 / m, n_rad=8, n_ang=8)
+        assert np.array_equal(small.nodes, large.nodes) and np.array_equal(small.weights, large.weights)
+    for bad in (1.0, 0.0, -4.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            fundamental_annulus_grid(0.5, 2.8, bad)
 
 
 def test_fundamental_domain_base_radius_invariance():
@@ -259,6 +282,27 @@ def test_projection_symmetry_in_pairing():
         assert abs(rep["rhs"] - math.pi / 30) < 1e-12, (R, M)
         nodal = bergman_project(f, 2, grid.nodes, grid)
         assert np.max(np.abs(nodal - 2 * grid.nodes / 5)) < 1e-12, (R, M)
+
+
+def test_projection_sums_by_the_shared_horner_rule(monkeypatch):
+    # the coefficients the projection hands to the shared rule, summed by the
+    # zeros-then-Horner loop it used to run, give the same bits
+    calls = []
+
+    def recording(coeffs, w):
+        calls.append((coeffs, w))
+        return _horner(coeffs, w)
+
+    monkeypatch.setattr(automorphic, "_horner", recording)
+    f = lambda w: np.exp(w) * np.abs(w) ** 2
+    for z in (np.array([0.0, 0.3 + 0.2j, -0.5j, 0.6]), 0.25 - 0.1j):
+        vals = bergman_project(f, 2, z)
+        c, _ = calls.pop()
+        zs = np.asarray(z, dtype=complex)
+        ref = np.zeros_like(zs)
+        for ck in c[::-1]:
+            ref = ref * zs + ck
+        assert np.shape(vals) == np.shape(z) and np.array_equal(vals, ref)
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])

@@ -147,6 +147,20 @@ def test_pole_at_a_norm_sample_point_is_a_usage_error_under_the_section(capsys, 
     assert "is not finite at a sample point" in lines[0]
 
 
+def test_pole_at_the_reflected_point_is_a_usage_error_under_aw(capsys):
+    # phi's pole 0.25 is off the B_2 sample grid but is 1/conj(z) for z = 4,
+    # where both the section and the round trip's target read phi
+    phi = '{"kind":"rational","num":[[1,0]],"den":[[-0.25,0],[1,0]]}'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            run(["aw", "--z", "4", "--phi", phi])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("schwarzian-lab aw: error: argument --phi: "), lines
+    assert "is not finite at 1/conj(z) = (0.25+0j)" in lines[0]
+
+
 def test_vanishing_derivative_at_a_sample_point_is_a_usage_error_under_norm(capsys):
     # f(z) = z^2 has f'(0) = 0 at the grid point 0, where sigma_n[f] divides by f'
     with pytest.raises(SystemExit) as exc:

@@ -31,6 +31,14 @@ def test_variable_jet():
     assert z(0.5) == 2j + 0.5
 
 
+def test_call_keeps_the_shape_of_the_points():
+    w = np.array([[0.5, -1j], [2.0, 0.25 + 0.5j]])  # dyadic, so every sum below is exact
+    assert np.array_equal(Jet(0j, (2 + 1j,))(w), np.full(w.shape, 2 + 1j))
+    f = jet_from_coeffs([1, 2, 3])
+    assert np.array_equal(f(w), 1 + 2 * w + 3 * w * w)
+    assert f(Fraction(1, 2)) == Fraction(11, 4) and type(f(Fraction(1, 2))) is Fraction
+
+
 def test_variable_jet_has_exactly_order_plus_one_coefficients():
     assert jet_variable(2j, 0).coeffs == (2j,)
     assert jet_variable(Fraction(1, 3), 1).coeffs == (Fraction(1, 3), 1)

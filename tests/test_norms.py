@@ -135,7 +135,7 @@ def _criterion(series):
 
 SERIES_USERS = {
     "bound_row": lambda series: bound_row(series, 4, 100.0),
-    "bound_check": lambda series: bound_check(series, 4, catalog("koebe"), grid=SampleGrid(J=3, M=8)),
+    "bound_check": lambda series: bound_check(series, 4, catalog("koebe")),
     "d0_beta_norm_bound": lambda series: d0_beta_norm_bound(4, series),
     "kernel_criterion_check": _criterion,
 }

@@ -315,7 +315,7 @@ def cmd_dzero(args) -> dict:
     lam = poincare_density(DISC, args.z)
     weighted = abs(val) * lam ** (1 - args.n)
     bound = d0_beta_norm_bound(args.n, args.series) * nu.sup_bound
-    inputs = {"series": args.series, "n": args.n, "z": args.z, "density": args.density, "grid": grid.meta}
+    inputs = {"series": args.series, "n": args.n, "z": args.z, "density": args.density, "grid": dict(grid.meta)}
     return checks.report("dzero", inputs, weighted <= bound, value=val, weighted_magnitude=weighted, norm_bound=bound)
 
 
@@ -332,7 +332,7 @@ def cmd_aw(args) -> dict:
     relerr = abs(round_trip - target) / max(abs(target), 1e-300)  # relative to the target alone
     return checks.report(
         "aw",
-        {"phi": args.phi, "z": args.z, "grid": grid.meta},
+        {"phi": args.phi, "z": args.z, "grid": dict(grid.meta)},
         relerr < args.tol,
         section_value=sval,
         sup_bound=nu.sup_bound,
@@ -391,7 +391,7 @@ def cmd_pairing(args) -> dict:
     val = wp_pairing(f, g, spec, grid)
     flipped = wp_pairing(g, f, spec, grid)
     sym = abs(val - np.conj(flipped)) / max(abs(val), 1e-300)  # relative to <f, g> alone
-    inputs = {"f": args.f, "g": args.g, "s": args.s, "domain": domain_note, "grid": grid.meta}
+    inputs = {"f": args.f, "g": args.g, "s": args.s, "domain": domain_note, "grid": dict(grid.meta)}
     return checks.report("pairing", inputs, sym < 1e-9, value=val, conjugate_symmetry_relerr=sym)
 
 
@@ -416,7 +416,7 @@ def cmd_bergman(args) -> dict:
     )
     checks_list.append({"check": "pairing symmetry", "relerr": sym["relerr"]})
     ok = worst < args.tol and abs(v0 - 1) < args.tol and sym["relerr"] < 1e-2
-    return checks.report("bergman", {"s": args.s, "k": args.k, "grid": grid.meta}, ok, checks=checks_list)
+    return checks.report("bergman", {"s": args.s, "k": args.k, "grid": dict(grid.meta)}, ok, checks=checks_list)
 
 
 def cmd_solve(args) -> dict:

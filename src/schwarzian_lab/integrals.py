@@ -11,12 +11,16 @@ eta = 1/conj(zeta), d^2 eta = |zeta|^-4 d^2 zeta, which maps the exterior
 onto the punctured disc and removes all tail truncation for kernels decaying
 like |eta|^-4; the grid is built from its radial and angular factors.
 Half-plane ones go through the Cayley map eta = i(1+zeta)/(1-zeta),
-d^2 eta = 4|1-zeta|^-4 d^2 zeta, and are not truncated.
+d^2 eta = 4|1-zeta|^-4 d^2 zeta, and are not truncated.  Each grid, like
+each rule, is built once per size and process (`functools.lru_cache`) and
+shared read-only, so a caller must not edit a grid's `meta` in place.
 
 `d0_beta` and the left side of `kernel_criterion_check` run on the basis
 eta^-p: for |z| < 1 < |eta|, (z-eta)^-(k+1) is a power series in z whose
 coefficients are moments m_p = integral of nu eta^-p, and one FFT per ring of
-an exterior product grid gives every m_p with p < M (`exterior_moments`).
+an exterior product grid gives every m_p with p < M (`exterior_moments`),
+which reads nu one block of rings at a time and never holds a value, a mode
+or a power for every node at once.
 With `grid=None` they build one grid sized a priori (`exterior_grid`), and
 the criterion reports `nodes` and `quad_error`.  Its right side (through
 `weighted_pairing`) and `w1_term` stay node sums, independent of the moments.
@@ -34,6 +38,11 @@ from .maps import DISC, EXTERIOR_DISC, UPPER_HALF, HyperbolicDomain
 from .checks import compare
 from .symbolic import DiffExpr, monomial_coefficients, series_constant, series_letter, sigma_expr
 
+# Nodes per block of whole rings in which `exterior_moments` reads a density:
+# its values, modes and their moduli then take about 64 kB each, where the
+# 192 x 512 grid's would take 1.5 MB.
+BLOCK_NODES = 4096
+
 
 def vec_eval(fn, pts: np.ndarray) -> np.ndarray:
     """Evaluate fn on an array of complex points in one call; fn must return
@@ -44,12 +53,16 @@ def vec_eval(fn, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadGrid:
+    """Nodes and weights of a product rule on `domain`.  Two grids are equal
+    only when they are the same object, so grids of different sizes never
+    collide as keys."""
+
     domain: HyperbolicDomain
-    nodes: np.ndarray = field(compare=False)
-    weights: np.ndarray = field(compare=False)
-    meta: dict = field(compare=False, default_factory=dict)
+    nodes: np.ndarray
+    weights: np.ndarray
+    meta: dict = field(default_factory=dict)
 
 
 @lru_cache(maxsize=None)
@@ -112,29 +125,55 @@ def _gauss_legendre(n: int):
     return 0.5 * x + 0.5, 0.5 * w
 
 
+def _read_only_grid(domain, nodes, weights, kind: str, R: int, M: int) -> QuadGrid:
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadGrid(domain, nodes, weights, {"kind": kind, "R": R, "M": M})
+
+
 def _ring_grid(domain, radii, ring_weights, M: int, kind: str, R: int) -> QuadGrid:
     """Product grid with nodes radii[i] e^(i theta_j), theta_j = 2 pi j / M,
     ring by ring from angle 0, each ring's M nodes weighted ring_weights[i]:
     one outer product and one repeat."""
     ring = np.exp(1j * (2.0 * math.pi * np.arange(M) / M))
     nodes = np.outer(radii, ring).ravel()
-    return QuadGrid(domain, nodes, np.repeat(ring_weights, M), {"kind": kind, "R": R, "M": M})
+    return _read_only_grid(domain, nodes, np.repeat(ring_weights, M), kind, R, M)
 
 
+@lru_cache(maxsize=None)
 def disc_quadrature(R: int = 96, M: int = 256) -> QuadGrid:
     """Gauss-Legendre radial x uniform angular product rule on the unit disc:
-    nodes r e^(i theta), weights w_r r 2 pi/M."""
+    nodes r e^(i theta), weights w_r r 2 pi/M.  Built once per (R, M) and
+    shared read-only."""
     r, wr = _gauss_legendre(R)
     return _ring_grid(DISC, r, wr * r * (2.0 * math.pi / M), M, "disc", R)
 
 
+def _exterior_rings(R: int, M: int):
+    """Disc radii r and ring weights w_r r^-3 2 pi/M of the exterior grid."""
+    r, wr = _gauss_legendre(R)
+    return r, wr * (1.0 / r) ** 3 * (2.0 * math.pi / M)
+
+
+@lru_cache(maxsize=None)
 def exterior_disc_quadrature(R: int = 96, M: int = 256) -> QuadGrid:
     """Exterior of the closed unit disc as the image eta = 1/conj(zeta) of
     `disc_quadrature`, d^2 eta = |zeta|^-4 d^2 zeta, built from its factors:
-    nodes e^(i theta)/r, weights w_r r^-3 2 pi/M."""
-    r, wr = _gauss_legendre(R)
-    inv = 1.0 / r
-    return _ring_grid(EXTERIOR_DISC, inv, wr * inv**3 * (2.0 * math.pi / M), M, "exterior_disc", R)
+    nodes e^(i theta)/r, weights w_r r^-3 2 pi/M.  Built once per (R, M) and
+    shared read-only."""
+    r, ring_weights = _exterior_rings(R, M)
+    return _ring_grid(EXTERIOR_DISC, 1.0 / r, ring_weights, M, "exterior_disc", R)
+
+
+@lru_cache(maxsize=None)
+def _exterior_powers(R: int, M: int) -> np.ndarray:
+    """Row i holds w_i r_i^p for p < M, the ring weights of
+    `exterior_disc_quadrature(R, M)` times the powers of its disc radii;
+    built once per (R, M), from the rule and not from the grid, read-only."""
+    r, ring_weights = _exterior_rings(R, M)
+    powers = np.cumprod(np.hstack((ring_weights[:, None], np.tile(r[:, None], M - 1))), axis=1)
+    powers.setflags(write=False)
+    return powers
 
 
 def product_rings(grid: QuadGrid, kind: str):
@@ -148,34 +187,51 @@ def product_rings(grid: QuadGrid, kind: str):
     return _gauss_legendre(R)[0], grid.weights[::M], M
 
 
-def exterior_moments(nu_vals, grid: QuadGrid):
+def exterior_moments(nu, grid: QuadGrid):
     """m_p = integral over |eta| > 1 of nu(eta) eta^-p dA for p < M, and the
-    same moments of |nu|, from nu's values on an `exterior_disc_quadrature`
-    grid.  With eta = e^(i theta) / r, eta^-p = r^p e^(-i p theta): one FFT per
-    ring takes the angular integrals and the ring weights times r^p the
-    radial ones."""
-    r, ring_w, m = product_rings(grid, "exterior_disc")
-    if not np.all(np.isfinite(nu_vals)):
-        raise ValueError("non-finite density value on quadrature node")
-    rings = np.reshape(nu_vals, (r.size, m))
-    powers = np.cumprod(np.hstack((ring_w[:, None], np.tile(r[:, None], m - 1))), axis=1)  # w r^p
-    absolute = np.abs(rings).sum(axis=1) @ powers
-    modes = np.fft.fft(rings, axis=1)
-    modes *= powers
-    return modes.sum(axis=0), absolute
+    same moments of |nu|, on an `exterior_disc_quadrature` grid.  `nu` is a
+    callable on arrays of nodes or its values at the grid's nodes.  With
+    eta = e^(i theta) / r, eta^-p = r^p e^(-i p theta): one FFT per ring
+    takes the angular integrals and the ring weights times r^p the radial
+    ones.
+
+    nu is read in blocks of whole rings, about BLOCK_NODES nodes each, and
+    the weights times r^p come from a table cached per grid size.  Each
+    ring's weighted modes are added to the sum in ring order, the order in
+    which `sum(axis=0)` over one array of all rings adds them, so the moments
+    have the same bits at every block size."""
+    r, _ring_weights, m = product_rings(grid, "exterior_disc")
+    powers = _exterior_powers(r.size, m)
+    step = max(1, BLOCK_NODES // m)
+    ring_sums = np.empty(r.size)
+    moments = np.zeros(m, dtype=complex)
+    for i in range(0, r.size, step):
+        block = slice(i * m, (i + step) * m)
+        vals = nu(grid.nodes[block]) if callable(nu) else nu[block]
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite density value on quadrature node")
+        rings = np.reshape(vals, (-1, m))
+        ring_sums[i : i + step] = np.abs(rings).sum(axis=1)
+        modes = np.fft.fft(rings, axis=1)
+        modes *= powers[i : i + step]
+        for ring in modes:
+            moments += ring
+    return moments, ring_sums @ powers
 
 
+@lru_cache(maxsize=None)
 def half_plane_quadrature(R: int = 32, M: int = 256) -> QuadGrid:
     """Upper half-plane as the Cayley image eta = i(1+zeta)/(1-zeta) of the
     disc rule, weights times 4/|1-zeta|^4.  Nothing is truncated, and for q >= 2
-    `repro_check`'s integrands pull back analytic on the closed disc."""
+    `repro_check`'s integrands pull back analytic on the closed disc.  Built
+    once per (R, M) and shared read-only."""
     base = disc_quadrature(R, M)
     zeta = base.nodes
     d = 1.0 - zeta
     nodes = 1j * (1.0 + zeta) / d
     s = 1.0 / (d.real * d.real + d.imag * d.imag)  # 1/|1-zeta|^2
     weights = base.weights * 4.0 * (s * s)
-    return QuadGrid(UPPER_HALF, nodes, weights, {"kind": "half_plane", "R": R, "M": M})
+    return _read_only_grid(UPPER_HALF, nodes, weights, "half_plane", R, M)
 
 
 def quad2d(integrand, grid: QuadGrid) -> complex:
@@ -273,22 +329,24 @@ def exterior_grid(z: complex, power: int) -> QuadGrid:
     return exterior_disc_quadrature(R, M)
 
 
-def _density_values(nu, grid: QuadGrid):
+def _density_on(nu, grid: QuadGrid):
+    """nu itself, once it is known not to live on another domain than the grid."""
     nu_domain = getattr(nu, "domain", None)
     if nu_domain is not None and nu_domain != grid.domain:
         raise ValueError(f"density lives on {nu_domain.tag}, grid on {grid.domain.tag}")
-    return nu(grid.nodes)
+    return nu
 
 
-def _d0_series(coeffs: dict, nu_vals, z: complex, grid: QuadGrid):
-    """The d0_beta sum from nu's values on an exterior product grid, and a
-    bound on its error: the series' tail past the last mode plus round-off.
+def _d0_series(coeffs: dict, nu, z: complex, grid: QuadGrid):
+    """The d0_beta sum from nu (a callable or its values, as
+    `exterior_moments` takes it) on an exterior product grid, and a bound on
+    its error: the series' tail past the last mode plus round-off.
 
     I_k = (-1)^(k+1) S_k with S_k = sum_j C(j+k, k) z^j m_(j+k+1), so the
     (k, l) term is -(a_kl k!/pi) S_k.  The same sums over the moments of |nu|
     weigh the round-off, and the last of those bounds every dropped |m_p|.
     """
-    moments, absolute = exterior_moments(nu_vals, grid)
+    moments, absolute = exterior_moments(nu, grid)
     m, r = moments.size, abs(z)
     total, size, tail = 0j, 0.0, 0.0
     for (k, _l), a in coeffs.items():
@@ -314,14 +372,14 @@ def d0_beta(coeffs, nu, z: complex, grid: QuadGrid | None = None) -> complex:
     with the moments m_p = integral of nu eta^-p from `exterior_moments`.
     `coeffs` is either the {(k,l): a_kl} map of degree-one coefficients or a
     canonical DiffExpr from which they are extracted.  Linear in nu, which is
-    evaluated once.  The grid must be an `exterior_disc_quadrature` grid
-    (ValueError for any other); with none, `exterior_grid` sizes one from |z|
-    and the top kernel power.
+    evaluated once per node, a block of rings at a time.  The grid must be an
+    `exterior_disc_quadrature` grid (ValueError for any other); with none,
+    `exterior_grid` sizes one from |z| and the top kernel power.
     """
     if isinstance(coeffs, DiffExpr):
         coeffs = monomial_coefficients(coeffs)
     grid = grid or exterior_grid(z, 1 + max((k for k, _l in coeffs), default=0))
-    return _d0_series(coeffs, _density_values(nu, grid), z, grid)[0]
+    return _d0_series(coeffs, _density_on(nu, grid), z, grid)[0]
 
 
 def d0_beta_norm_bound(n: int, series: str) -> float:
@@ -401,7 +459,7 @@ def kernel_criterion_check(nu, n: int, z: complex, series: str = "A", grid: Quad
     c = float(series_constant(expr))
     auto = grid is None
     grid = grid or exterior_grid(z, 1 + max((k for k, _l in coeffs), default=0))
-    nu_vals = _density_values(nu, grid)
+    nu_vals = _density_on(nu, grid)(grid.nodes)
     lhs, error = _d0_series(coeffs, nu_vals, z, grid)
     pairing = weighted_pairing(lambda w: (w - z) ** (-(n + 1.0)), lambda w: np.conj(nu_vals) * grid.domain.density(w) ** 2, 2, grid)
     rhs = -(math.factorial(n) * c / math.pi) * pairing

@@ -398,24 +398,28 @@ def jet_antiderive(a: Jet, const=0) -> Jet:
     return Jet(a.center, coeffs)
 
 
-def jet_shift(a: Jet, w) -> Jet:
-    """Recenter: the jet of the same truncated polynomial at center + w.
+def jet_shift(a: Jet, w, order: int | None = None) -> Jet:
+    """Recenter: the jet of the same truncated polynomial at center + w,
+    truncated at `order` when one is given.
 
     Exact for polynomials; for truncations of longer series this is the
     documented recentering convention (the discarded tail stays discarded).
 
     Repeated synthetic division (Horner): pass i folds w * b_(k+1) into b_k
     for k = N-1 down to i, which leaves b_j = sum_k C(k, j) a_k w^(k-j) after
-    N passes, N(N+1)/2 products and no powers of w.  The top coefficient
-    takes w's batch shape too, so every output coefficient has it.
+    N passes, N(N+1)/2 products and no powers of w.  No later pass touches
+    b_i, so the order + 1 passes that settle b_0 .. b_order give the full
+    shift's coefficients, bit for bit, in O(order * N) products.  The top
+    coefficient takes w's batch shape too, so every output coefficient has it.
     """
     b = list(a.coeffs)
     n = len(b) - 1
+    keep = n if order is None else min(order, n)
     b[n] = b[n] + 0 * w
-    for i in range(n):
+    for i in range(min(keep + 1, n)):
         for k in range(n - 1, i - 1, -1):
             b[k] = b[k] + w * b[k + 1]
-    return Jet(a.center + w, tuple(b))
+    return Jet(a.center + w, tuple(b[: keep + 1]))
 
 
 def derivative_values(a: Jet):

@@ -50,11 +50,11 @@ def taylor_jet(coeffs, center, z0, order: int) -> Jet:
     """Jet at z0 of the polynomial sum c_k (z - center)^k.  The coefficients
     and z0 may be numpy arrays over a batch of polynomials and points.
 
-    Shifts the polynomial's own coefficients, then truncates or pads with
+    Shifts the polynomial's own coefficients up to `order`, then pads with
     zeros of the top coefficient's type and batch shape."""
-    shifted = jet_shift(jet_from_coeffs(coeffs, center), z0 - center).coeffs
+    shifted = jet_shift(jet_from_coeffs(coeffs, center), z0 - center, order).coeffs
     zero = 0 * shifted[-1]
-    return Jet(z0, shifted[: order + 1] + (zero,) * (order + 1 - len(shifted)))
+    return Jet(z0, shifted + (zero,) * (order + 1 - len(shifted)))
 
 
 @dataclass(frozen=True)
@@ -233,12 +233,13 @@ def _read_rational(d: dict):
 
 def _rational_jet(num, den, z0, order: int) -> Jet:
     """Jet at z0 of num/den, the quotient num * (1/den) of the two shifted
-    polynomials p and q.  Both recurrences, 1/q and the product, run over
-    p's and q's own coefficients only, O(order * degree) products: the
-    terms they skip are the exact zeros past each degree, so the result has
-    the bits of the quotient of the zero-padded jets."""
-    p = jet_shift(jet_from_coeffs(num, 0), z0).coeffs
-    q = jet_shift(jet_from_coeffs(den, 0), z0).coeffs
+    polynomials p and q, each shifted only up to `order`.  Both recurrences,
+    1/q and the product, run over p's and q's own coefficients only,
+    O(order * degree) products: the terms they skip are the exact zeros past
+    each degree, so the result has the bits of the quotient of the
+    zero-padded jets."""
+    p = jet_shift(jet_from_coeffs(num, 0), z0, order).coeffs
+    q = jet_shift(jet_from_coeffs(den, 0), z0, order).coeffs
     if _any(q[0] == 0):
         raise JetError("jet at a pole of a rational function")
     inv0 = 1.0 / q[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,14 +53,25 @@ def bn_norm_estimate(phi, n: int, grid: SampleGrid | None = None) -> float:
     return report["estimate"]
 
 
+@lru_cache(maxsize=None)
+def _sample_table(grid: SampleGrid, n) -> tuple:
+    """The grid's points and their weights lambda^-n, built once per
+    (grid, n) and shared read-only."""
+    pts = grid.points()
+    weights = DISC.density(pts) ** (-float(n))
+    pts.setflags(write=False)
+    weights.setflags(write=False)
+    return pts, weights
+
+
 def bn_norm_report(phi, n: int, grid: SampleGrid | None = None) -> dict:
     """`phi` maps an array of points to an array of values of the same shape."""
     grid = grid or SampleGrid()
-    pts = grid.points()
+    pts, weights = _sample_table(grid, n)
     vals = np.concatenate([integrals.vec_eval(phi, pts[i : i + BLOCK_POINTS]) for i in range(0, pts.size, BLOCK_POINTS)])
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite sample in norm estimation")
-    weighted = np.abs(vals) * DISC.density(pts) ** (-float(n))
+    weighted = np.abs(vals) * weights
     i = int(np.argmax(weighted))
     return {
         "estimate": float(weighted[i]),

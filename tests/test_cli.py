@@ -425,3 +425,20 @@ def test_text_report_runs_schema_operation_inputs_fields_ok(capsys):
     run(["repro", "--grid-r", "16", "--grid-m", "16"])
     keys = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
     assert keys == ["schema", "operation", "inputs", "lhs", "rhs", "relerr", "rhs_alt_sign", "grid", "ok"]
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["dzero"], "exterior_disc"),
+        (["aw"], "exterior_disc"),
+        (["pairing", "--f", "taylor:0,0,1", "--g", "taylor:0,1,1"], "disc"),
+        (["bergman", "--k", "4"], "disc"),
+    ],
+    ids=["dzero", "aw", "pairing", "bergman"],
+)
+def test_reports_copy_the_cached_grid_meta(argv, kind):
+    # both calls get the same cached grid; the second report must not see the edit
+    args = build_parser().parse_args([*argv, "--grid-r", "8", "--grid-m", "16"])
+    args.func(args)["inputs"]["grid"]["kind"] = "edited"
+    assert args.func(args)["inputs"]["grid"] == {"kind": kind, "R": 8, "M": 16}

@@ -29,13 +29,16 @@ from schwarzian_lab import (
     sigma_b,
     weighted_pairing,
 )
+from schwarzian_lab import integrals
 from schwarzian_lab.automorphic import fundamental_annulus_grid
 from schwarzian_lab.cli import main
 from schwarzian_lab.integrals import (
     QuadGrid,
     beltrami_from_bers,
     exterior_grid,
+    exterior_moments,
     legendre_rule,
+    product_rings,
     quad2d,
     w1_term,
 )
@@ -270,22 +273,97 @@ def test_legendre_rule_is_read_only():
         w[0] = 0.0
 
 
+GRID_CACHES = (disc_quadrature, exterior_disc_quadrature, half_plane_quadrature, integrals._exterior_powers)
+
+
 @pytest.mark.parametrize(
     "build",
     [
+        disc_quadrature,
         exterior_disc_quadrature,
         half_plane_quadrature,
         lambda: fundamental_annulus_grid(0.5, 2.8, 4.0),
     ],
-    ids=["exterior_disc", "half_plane", "fundamental_annulus"],
+    ids=["disc", "exterior_disc", "half_plane", "fundamental_annulus"],
 )
 def test_grids_unchanged_by_cached_rules(build):
     build()  # fill the rule cache
     cached = build()
     legendre_rule.cache_clear()
+    for cache in GRID_CACHES:
+        cache.cache_clear()
     fresh = build()
+    assert fresh is not cached
     assert np.array_equal(cached.nodes, fresh.nodes)
     assert np.array_equal(cached.weights, fresh.weights)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [disc_quadrature, exterior_disc_quadrature, half_plane_quadrature, integrals._exterior_powers],
+    ids=["disc", "exterior_disc", "half_plane", "exterior_powers"],
+)
+def test_grids_and_tables_are_built_once_per_size_and_read_only(build):
+    def arrays(built):
+        return [built] if isinstance(built, np.ndarray) else [built.nodes, built.weights]
+
+    built = build(8, 16)
+    assert build(8, 16) is built
+    assert build(12, 16) is not built
+    for array in arrays(built):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    build.cache_clear()
+    rebuilt = build(8, 16)
+    assert rebuilt is not built
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(built), arrays(rebuilt)))
+
+
+def test_quad_grids_compare_by_identity():
+    small, large = exterior_disc_quadrature(8, 16), exterior_disc_quadrature(96, 256)
+    assert small != large and small == small
+    assert len({small, large, exterior_disc_quadrature(8, 16)}) == 2
+    assert QuadGrid(small.domain, small.nodes, small.weights, small.meta) != small
+
+
+def one_shot_moments(nu_vals, grid):
+    """The moments from every node at once: one array of values, of FFT modes
+    and of weighted powers, and one sum over the rings."""
+    r, ring_w, m = product_rings(grid, "exterior_disc")
+    rings = np.reshape(nu_vals, (r.size, m))
+    powers = np.cumprod(np.hstack((ring_w[:, None], np.tile(r[:, None], m - 1))), axis=1)
+    absolute = np.abs(rings).sum(axis=1) @ powers
+    modes = np.fft.fft(rings, axis=1)
+    modes *= powers
+    return modes.sum(axis=0), absolute
+
+
+@pytest.mark.parametrize("block", [integrals.BLOCK_NODES, 1, 100, 2048])
+@pytest.mark.parametrize("R, M", [(192, 512), (32, 256), (8, 16)])
+def test_blocked_moments_have_the_bits_of_the_one_shot_sum(monkeypatch, R, M, block):
+    monkeypatch.setattr(integrals, "BLOCK_NODES", block)
+    grid = exterior_disc_quadrature(R, M)
+    nu = ahlfors_weill_density(catalog("taylor", coeffs=[1, 0.5, 0.25j, 1]), 1.0)
+    vals = nu(grid.nodes)
+    want = one_shot_moments(vals, grid)
+    for source in (nu, vals):
+        got = exterior_moments(source, grid)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("R, M", [(192, 512), (8, 16)])
+def test_non_finite_density_in_the_last_block_raises(R, M):
+    grid = exterior_disc_quadrature(R, M)
+    last = grid.nodes[-1]
+
+    def nu(eta):
+        return np.where(eta == last, np.nan, 1.0 / eta**4)
+
+    for source in (nu, nu(grid.nodes)):
+        with pytest.raises(ValueError, match="non-finite density value"):
+            exterior_moments(source, grid)
+    with pytest.raises(ValueError, match="non-finite density value"):
+        d0_beta(sigma_a(3), nu, 0.2, grid)
 
 
 def aw_closed_form(coeffs, n, series, z):

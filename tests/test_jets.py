@@ -304,6 +304,25 @@ def test_shift_equals_the_binomial_formula():
                 assert abs(g[i] - want) <= 1e-14 * max(1.0, abs(want)), (deg, i)
 
 
+def test_shift_cut_at_an_order_is_the_full_shift_truncated():
+    rng = random.Random(22)
+    pts = np.array([0.3 - 0.2j, -1.1j, 0.75, -0.0])
+    for deg in (0, 1, 4, 9):
+        exact = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(deg + 1)]
+        ints = [rng.randint(-9, 9) for _ in range(deg + 1)]
+        cplx = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(deg + 1)]
+        cases = [(exact, Fraction(-7, 3)), (ints, 3), (cplx, complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))), (cplx, pts)]
+        for coeffs, w in cases:
+            full = jet_shift(jet_from_coeffs(coeffs, Fraction(1, 3)), w)
+            for order in range(deg + 3):
+                cut = jet_shift(jet_from_coeffs(coeffs, Fraction(1, 3)), w, order)
+                assert np.array_equal(cut.center, full.center) and cut.order == min(order, deg)
+                for c, f in zip(cut.coeffs, full.coeffs):
+                    assert type(c) is type(f) and np.shape(c) == np.shape(w)
+                    same = c.tobytes() == f.tobytes() if isinstance(c, np.ndarray) else repr(c) == repr(f)
+                    assert same, (deg, order, w)
+
+
 # -- algebra laws on exact coefficients ---------------------------------------
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)

@@ -32,7 +32,7 @@ from schwarzian_lab import (
     sigma_phi,
 )
 from schwarzian_lab.integrals import vec_eval
-from schwarzian_lab.norms import bound_row
+from schwarzian_lab.norms import _sample_table, bound_row
 from schwarzian_lab.symbolic import evaluate
 
 REL_SLACK = 1e-9
@@ -102,6 +102,23 @@ def test_scalar_only_callable_raises():
         bn_norm_report(lambda z: cmath.exp(z), 2, grid)
     with pytest.raises(ValueError):
         bn_norm_report(lambda z: 1.0, 2, grid)
+
+
+def test_sample_points_and_weights_are_built_once_per_grid_and_weight():
+    grid = SampleGrid(J=6, M=8)
+    pts, weights = _sample_table(grid, 2)
+    assert _sample_table(SampleGrid(J=6, M=8), 2)[0] is pts
+    assert _sample_table(grid, 3)[1] is not weights
+    for array in (pts, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    _sample_table.cache_clear()
+    fresh_pts, fresh_weights = _sample_table(grid, 2)
+    assert fresh_pts is not pts
+    assert np.array_equal(fresh_pts, pts) and np.array_equal(fresh_pts, grid.points())
+    assert np.array_equal(fresh_weights, weights) and np.array_equal(weights, DISC.density(pts) ** -2.0)
+    phi = catalog("taylor", coeffs=[0.5, 0.25, 0.125])
+    assert bn_norm_estimate(phi, 2, grid) == np.max(np.abs(phi(pts)) * DISC.density(pts) ** -2.0)
 
 
 def test_vec_eval_rejects_shape_mismatch():

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import compare
-from .integrals import QuadGrid, disc_quadrature, legendre_rule, product_rings, vec_eval, weighted_pairing
+from .integrals import QuadGrid, _ring_nodes, disc_quadrature, legendre_rule, product_rings, vec_eval, weighted_pairing
 from .jets import _horner
 from .maps import DISC, LOWER_HALF, UPPER_HALF, AnalyticFn, HyperbolicDomain, Moebius, _c2pair, poincare_density
 
@@ -138,9 +138,7 @@ def group_from_descriptor(desc: dict) -> list:
 def sup_on_disc(f) -> float:
     """Sampled estimate of sup |f| over the closed unit disc: 25 radii up to
     0.999 crossed with 64 angles."""
-    r = np.linspace(0.0, 0.999, 25)
-    t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-    pts = (r[:, None] * np.exp(1j * t[None, :])).ravel()
+    pts = _ring_nodes(np.linspace(0.0, 0.999, 25), 64)
     return float(np.max(np.abs(vec_eval(f, pts))))
 
 
@@ -341,7 +339,7 @@ def lemma_scalar_check(f, h, spec: PairingSpec, ball: GroupBall, fd_grid: QuadGr
         raise ValueError(f"h has degree {d}; the coefficient FFT resolves degrees below {LEMMA_FFT // 2}")
     theta_h = lambda z: theta_values(h, spec.s, ball, z)
     lhs = wp_pairing(f, theta_h, spec, fd_grid)
-    circle = LEMMA_RADIUS * np.exp(2j * math.pi * np.arange(LEMMA_FFT) / LEMMA_FFT)
+    circle = _ring_nodes([LEMMA_RADIUS], LEMMA_FFT)
     modes = np.fft.fft(vec_eval(f, circle)) / LEMMA_FFT
     f_k = modes[: d + 1] / LEMMA_RADIUS ** np.arange(d + 1)
     h_k = np.asarray(h.jet(0.0, d).coeffs, dtype=complex)

@@ -388,8 +388,12 @@ def cmd_pairing(args) -> dict:
     else:
         grid = disc_quadrature(R=args.grid_r, M=args.grid_m)
         domain_note = "unit disc"
-    val = wp_pairing(f, g, spec, grid)
-    flipped = wp_pairing(g, f, spec, grid)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):  # no warnings from a pole on a node
+            val = wp_pairing(f, g, spec, grid)
+            flipped = wp_pairing(g, f, spec, grid)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"argument --f/--g: {args.f!r} * conj({args.g!r}) is not finite at a node: {exc}") from None
     sym = abs(val - np.conj(flipped)) / max(abs(val), 1e-300)  # relative to <f, g> alone
     inputs = {"f": args.f, "g": args.g, "s": args.s, "domain": domain_note, "grid": dict(grid.meta)}
     return checks.report("pairing", inputs, sym < 1e-9, value=val, conjugate_symmetry_relerr=sym)

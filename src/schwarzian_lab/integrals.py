@@ -131,13 +131,16 @@ def _read_only_grid(domain, nodes, weights, kind: str, R: int, M: int) -> QuadGr
     return QuadGrid(domain, nodes, weights, {"kind": kind, "R": R, "M": M})
 
 
+def _ring_nodes(radii, M: int) -> np.ndarray:
+    """Nodes radii[i] e^(i theta_j), theta_j = 2 pi j / M, ring by ring from
+    angle 0: one outer product."""
+    return np.outer(radii, np.exp(1j * (2.0 * math.pi * np.arange(M) / M))).ravel()
+
+
 def _ring_grid(domain, radii, ring_weights, M: int, kind: str, R: int) -> QuadGrid:
-    """Product grid with nodes radii[i] e^(i theta_j), theta_j = 2 pi j / M,
-    ring by ring from angle 0, each ring's M nodes weighted ring_weights[i]:
-    one outer product and one repeat."""
-    ring = np.exp(1j * (2.0 * math.pi * np.arange(M) / M))
-    nodes = np.outer(radii, ring).ravel()
-    return _read_only_grid(domain, nodes, np.repeat(ring_weights, M), kind, R, M)
+    """Product grid on `_ring_nodes`, each ring's M nodes weighted
+    ring_weights[i]."""
+    return _read_only_grid(domain, _ring_nodes(radii, M), np.repeat(ring_weights, M), kind, R, M)
 
 
 @lru_cache(maxsize=None)
@@ -258,11 +261,16 @@ def half_plane_tail_estimate(integrand, grid: QuadGrid, decay: float = 4.0) -> f
 
 
 def weighted_pairing(f, g, s: int, grid: QuadGrid) -> complex:
-    """integral over the grid of f * conj(g) * lambda^(2-2s)."""
+    """integral over the grid of f * conj(g) * lambda^(2-2s); ValueError if
+    the sum is not finite, as it is when the weighted product is not finite
+    at some node (one check on the sum, not one per node)."""
     lam = grid.domain.density(grid.nodes)
     fv = vec_eval(f, grid.nodes)
     gv = vec_eval(g, grid.nodes)
-    return complex(np.sum(fv * np.conj(gv) * lam ** (2.0 - 2.0 * s) * grid.weights))
+    total = np.sum(fv * np.conj(gv) * lam ** (2.0 - 2.0 * s) * grid.weights)
+    if not np.isfinite(total):
+        raise ValueError("non-finite pairing integrand on quadrature node")
+    return complex(total)
 
 
 # -- densities ---------------------------------------------------------------

@@ -9,21 +9,24 @@ Coefficients are duck-typed.  The usual substrate is ``complex``; the center
 and the coefficients may also be numpy arrays over sample points, and the
 recurrences then run elementwise, one jet standing for a whole batch of germs.
 
-Exact jets (every coefficient an ``int`` or a ``fractions.Fraction``) take an
-integer-numerator kernel instead: each operand is put over one common
-denominator, the recurrence runs on Python ints, and each output coefficient
-is built as a single ``Fraction(numerator, denominator)``.  Products,
-reciprocals, powers (integer exponent, or rational exponent with c_0 = 1),
-reversion and antiderivatives stay exact this way, at one gcd per output
-coefficient instead of one per partial product.  Composition needs no kernel:
-its power table only adds and multiplies, so it stays exact on its own.
+Exact jets (every coefficient an ``int`` or a ``fractions.Fraction``) run the
+same loops on integer numerators: each operand is put over one common
+denominator, the output numerators over a denominator fixed before the loop
+starts, and where the float step divides, the exact step divides its integer
+sum exactly (``//`` with no remainder).  Each output coefficient is then built
+as a single ``Fraction(numerator, denominator)``.  Products, reciprocals,
+powers (integer exponent, or rational exponent with c_0 = 1), reversion and
+antiderivatives stay exact this way, at one gcd per output coefficient
+instead of one per partial product.  Composition needs no scaling: its power
+table only adds and multiplies, so it stays exact on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
+from operator import mul
 
 import numpy as np
 
@@ -69,9 +72,10 @@ def _fractions(nums, den) -> tuple:
 
 
 def _convolve(a, b, n: int) -> list:
-    """The first n+1 coefficients of the product of two sequences that each
-    hold at least n+1 terms."""
-    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    """The first n+1 coefficients of the product of a and b, where b holds at
+    least n+1 terms and a may be shorter (zero past its end): term k sums
+    a_i b_(k-i) for i = 0, 1, ... in that order."""
+    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
 
 
 def _is_mp(x) -> bool:
@@ -181,31 +185,31 @@ def jet_from_coeffs(coeffs, center=0j) -> Jet:
 
 
 def jet_reciprocal(a: Jet) -> Jet:
-    """Multiplicative inverse; requires nonvanishing constant term."""
+    """Multiplicative inverse; requires nonvanishing constant term.
+
+    An exact a = x/d runs the loop on numerators over x_0^(N+1), from
+    d x_0^N, each step dividing its integer sum by x_0 exactly."""
     c0 = a.coeffs[0]
     if _any(c0 == 0):
         raise JetError("reciprocal of a jet with vanishing constant term")
+    n = a.order
     exact = _over_common(a.coeffs)
     if exact:
         x, d, _ = exact
-        return Jet(a.center, _exact_reciprocal(x, d))
+        x0 = x[0]
+        return Jet(a.center, _fractions(_reciprocal(x, n, d * x0**n, lambda s: -s // x0), x0 ** (n + 1)))
     inv0 = 1.0 / c0
-    out = [inv0]
-    for n in range(1, a.order + 1):
-        s = sum(a.coeffs[k] * out[n - k] for k in range(1, n + 1))
-        out.append(-inv0 * s)
-    return Jet(a.center, tuple(out))
+    return Jet(a.center, tuple(_reciprocal(a.coeffs, n, inv0, lambda s: -inv0 * s)))
 
 
-def _exact_reciprocal(x, d) -> tuple:
-    """Coefficients of 1/a for a = x/d: with 1/a_n = d Y_n / x_0^(n+1),
-    Y_0 = 1 and Y_n = -sum_k x_k Y_(n-k) x_0^(k-1)."""
-    x0_pow = [1, x[0]]
-    ys = [1]
-    for n in range(1, len(x)):
-        ys.append(-sum(x[k] * ys[n - k] * x0_pow[k - 1] for k in range(1, n + 1)))
-        x0_pow.append(x0_pow[-1] * x[0])
-    return tuple(Fraction(d * y, x0_pow[n + 1]) for n, y in enumerate(ys))
+def _reciprocal(x, order: int, first, step) -> list:
+    """r_0 = first and r_n = step(sum_{k=1}^{n} x_k r_(n-k)) for n = 1..order,
+    the recurrence of 1/x; x may be shorter than order + 1 (zero past its
+    end), which keeps a polynomial's reciprocal at O(order * degree)."""
+    out = [first]
+    for n in range(1, order + 1):
+        out.append(step(sum(map(mul, x[1 : n + 1], out[::-1]))))
+    return out
 
 
 def jet_pow(a: Jet, alpha) -> Jet:
@@ -218,6 +222,12 @@ def jet_pow(a: Jet, alpha) -> Jet:
     by c0; a vanishing c0 is allowed only for a nonnegative integer alpha,
     where the result is the repeated product.  Over mpmath coefficients the
     leading power and the 1/n factors are taken at the working precision.
+
+    With alpha = p/q the step is
+    g_n = sum_k (p k - q (n-k)) c_k g_(n-k) / (n q c_0), with q = 1 for a
+    float or mpmath alpha.  An exact a = x/d runs it on numerators over
+    g0_den N! (q x_0)^N, from g0_num N! (q x_0)^N, each step dividing its
+    integer sum by n q x_0 exactly.
     """
     c0 = a.coeffs[0]
     if _any(c0 == 0):
@@ -231,10 +241,20 @@ def jet_pow(a: Jet, alpha) -> Jet:
     if alpha == 0:
         return jet_const(1 if _is_exact(c0) else 1.0 + 0j, a.center, a.order)
 
+    n = a.order
     if _is_exact(c0) and isinstance(alpha, (int, Fraction)) and (Fraction(alpha).denominator == 1 or c0 == 1):
         exact = _over_common(a.coeffs)
         if exact:
-            return _exact_pow(a, exact, Fraction(alpha))
+            x, d, _ = exact
+            p, q = Fraction(alpha).as_integer_ratio()
+            x0 = x[0]
+            if q == 1:
+                g0_num, g0_den = (x0**p, d**p) if p >= 0 else (d ** (-p), x0 ** (-p))
+            else:
+                g0_num = g0_den = 1  # c0 == 1
+            step, scale = q * x0, factorial(n) * (q * x0) ** n
+            out = _power(x, n, g0_num * scale, p, q, lambda s, m: s // (m * step))
+            return Jet(a.center, _fractions(out, g0_den * scale))
     mp = _is_mp(c0)
     if mp:
         alph = c0.context.mpf(alpha.numerator) / alpha.denominator if isinstance(alpha, Fraction) else alpha
@@ -242,43 +262,26 @@ def jet_pow(a: Jet, alpha) -> Jet:
     else:
         g0 = np.power(c0, complex(alpha)) if isinstance(c0, np.ndarray) else complex(c0) ** complex(alpha)
         alph = float(Fraction(alpha)) if isinstance(alpha, Fraction) else alpha
-
-    out = [g0]
     inv_c0 = 1.0 / c0
-    for n in range(1, a.order + 1):
-        s = sum((alph * k - (n - k)) * a.coeffs[k] * out[n - k] for k in range(1, n + 1))
-        out.append(inv_c0 * s / n if mp else inv_c0 * s * (1.0 / n))
-    return Jet(a.center, tuple(out))
+    step = (lambda s, m: inv_c0 * s / m) if mp else (lambda s, m: inv_c0 * s * (1.0 / m))
+    return Jet(a.center, tuple(_power(a.coeffs, n, g0, alph, 1, step)))
 
 
-def _exact_pow(a: Jet, exact, alpha: Fraction) -> Jet:
-    """a**alpha on integer numerators, for integer alpha or c0 == 1.
+def _power(x, order: int, first, p, q, step) -> list:
+    """g_0 = first and g_n = step(sum_{k=1}^{n} (p k - q (n-k)) x_k g_(n-k), n)
+    for n = 1..order, the recurrence of x^(p/q)."""
+    out = [first]
+    for n in range(1, order + 1):
+        out.append(step(sum((p * k - q * (n - k)) * x[k] * out[n - k] for k in range(1, n + 1)), n))
+    return out
 
-    With a = x/d and alpha = p/q, write g_n = g_0 G_n / (n! (q x_0)^n).  The
-    coefficientwise form of f g' = alpha f' g becomes
-    G_n = sum_k (p k - q (n-k)) x_k (q x_0)^(k-1) G_(n-k) (n-1)!/(n-k)!, G_0 = 1.
-    """
-    x, d, _ = exact
-    p, q = alpha.numerator, alpha.denominator
-    x0 = x[0]
-    if q == 1:
-        g0_num, g0_den = (x0**p, d**p) if p >= 0 else (d ** (-p), x0 ** (-p))
-    else:
-        g0_num = g0_den = 1  # c0 == 1
-    step = q * x0
-    scaled = [None] + [x[k] * step ** (k - 1) for k in range(1, len(x))]
-    big = [1]
-    den = g0_den
-    out = [Fraction(g0_num, g0_den)]
-    for n in range(1, len(x)):
-        s, falling = 0, 1
-        for k in range(1, n + 1):
-            s += (p * k - q * (n - k)) * scaled[k] * big[n - k] * falling
-            falling *= n - k
-        big.append(s)
-        den *= n * step
-        out.append(Fraction(g0_num * s, den))
-    return Jet(a.center, tuple(out))
+
+def _fill_column(u, powers, m: int):
+    """Column m of the power table P[k][m] = sum_j u_j P[k-1][m-j] for
+    k = 2..m, from the columns before it and row 1: j runs up from 1 to
+    m-k+1, so row k-1 is read down from column m-1 to column k-1."""
+    for k in range(2, m + 1):
+        powers[k][m] = sum(map(mul, u[1 : m - k + 2], powers[k - 1][m - 1 : k - 2 : -1]))
 
 
 def jet_compose(outer: Jet, inner: Jet) -> Jet:
@@ -290,9 +293,10 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
 
     Power-table composition (Knuth, TAOCP vol. 2, §4.7): with u = inner - v
     and P[k][m] = [w^m] u^k, which vanishes below m = k,
-    P[k][m] = sum_j u_j P[k-1][m-j] and out_m = sum_{k=1}^{m} outer_k P[k][m].
-    About n^3/6 coefficient products at order n, no intermediate jets.  The
-    table never divides, so int and Fraction coefficients stay exact.
+    P[k][m] = sum_j u_j P[k-1][m-j] and out_m = sum_{k=1}^{m} outer_k P[k][m],
+    filled column by column.  About n^3/6 coefficient products at order n,
+    no intermediate jets.  The table never divides, so int and Fraction
+    coefficients stay exact.
     """
     v = inner.coeffs[0]
     mismatch = abs(v - outer.center)
@@ -300,22 +304,12 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
         raise JetError(f"composition value/center mismatch: inner(center)={v}, outer.center={outer.center}")
     n = min(outer.order, inner.order)
     c, u = outer.coeffs[: n + 1], inner.coeffs[: n + 1]
-    powers = _power_table(u, n)
-    out = [c[0]] + [sum(c[k] * powers[k][m] for k in range(1, m + 1)) for m in range(1, n + 1)]
+    powers = [None, u] + [[None] * (n + 1) for _ in range(n - 1)]
+    out = [c[0]]
+    for m in range(1, n + 1):
+        _fill_column(u, powers, m)
+        out.append(sum(c[k] * powers[k][m] for k in range(1, m + 1)))
     return Jet(inner.center, tuple(out))
-
-
-def _power_table(u, n: int) -> list:
-    """P[k][m] = [w^m] (u - u_0)^k for 1 <= k <= m <= n; entries below m = k
-    are None."""
-    powers = [None, list(u)]
-    for k in range(2, n + 1):
-        lower = powers[k - 1]
-        row = [None] * k
-        for m in range(k, n + 1):
-            row.append(sum(u[j] * lower[m - j] for j in range(1, m - k + 2)))
-        powers.append(row)
-    return powers
 
 
 def jet_reverse(a: Jet) -> Jet:
@@ -333,6 +327,8 @@ def jet_reverse(a: Jet) -> Jet:
     Over exact coefficients a = x/d the table runs on integers: with
     g_m = d^m G_m / x_1^(2m-1) and Q[k][m] = x_1^(2m-k) [z^m] G(z)^k,
     Q[k][m] = sum_j G_j Q[k-1][m-j] and G_m = -sum_k x_k Q[k][m] x_1^(k-2).
+    Reversion keeps this scaling of its own: over one denominator D for
+    every g_m, row k of the table would carry D^k.
     """
     if _any(a.center != 0):
         raise JetError("reversion is supported at center 0 only")
@@ -351,9 +347,7 @@ def jet_reverse(a: Jet) -> Jet:
     g = [zero, inv1] + [zero] * (n - 1)
     powers = [None, g] + [[zero] * (n + 1) for _ in range(n - 1)]
     for m in range(2, n + 1):
-        for k in range(2, m + 1):
-            lower = powers[k - 1]
-            powers[k][m] = sum(g[j] * lower[m - j] for j in range(1, m - k + 2))
+        _fill_column(g, powers, m)
         g[m] = -inv1 * sum(c[k] * powers[k][m] for k in range(2, m + 1))
     return Jet(a.center, tuple(g))
 
@@ -368,9 +362,7 @@ def _exact_reverse(x, d) -> tuple:
     g = [0, 1] + [0] * (n - 1)
     powers = [None, g] + [[0] * (n + 1) for _ in range(n - 1)]
     for m in range(2, n + 1):
-        for k in range(2, m + 1):
-            lower = powers[k - 1]
-            powers[k][m] = sum(g[j] * lower[m - j] for j in range(1, m - k + 2))
+        _fill_column(g, powers, m)
         g[m] = -sum(x[k] * powers[k][m] * x1_pow[k - 2] for k in range(2, m + 1))
     return (Fraction(0),) + tuple(Fraction(d**m * g[m], x1_pow[2 * m - 1]) for m in range(1, n + 1))
 

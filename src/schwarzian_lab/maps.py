@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import Jet, JetError, _any, _horner, _is_exact, jet_derive, jet_from_coeffs, jet_shift, jet_variable
+from .jets import Jet, JetError, _any, _convolve, _horner, _is_exact, _reciprocal, jet_derive, jet_from_coeffs, jet_shift, jet_variable
 
 
 class DomainError(ValueError):
@@ -232,23 +232,17 @@ def _read_rational(d: dict):
 
 
 def _rational_jet(num, den, z0, order: int) -> Jet:
-    """Jet at z0 of num/den, the quotient num * (1/den) of the two shifted
-    polynomials p and q, each shifted only up to `order`.  Both recurrences,
-    1/q and the product, run over p's and q's own coefficients only,
-    O(order * degree) products: the terms they skip are the exact zeros past
-    each degree, so the result has the bits of the quotient of the
-    zero-padded jets."""
+    """Jet at z0 of num/den, the product p * (1/q) of the two shifted
+    polynomials p and q, each shifted only up to `order`.  The reciprocal
+    and the product read p and q as zero past their ends, O(order * degree)
+    products: the terms they skip are exact zeros, so the result has the
+    bits of the quotient of the zero-padded jets."""
     p = jet_shift(jet_from_coeffs(num, 0), z0, order).coeffs
     q = jet_shift(jet_from_coeffs(den, 0), z0, order).coeffs
     if _any(q[0] == 0):
         raise JetError("jet at a pole of a rational function")
     inv0 = 1.0 / q[0]
-    recip, out = [inv0], []
-    for n in range(1, order + 1):
-        recip.append(-inv0 * sum(q[k] * recip[n - k] for k in range(1, min(n, len(q) - 1) + 1)))
-    for n in range(order + 1):
-        out.append(sum(p[k] * recip[n - k] for k in range(min(n, len(p) - 1) + 1)))
-    return Jet(z0, tuple(out))
+    return Jet(z0, tuple(_convolve(p, _reciprocal(q, order, inv0, lambda s: -inv0 * s), order)))
 
 
 def _read_pullback_diff(d: dict):

@@ -41,9 +41,7 @@ class SampleGrid:
             raise ValueError("negative radial depth")
 
     def points(self) -> np.ndarray:
-        radii = 1.0 - 0.5 ** np.arange(1, self.J + 1)
-        angles = 2.0 * math.pi * np.arange(self.M) / self.M
-        rings = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+        rings = integrals._ring_nodes(1.0 - 0.5 ** np.arange(1, self.J + 1), self.M)
         return np.concatenate([np.array([0.0 + 0.0j]), rings])
 
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
+from operator import mul
 
 from .jets import (
     Jet,
     JetError,
+    _fractions,
     _is_exact,
     _over_common,
     jet_antiderive,
@@ -48,39 +50,31 @@ class OdeSolution:
 
 
 def _linear_basis(phi: Jet, order: int, c0, c1) -> Jet:
-    """Solve h'' + (1/2) phi h = 0 with h(center) = c0, h'(center) = c1."""
+    """Solve h'' + (1/2) phi h = 0 with h(center) = c0, h'(center) = c1.
+
+    An exact phi = y/d runs the recurrence on numerators over b (2d)^N N!,
+    where b is the common denominator of c0 and c1, each step dividing its
+    integer sum by 2d (m+1)(m+2) exactly."""
     exact = _over_common(phi.coeffs)
     if exact:
-        return _exact_linear_basis(phi, order, exact, Fraction(c0), Fraction(c1))
-    coeffs = [c0, c1] + [0] * (order - 1)
-    for m in range(order - 1):
-        conv = sum(phi.coeffs[j] * coeffs[m - j] for j in range(min(m, phi.order) + 1))
-        coeffs[m + 2] = -0.5 * conv / ((m + 1) * (m + 2))
-    return jet_from_coeffs(coeffs[: order + 1], phi.center)
+        y, d, _ = exact
+        c0, c1 = Fraction(c0), Fraction(c1)
+        b = lcm(c0.denominator, c1.denominator)
+        two_d = 2 * d
+        scale = b * two_d**order * factorial(order)
+        r0, r1 = (c.numerator * (scale // c.denominator) for c in (c0, c1))
+        h = _basis(y, order, r0, r1, lambda s, k: -s // (two_d * k))
+        return jet_from_coeffs(_fractions(h, scale), phi.center)
+    return jet_from_coeffs(_basis(phi.coeffs, order, c0, c1, lambda s, k: -0.5 * s / k), phi.center)
 
 
-def _exact_linear_basis(phi: Jet, order: int, exact, c0: Fraction, c1: Fraction) -> Jet:
-    """The basis recurrence on integer numerators.  With phi = y/d and
-    h_m = H_m / (b (2d)^m m!), where b is the common denominator of c0 and c1,
-    H_(m+2) = -sum_j y_j H_(m-j) (2d)^(j+1) m!/(m-j)!."""
-    y, d, _ = exact
-    b = lcm(c0.denominator, c1.denominator)
-    two_d = 2 * d
-    big = [c0.numerator * (b // c0.denominator), c1.numerator * (b // c1.denominator) * two_d] + [0] * (order - 1)
-    two_d_pow = [two_d]
-    for _ in range(min(order, len(y))):
-        two_d_pow.append(two_d_pow[-1] * two_d)
+def _basis(y, order: int, c0, c1, step) -> list:
+    """h_0 = c0, h_1 = c1 and h_(m+2) = step(sum_j y_j h_(m-j), (m+1)(m+2))
+    through h_order."""
+    h = [c0, c1]
     for m in range(order - 1):
-        s, falling = 0, 1
-        for j in range(min(m, phi.order) + 1):
-            s += y[j] * big[m - j] * two_d_pow[j] * falling
-            falling *= m - j
-        big[m + 2] = -s
-    den, out = b, [Fraction(big[0], b)]
-    for m in range(1, order + 1):
-        den *= two_d * m
-        out.append(Fraction(big[m], den))
-    return jet_from_coeffs(out, phi.center)
+        h.append(step(sum(map(mul, y[: m + 1], h[m::-1])), (m + 1) * (m + 2)))
+    return h[: order + 1]
 
 
 def schwarzian_solve(phi: Jet, order: int | None = None) -> OdeSolution:

@@ -9,7 +9,7 @@ import pytest
 from schwarzian_lab import AnalyticFn, catalog, rotated_koebe
 from schwarzian_lab.automorphic import projection_symmetry_check
 from schwarzian_lab.cli import build_parser, main, parse_function
-from schwarzian_lab.integrals import disc_quadrature
+from schwarzian_lab.integrals import disc_quadrature, weighted_pairing
 
 
 def run(args):
@@ -159,6 +159,24 @@ def test_pole_at_the_reflected_point_is_a_usage_error_under_aw(capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("schwarzian-lab aw: error: argument --phi: "), lines
     assert "is not finite at 1/conj(z) = (0.25+0j)" in lines[0]
+
+
+@pytest.mark.parametrize("side", ["--f", "--g"])
+def test_pole_on_a_node_is_a_usage_error_under_pairing(capsys, side):
+    # the one-node radial rule puts a node at 0.5, the pole of 1/(z - 0.5)
+    pole = '{"kind":"rational","num":[[1,0]],"den":[[-0.5,0],[1,0]]}'
+    other = "--g" if side == "--f" else "--f"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            run(["pairing", side, pole, other, "identity", "--grid-r", "1", "--grid-m", "8", "--format", "json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert out == "" and len(lines) == 1, (out, lines)
+    assert lines[0].startswith("schwarzian-lab pairing: error: argument --f/--g: ") and "not finite at a node" in lines[0]
+    with pytest.raises(ValueError, match="non-finite pairing integrand"), np.errstate(divide="ignore", invalid="ignore"):
+        weighted_pairing(parse_function(pole), parse_function("identity"), 2, disc_quadrature(1, 8))
 
 
 def test_vanishing_derivative_at_a_sample_point_is_a_usage_error_under_norm(capsys):

@@ -22,7 +22,7 @@ from schwarzian_lab import (
     jet_reverse,
     jet_variable,
 )
-from schwarzian_lab.jets import JetError, jet_antiderive, jet_const, jet_shift
+from schwarzian_lab.jets import JetError, _convolve, _reciprocal, jet_antiderive, jet_const, jet_shift
 
 
 def test_variable_jet():
@@ -450,3 +450,76 @@ def test_exact_kernel_keeps_integer_products_integer():
     prod = (jet_from_coeffs([1, -2, 3]) * jet_from_coeffs([0, 4, 5])).coeffs
     assert prod == (0, 4, -3) and all(type(c) is int for c in prod)
     assert all(isinstance(c, Fraction) for c in (jet_from_coeffs([Fraction(2), 1]) * jet_from_coeffs([1, 1])).coeffs)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [Fraction(-3, 2)],  # order 0
+        [Fraction(-3, 2), Fraction(5, 7)],  # order 1
+        [-3, 2],
+        [Fraction(-9, 4), 1, Fraction(-2, 3), 0, Fraction(7, 5), -6],
+        [Fraction(-12, 7)] + [Fraction((-1) ** k * (k + 1), k + 2) for k in range(14)],
+    ],
+)
+def test_exact_reciprocal_and_power_at_low_orders_and_a_negative_non_unit_constant(a):
+    """The scaled loops start at d x_0^N (reciprocal) and g0_num N! (q x_0)^N
+    (power): orders 0 and 1 and a negative x_0 pin the start and the sign of
+    the exact divisions."""
+    jet = jet_from_coeffs(a, 0)
+    _assert_exact_match(jet_reciprocal(jet).coeffs, _ref_reciprocal(a))
+    for alpha in (-3, -1, 1, 2, 5):
+        _assert_exact_match(jet_pow(jet, alpha).coeffs, _ref_pow(a, alpha))
+    unit = [Fraction(1)] + a[1:]
+    for alpha in (Fraction(-1, 2), Fraction(2, 3), Fraction(-7, 5)):
+        _assert_exact_match(jet_pow(jet_from_coeffs(unit, 0), alpha).coeffs, _ref_pow(unit, alpha))
+
+
+def _power_table(u, n: int) -> list:
+    """Row-wise power table P[k][m] = [w^m] (u - u_0)^k, the loop that
+    composition filled before it went column by column."""
+    powers = [None, list(u)]
+    for k in range(2, n + 1):
+        lower = powers[k - 1]
+        row = [None] * k
+        for m in range(k, n + 1):
+            row.append(sum(u[j] * lower[m - j] for j in range(1, m - k + 2)))
+        powers.append(row)
+    return powers
+
+
+def test_batched_composition_has_the_bits_of_the_row_wise_power_table():
+    rng = np.random.default_rng(23)
+    draw = lambda: rng.normal(size=6) + 1j * rng.normal(size=6)
+    for n in range(10):
+        center = draw()
+        inner = jet_from_coeffs([center] + [draw() for _ in range(n)], center=draw())
+        outer = jet_from_coeffs([draw() for _ in range(n + 1)], center=center)
+        powers = _power_table(inner.coeffs, n)
+        c = outer.coeffs
+        want = [c[0]] + [sum(c[k] * powers[k][m] for k in range(1, m + 1)) for m in range(1, n + 1)]
+        got = jet_compose(outer, inner).coeffs
+        assert len(got) == n + 1
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w) and g.tobytes() == w.tobytes()
+
+
+def test_reciprocal_and_product_read_a_short_polynomial_as_zero_padded():
+    rng = np.random.default_rng(29)
+    cases = []
+    for deg in range(4):
+        scalar = [complex(x, y) for x, y in rng.uniform(-1, 1, (deg + 1, 2))]
+        scalar[0] += 2.0
+        batched = [rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5) for _ in range(deg + 1)]
+        batched[0] = batched[0] + 2.0
+        cases += [scalar, batched]
+    for q in cases:
+        for order in range(8):
+            padded = (list(q) + [0 * q[-1]] * order)[: order + 1]
+            inv0 = 1.0 / q[0]
+            short = _reciprocal(q, order, inv0, lambda s: -inv0 * s)
+            full = jet_reciprocal(Jet(0j, padded)).coeffs
+            b = [x + 0.5 for x in full]
+            assert len(short) == order + 1
+            for got, want in zip(short + _convolve(q, b, order), full + tuple(_convolve(padded, b, order))):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from schwarzian_lab.jets import JetError, jet_derive, jet_from_coeffs
 from schwarzian_lab.maps import Moebius
 from schwarzian_lab.ode import (
+    _linear_basis,
     homogeneous_a_check,
     homogeneous_b,
     homogeneous_b_residual,
@@ -140,3 +141,19 @@ def test_basis_matches_the_fraction_recurrence(phi, order):
             want[m + 2] = -Fraction(1, 2) * conv / ((m + 1) * (m + 2))
         assert h.coeffs == tuple(want)
         assert all(isinstance(c, Fraction) for c in h.coeffs)
+
+
+@pytest.mark.parametrize("c0, c1", [(Fraction(-3, 2), Fraction(5, 7)), (-2, 0), (Fraction(0), Fraction(-4, 9))])
+@pytest.mark.parametrize("order", [0, 1, 3, 14])
+def test_basis_from_negative_non_unit_data_matches_the_fraction_recurrence(c0, c1, order):
+    """The scaled loop starts at c b (2d)^N N!: orders 0 and 1, negative and
+    non-unit initial values and a negative fractional phi_0 pin the start
+    and the exact divisions."""
+    phi = [Fraction(-5, 3), 2, Fraction(-1, 6), 0, Fraction(7, 4)]
+    want = [Fraction(c0), Fraction(c1)] + [Fraction(0)] * max(order - 1, 0)
+    for m in range(order - 1):
+        conv = sum(phi[j] * want[m - j] for j in range(min(m, len(phi) - 1) + 1))
+        want[m + 2] = -Fraction(1, 2) * conv / ((m + 1) * (m + 2))
+    got = _linear_basis(jet_from_coeffs(phi, 0), order, c0, c1).coeffs
+    assert got == tuple(want[: order + 1])
+    assert all(type(c) is Fraction for c in got)

@@ -21,8 +21,8 @@ are computed on the basis z^k, which the rotation-invariant weight
 
 The projection takes one FFT per ring of a `disc_quadrature` grid, where the
 trapezoid rule in the angle is spectrally accurate, and Gauss moments in the
-radius; the lemma reads Taylor coefficients off an FFT on a circle.  Neither
-builds a kernel matrix.
+radius, in `integrals.ring_moments`; the lemma reads Taylor coefficients off
+an FFT on a circle.  Neither builds a kernel matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import compare
-from .integrals import QuadGrid, _ring_nodes, disc_quadrature, legendre_rule, product_rings, vec_eval, weighted_pairing
+from .integrals import QuadGrid, _ring_nodes, disc_quadrature, legendre_rule, product_rings, ring_moments, vec_eval, weighted_pairing
 from .jets import _horner
 from .maps import DISC, LOWER_HALF, UPPER_HALF, AnalyticFn, HyperbolicDomain, Moebius, _c2pair, poincare_density
 
@@ -137,9 +137,12 @@ def group_from_descriptor(desc: dict) -> list:
 
 def sup_on_disc(f) -> float:
     """Sampled estimate of sup |f| over the closed unit disc: 25 radii up to
-    0.999 crossed with 64 angles."""
+    0.999 crossed with 64 angles; ValueError at a non-finite sample."""
     pts = _ring_nodes(np.linspace(0.0, 0.999, 25), 64)
-    return float(np.max(np.abs(vec_eval(f, pts))))
+    sup = float(np.max(np.abs(vec_eval(f, pts))))
+    if not math.isfinite(sup):
+        raise ValueError("non-finite sample in sup estimation")
+    return sup
 
 
 def theta_values(f, q: int, ball: GroupBall, z):
@@ -391,24 +394,22 @@ def bergman_project(f, s: int, z, grid: QuadGrid | None = None):
         beta f = sum_k c_k z^k,
         c_k = ((2s-1)/pi) C(k+2s-1, k) integral of f conj(w)^k (1-|w|^2)^(2s-2) dA.
 
-    On a `disc_quadrature` grid (ValueError for any other) of M angles, one
-    FFT per ring gives the angular integrals and Gauss moments
-    w_r r^(k+1) (1-r^2)^(2s-2) the radial ones, for k < M/2; the sum is
-    evaluated by Horner's rule.  Fixes holomorphic f of the right growth;
-    z may be a scalar or an array.
+    On a `disc_quadrature` grid (ValueError for any other) of M angles,
+    `ring_moments` reads f in blocks of rings (ValueError if not finite) and
+    takes the c_k with k < M/2 by one FFT per ring and the Gauss moments
+    w_r r^(k+1) (1-r^2)^(2s-2); Horner's rule sums the series.  Fixes
+    holomorphic f of the right growth; z may be a scalar or an array.
     """
     if s < 2:
         raise ValueError("weight must be >= 2")
     grid = grid or disc_quadrature()
     r, ring_w, m = product_rings(grid, "disc")
-    rings = vec_eval(f, grid.nodes).reshape(r.size, m)
     k = np.arange(m // 2)
-    modes = np.fft.fft(rings, axis=1)[:, : m // 2]
     moments = (ring_w * (1.0 - r * r) ** (2 * s - 2))[:, None] * r[:, None] ** k
     binom = np.ones(k.size)  # C(k+2s-1, k)
     for j in range(1, 2 * s):
         binom *= (k + j) / j
-    c = (2 * s - 1) / math.pi * binom * np.sum(moments * modes, axis=0)
+    c = (2 * s - 1) / math.pi * binom * ring_moments(f, grid, moments)[0]
     vals = _horner(c, np.asarray(z, dtype=complex))
     return complex(vals) if np.ndim(z) == 0 else vals
 

@@ -203,20 +203,21 @@ def parse_density(spec: str) -> DensityFn:
     """Densities on the exterior disc: ``aw:<function>`` for the bounded
     section of a holomorphic function, or ``const:<c>``."""
     if spec.startswith("aw:"):
-        return _aw_density(parse_function(spec[3:]), "--density", spec)
+        return _finite_or_usage_error("--density", repr(spec), "a sample point", ahlfors_weill_density, parse_function(spec[3:]))
     if spec.startswith("const:"):
         c = _complex(spec[len("const:") :])
         return DensityFn(lambda eta: np.full_like(np.asarray(eta, dtype=complex), c), EXTERIOR_DISC, abs(c))
     raise argparse.ArgumentTypeError(f"unknown density spec {spec!r} (use aw:<fn> or const:<c>)")
 
 
-def _aw_density(phi: AnalyticFn, option: str, spec: str) -> DensityFn:
-    """The section's density; a phi not finite on its B_2-norm sample grid is a usage error."""
+def _finite_or_usage_error(option: str, what: str, where: str, fn, *args):
+    """fn(*args) with no warnings from a pole; the ValueError fn raises on a
+    value of `what` that is not finite at `where` is a usage error."""
     try:
         with np.errstate(divide="ignore", invalid="ignore"):  # no warnings from the pole
-            return ahlfors_weill_density(phi)
+            return fn(*args)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"argument {option}: {spec!r} is not finite at a sample point: {exc}") from None
+        raise argparse.ArgumentTypeError(f"argument {option}: {what} is not finite at {where}: {exc}") from None
 
 
 def inverse_power_fn(q: int) -> AnalyticFn:
@@ -326,7 +327,7 @@ def cmd_aw(args) -> dict:
         target = complex(phi(w))
     _require(np.isfinite(target), f"argument --phi: {args.phi!r} is not finite at 1/conj(z) = {w}")
     sval = ahlfors_weill(phi, args.z)
-    nu = _aw_density(phi, "--phi", args.phi)
+    nu = _finite_or_usage_error("--phi", repr(args.phi), "a sample point", ahlfors_weill_density, phi)
     grid = _exterior_grid(args, 3)
     round_trip = d0_beta(checks.sigma_expr("A", 3), nu, w, grid)
     relerr = abs(round_trip - target) / max(abs(target), 1e-300)  # relative to the target alone
@@ -360,12 +361,12 @@ def cmd_theta(args) -> dict:
     gens, desc = _group(args)
     ball = group_ball(gens, args.radius)
     f = parse_function(args.f)
-    rep = poincare_theta(f, args.q, ball, args.z)
+    rep = _finite_or_usage_error("--f", repr(args.f), "a sample point", poincare_theta, f, args.q, ball, args.z)
     res = automorphy_residual(f, args.q, ball, args.z) if gens else 0.0
     return checks.report(
         "theta",
         {"group": desc, "radius": args.radius, "q": args.q, "f": args.f, "z": args.z},
-        res <= rep.automorphy_bound,
+        math.isfinite(rep.automorphy_bound) and res <= rep.automorphy_bound,  # an infinite bound holds nothing
         value=rep.value,
         tail_estimate=rep.tail_estimate,
         automorphy_bound=rep.automorphy_bound,
@@ -388,12 +389,9 @@ def cmd_pairing(args) -> dict:
     else:
         grid = disc_quadrature(R=args.grid_r, M=args.grid_m)
         domain_note = "unit disc"
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):  # no warnings from a pole on a node
-            val = wp_pairing(f, g, spec, grid)
-            flipped = wp_pairing(g, f, spec, grid)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"argument --f/--g: {args.f!r} * conj({args.g!r}) is not finite at a node: {exc}") from None
+    what = f"{args.f!r} * conj({args.g!r})"
+    val = _finite_or_usage_error("--f/--g", what, "a node", wp_pairing, f, g, spec, grid)
+    flipped = _finite_or_usage_error("--f/--g", what, "a node", wp_pairing, g, f, spec, grid)
     sym = abs(val - np.conj(flipped)) / max(abs(val), 1e-300)  # relative to <f, g> alone
     inputs = {"f": args.f, "g": args.g, "s": args.s, "domain": domain_note, "grid": dict(grid.meta)}
     return checks.report("pairing", inputs, sym < 1e-9, value=val, conjugate_symmetry_relerr=sym)

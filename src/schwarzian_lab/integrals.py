@@ -15,12 +15,12 @@ d^2 eta = 4|1-zeta|^-4 d^2 zeta, and are not truncated.  Each grid, like
 each rule, is built once per size and process (`functools.lru_cache`) and
 shared read-only, so a caller must not edit a grid's `meta` in place.
 
-`d0_beta` and the left side of `kernel_criterion_check` run on the basis
-eta^-p: for |z| < 1 < |eta|, (z-eta)^-(k+1) is a power series in z whose
-coefficients are moments m_p = integral of nu eta^-p, and one FFT per ring of
-an exterior product grid gives every m_p with p < M (`exterior_moments`),
-which reads nu one block of rings at a time and never holds a value, a mode
-or a power for every node at once.
+Every spectral integral, `d0_beta`, the left side of `kernel_criterion_check`
+and `automorphic.bergman_project`, is one loop, `ring_moments`: one FFT per
+ring of a product grid times a radial table, summed over the rings a block at
+a time.  On the exterior the table is w r^p and the sums are the moments
+m_p = integral of nu eta^-p, p < M, the coefficients of (z-eta)^-(k+1) as a
+power series in z for |z| < 1 < |eta|.
 With `grid=None` they build one grid sized a priori (`exterior_grid`), and
 the criterion reports `nodes` and `quad_error`.  Its right side (through
 `weighted_pairing`) and `w1_term` stay node sums, independent of the moments.
@@ -38,7 +38,7 @@ from .maps import DISC, EXTERIOR_DISC, UPPER_HALF, HyperbolicDomain
 from .checks import compare
 from .symbolic import DiffExpr, monomial_coefficients, series_constant, series_letter, sigma_expr
 
-# Nodes per block of whole rings in which `exterior_moments` reads a density:
+# Nodes per block of whole rings in which `ring_moments` reads an integrand:
 # its values, modes and their moduli then take about 64 kB each, where the
 # 192 x 512 grid's would take 1.5 MB.
 BLOCK_NODES = 4096
@@ -190,36 +190,31 @@ def product_rings(grid: QuadGrid, kind: str):
     return _gauss_legendre(R)[0], grid.weights[::M], M
 
 
-def exterior_moments(nu, grid: QuadGrid):
-    """m_p = integral over |eta| > 1 of nu(eta) eta^-p dA for p < M, and the
-    same moments of |nu|, on an `exterior_disc_quadrature` grid.  `nu` is a
-    callable on arrays of nodes or its values at the grid's nodes.  With
-    eta = e^(i theta) / r, eta^-p = r^p e^(-i p theta): one FFT per ring
-    takes the angular integrals and the ring weights times r^p the radial
-    ones.
-
-    nu is read in blocks of whole rings, about BLOCK_NODES nodes each, and
-    the weights times r^p come from a table cached per grid size.  Each
-    ring's weighted modes are added to the sum in ring order, the order in
-    which `sum(axis=0)` over one array of all rings adds them, so the moments
-    have the same bits at every block size."""
-    r, _ring_weights, m = product_rings(grid, "exterior_disc")
-    powers = _exterior_powers(r.size, m)
+def ring_moments(f, grid: QuadGrid, table: np.ndarray):
+    """sum over rings i of table[i, p] FFT_p(ring i) for p < P, and the sum of
+    |f| over each ring, on a disc or exterior product grid of R rings of M
+    nodes and an R x P table, P <= M.  f is a callable on arrays of nodes or
+    its values at the grid's nodes, read in blocks of whole rings of about
+    BLOCK_NODES nodes; a non-finite value is a ValueError.  The rings' weighted
+    modes are added in ring order, as `sum(axis=0)` over all rings adds them,
+    so the sums have the same bits at every block size."""
+    m = grid.meta["M"]
+    rings, p = table.shape
     step = max(1, BLOCK_NODES // m)
-    ring_sums = np.empty(r.size)
-    moments = np.zeros(m, dtype=complex)
-    for i in range(0, r.size, step):
+    ring_sums = np.empty(rings)
+    moments = np.zeros(p, dtype=complex)
+    for i in range(0, rings, step):
         block = slice(i * m, (i + step) * m)
-        vals = nu(grid.nodes[block]) if callable(nu) else nu[block]
+        vals = vec_eval(f, grid.nodes[block]) if callable(f) else f[block]
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite density value on quadrature node")
-        rings = np.reshape(vals, (-1, m))
-        ring_sums[i : i + step] = np.abs(rings).sum(axis=1)
-        modes = np.fft.fft(rings, axis=1)
-        modes *= powers[i : i + step]
+        block_rings = np.reshape(vals, (-1, m))
+        ring_sums[i : i + step] = np.abs(block_rings).sum(axis=1)
+        modes = np.fft.fft(block_rings, axis=1)[:, :p]
+        modes *= table[i : i + step]
         for ring in modes:
             moments += ring
-    return moments, ring_sums @ powers
+    return moments, ring_sums
 
 
 @lru_cache(maxsize=None)
@@ -305,13 +300,12 @@ def ahlfors_weill(phi, z) -> complex:
     return -0.5 * phi(1.0 / zb) * (1.0 - np.abs(z) ** 2) ** 2 / (zb2 * zb2)
 
 
-def ahlfors_weill_density(phi, phi_b2_norm: float | None = None) -> DensityFn:
-    """The section as a DensityFn on the exterior disc."""
-    if phi_b2_norm is None:
-        from .norms import bn_norm_estimate
+def ahlfors_weill_density(phi) -> DensityFn:
+    """The section as a DensityFn on the exterior disc, bounded by half the
+    sampled B_2 norm of phi."""
+    from .norms import bn_norm_estimate
 
-        phi_b2_norm = bn_norm_estimate(phi, 2)
-    return DensityFn(lambda z: ahlfors_weill(phi, z), EXTERIOR_DISC, 0.5 * phi_b2_norm)
+    return DensityFn(lambda z: ahlfors_weill(phi, z), EXTERIOR_DISC, 0.5 * bn_norm_estimate(phi, 2))
 
 
 # -- integral operators --------------------------------------------------------
@@ -346,16 +340,18 @@ def _density_on(nu, grid: QuadGrid):
 
 
 def _d0_series(coeffs: dict, nu, z: complex, grid: QuadGrid):
-    """The d0_beta sum from nu (a callable or its values, as
-    `exterior_moments` takes it) on an exterior product grid, and a bound on
-    its error: the series' tail past the last mode plus round-off.
+    """The d0_beta sum from nu (a callable or its values, as `ring_moments`
+    takes it) on an exterior product grid, and a bound on its error: the
+    series' tail past the last mode plus round-off.
 
     I_k = (-1)^(k+1) S_k with S_k = sum_j C(j+k, k) z^j m_(j+k+1), so the
     (k, l) term is -(a_kl k!/pi) S_k.  The same sums over the moments of |nu|
     weigh the round-off, and the last of those bounds every dropped |m_p|.
     """
-    moments, absolute = exterior_moments(nu, grid)
-    m, r = moments.size, abs(z)
+    radii, _ring_weights, m = product_rings(grid, "exterior_disc")
+    powers = _exterior_powers(radii.size, m)
+    moments, ring_sums = ring_moments(nu, grid, powers)
+    absolute, r = ring_sums @ powers, abs(z)
     total, size, tail = 0j, 0.0, 0.0
     for (k, _l), a in coeffs.items():
         if m <= k + 1:
@@ -377,7 +373,7 @@ def d0_beta(coeffs, nu, z: complex, grid: QuadGrid | None = None) -> complex:
         I_k = integral over the exterior disc of nu(eta)/(z-eta)^(k+1)
             = (-1)^(k+1) sum_j C(j+k, k) z^j m_(j+k+1),
 
-    with the moments m_p = integral of nu eta^-p from `exterior_moments`.
+    with the moments m_p = integral of nu eta^-p dA from `ring_moments`.
     `coeffs` is either the {(k,l): a_kl} map of degree-one coefficients or a
     canonical DiffExpr from which they are extracted.  Linear in nu, which is
     evaluated once per node, a block of rings at a time.  The grid must be an

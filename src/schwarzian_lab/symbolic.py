@@ -44,7 +44,7 @@ Key = tuple  # (2*e1, e2, e3, ..., eK), trailing zeros trimmed
 
 
 class CriticalPointError(ValueError):
-    """`evaluate` met u_1 = f' = 0 at an evaluation point."""
+    """`evaluate` or `evaluate_jet` met u_1 = f' = 0."""
 
 
 def _trim(key) -> Key:
@@ -376,6 +376,8 @@ def evaluate_jet(e: DiffExpr, f: Jet) -> Jet:
     top = e.max_index()
     if f.order < top:
         raise ValueError(f"jet order {f.order} below required derivative index {top}")
+    if _any(f.coeffs[1] == 0):
+        raise CriticalPointError("vanishing first derivative at the jet's center")
     n = f.order - top
     exact = _over_common(f.coeffs)
     if exact:

@@ -7,6 +7,7 @@ these identities vanish and the comparison degenerates to noise over noise.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +33,9 @@ from schwarzian_lab import (
     theta_l1_check,
     wp_pairing,
 )
-from schwarzian_lab import automorphic
+from schwarzian_lab import automorphic, integrals
 from schwarzian_lab.automorphic import GroupError, sup_on_disc, theta_values, dilation_conjugator
+from schwarzian_lab.integrals import product_rings
 from schwarzian_lab.jets import _horner
 
 CYCLIC = {"kind": "cyclic", "fixpoints": [0.5, 2.8], "multiplier": 4.0}
@@ -230,6 +232,12 @@ def test_sup_on_disc():
     assert abs(sup_on_disc(lambda z: np.abs(z) ** 2) - 1.0) < 5e-3
 
 
+def test_sup_on_disc_rejects_a_pole_on_a_sample():
+    # 1/z is infinite at the sample point 0, and no finite estimate bounds it
+    with pytest.raises(ValueError, match="non-finite sample"), np.errstate(divide="ignore", invalid="ignore"):
+        sup_on_disc(lambda z: 1.0 / z)
+
+
 # -- weighted Bergman projection ----------------------------------------------
 
 
@@ -317,6 +325,55 @@ def test_projection_matches_dense_kernel_sum(s):
     dense = s_bergman_kernel(DISC, s)(zs[:, None], grid.nodes[None, :]) @ wgt
     assert np.max(np.abs(dense)) > 0.1  # nondegenerate
     assert np.max(np.abs(bergman_project(f, s, zs) - dense)) < 1e-10
+
+
+def whole_grid_projection(f, s, z, grid):
+    """The projection from every node at once: one array of values, of FFT
+    modes and of Gauss moments, and one sum over the rings."""
+    r, ring_w, m = product_rings(grid, "disc")
+    rings = np.asarray(f(grid.nodes), dtype=complex).reshape(r.size, m)
+    k = np.arange(m // 2)
+    modes = np.fft.fft(rings, axis=1)[:, : m // 2]
+    moments = (ring_w * (1.0 - r * r) ** (2 * s - 2))[:, None] * r[:, None] ** k
+    binom = np.ones(k.size)  # C(k+2s-1, k)
+    for j in range(1, 2 * s):
+        binom *= (k + j) / j
+    return _horner((2 * s - 1) / math.pi * binom * np.sum(moments * modes, axis=0), np.asarray(z, dtype=complex))
+
+
+@pytest.mark.parametrize("block", [integrals.BLOCK_NODES, 1, 100, 2048])
+@pytest.mark.parametrize("R, M", [(8, 16), (24, 48), (96, 256)])
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_projection_has_the_bits_of_the_whole_grid_sum(monkeypatch, block, R, M, s):
+    monkeypatch.setattr(integrals, "BLOCK_NODES", block)
+    grid = disc_quadrature(R, M)
+    f = lambda w: np.exp(w) * np.abs(w) ** 2
+    for z in (np.array([0.0, 0.3 + 0.2j, -0.5j, 0.6]), grid.nodes):
+        assert bergman_project(f, s, z, grid).tobytes() == whole_grid_projection(f, s, z, grid).tobytes()
+
+
+@pytest.mark.parametrize("R, M", [(96, 256), (8, 16)])
+def test_projection_of_a_non_finite_f_raises(R, M):
+    grid = disc_quadrature(R, M)
+    last = grid.nodes[-1]
+    with pytest.raises(ValueError, match="non-finite density value"):
+        bergman_project(lambda w: np.where(w == last, np.nan, w), 2, 0.1, grid)
+
+
+def test_projection_holds_no_whole_grid_temporaries():
+    # values, modes and moments for all 24,576 nodes of the default grid at
+    # once peaked at 1.32 MB; a block of rings and the moment table stay under 0.6 MB
+    grid = disc_quadrature()
+    f = lambda w: np.exp(w) * np.abs(w) ** 2
+    zs = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.6])
+    bergman_project(f, 2, zs, grid)  # fill the rule and grid caches
+    tracemalloc.start()
+    try:
+        bergman_project(f, 2, zs, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6e6
 
 
 def test_projection_rejects_grids_without_rings():

@@ -259,6 +259,29 @@ def test_theta_report(capsys):
     assert rep["ball_size"] == 13
 
 
+def test_pole_at_a_sample_point_is_a_usage_error_under_theta(capsys):
+    # 1/z has its pole at sup_on_disc's sample point 0, so no finite bound holds
+    spec = '{"kind": "rational", "num": [[1, 0]], "den": [[0, 0], [1, 0]]}'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            run(["theta", "--f", spec, "--format", "json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert out == "" and len(lines) == 1, (out, lines)
+    assert lines[0].startswith(f"schwarzian-lab theta: error: argument --f: {spec!r} is not finite at a sample point: "), lines
+
+
+@pytest.mark.parametrize("multiplier", [4.0, 1.01, 1.1, 1.5])
+def test_theta_fails_where_the_automorphy_bound_is_infinite(capsys, multiplier):
+    # at radius 1 the boundary words do not decay, and an infinite bound holds nothing
+    group = json.dumps({"kind": "cyclic", "fixpoints": [0.5, 2.8], "multiplier": multiplier})
+    assert run(["theta", "--radius", "1", "--group", group, "--format", "json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["automorphy_bound"] == float("inf") and not rep["ok"]
+
+
 def test_bergman_passes_on_a_coarse_grid(capsys):
     # the projection is exact on the basis z^k, so an 8 x 16 grid fixes
     # w^0..w^4 to round-off

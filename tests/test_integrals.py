@@ -36,10 +36,10 @@ from schwarzian_lab.integrals import (
     QuadGrid,
     beltrami_from_bers,
     exterior_grid,
-    exterior_moments,
     legendre_rule,
     product_rings,
     quad2d,
+    ring_moments,
     w1_term,
 )
 from schwarzian_lab.symbolic import monomial_coefficients, series_constant
@@ -343,11 +343,13 @@ def one_shot_moments(nu_vals, grid):
 def test_blocked_moments_have_the_bits_of_the_one_shot_sum(monkeypatch, R, M, block):
     monkeypatch.setattr(integrals, "BLOCK_NODES", block)
     grid = exterior_disc_quadrature(R, M)
-    nu = ahlfors_weill_density(catalog("taylor", coeffs=[1, 0.5, 0.25j, 1]), 1.0)
+    nu = ahlfors_weill_density(catalog("taylor", coeffs=[1, 0.5, 0.25j, 1]))
     vals = nu(grid.nodes)
     want = one_shot_moments(vals, grid)
+    powers = integrals._exterior_powers(R, M)
     for source in (nu, vals):
-        got = exterior_moments(source, grid)
+        moments, ring_sums = ring_moments(source, grid, powers)
+        got = moments, ring_sums @ powers
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
@@ -361,7 +363,7 @@ def test_non_finite_density_in_the_last_block_raises(R, M):
 
     for source in (nu, nu(grid.nodes)):
         with pytest.raises(ValueError, match="non-finite density value"):
-            exterior_moments(source, grid)
+            ring_moments(source, grid, integrals._exterior_powers(R, M))
     with pytest.raises(ValueError, match="non-finite density value"):
         d0_beta(sigma_a(3), nu, 0.2, grid)
 
@@ -412,7 +414,7 @@ def random_sections(seed, count, max_radius):
 def test_auto_grid_matches_closed_form_on_random_sections():
     worst, radius, nodes = 0.0, 0.0, 0
     for coeffs, n, series, z, exact in random_sections(0, 200, 0.9):
-        nu = ahlfors_weill_density(catalog("taylor", coeffs=coeffs), 1.0)
+        nu = ahlfors_weill_density(catalog("taylor", coeffs=coeffs))
         expr = sigma_a(n) if series == "A" else sigma_b(n)
         value = d0_beta(expr, nu, z)
         rep = kernel_criterion_check(nu, n, z, series)
@@ -462,7 +464,7 @@ def test_auto_grid_rejects_density_on_wrong_domain():
 
 
 def test_auto_grid_raises_where_no_level_confirms():
-    nu = ahlfors_weill_density(catalog("taylor", coeffs=[0, 0, 1]), 1.0)
+    nu = ahlfors_weill_density(catalog("taylor", coeffs=[0, 0, 1]))
     z = 0.995 * cmath.exp(0.4j)
     with pytest.raises(ValueError, match="more than 768 angles"):
         d0_beta(sigma_a(3), nu, z)
@@ -496,7 +498,7 @@ def explicit_closed_form(coeffs, nu_spec, z):
 def test_explicit_grid_values_match_per_term_loop(grid):
     z = 0.3 + 0.1j
     taylor = [1, 0.5, 0.25j, 1]
-    for nu, spec in ((ahlfors_weill_density(catalog("taylor", coeffs=taylor), 1.0), taylor), (monomial_density(-1, 4), (-1, 4))):
+    for nu, spec in ((ahlfors_weill_density(catalog("taylor", coeffs=taylor)), taylor), (monomial_density(-1, 4), (-1, 4))):
         for coeffs in ({(2, 1): 1, (3, 1): -0.5, (4, 2): 2}, symbolic_coeffs(5, "B")):
             exact = explicit_closed_form(coeffs, spec, z)
             assert abs(d0_beta(coeffs, nu, z, grid) - exact) <= 1e-12 * max(abs(exact), 1.0), (coeffs, spec)
@@ -514,7 +516,7 @@ def test_explicit_grid_values_match_per_term_loop(grid):
 @pytest.mark.parametrize("radius, tol", [(0.3, 1e-12), (0.7, 1e-12), (0.9, 1e-12), (0.97, 1e-10)])
 def test_moment_series_matches_closed_form_near_the_circle(radius, tol):
     coeffs = [1, 0.5, 0.25j, 1]
-    nu = ahlfors_weill_density(catalog("taylor", coeffs=coeffs), 1.0)
+    nu = ahlfors_weill_density(catalog("taylor", coeffs=coeffs))
     grid = exterior_disc_quadrature(32, 256)
     for z in (radius, radius * cmath.exp(2.2j)):
         for n in (3, 4, 5):

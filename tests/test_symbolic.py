@@ -33,7 +33,7 @@ from schwarzian_lab import (
 )
 from schwarzian_lab.checks import random_function
 from schwarzian_lab.jets import derivative_values
-from schwarzian_lab.symbolic import evaluate, monomial_coefficients
+from schwarzian_lab.symbolic import CriticalPointError, evaluate, monomial_coefficients
 
 
 def test_classical_schwarzian_string():
@@ -348,6 +348,16 @@ def test_float_evaluation_matches_jet_products():
                 hp = jet_from_coeffs([mpmath.mpc(c) for c in coeffs], 0.1j)
                 got, want = evaluate_jet(e, hp).coeffs, _evaluate_by_jet_products(e, hp)
                 assert max(abs(a - b) for a, b in zip(got, want)) <= mpmath.mpf(10) ** -45 * max(abs(b) for b in want)
+
+
+def test_evaluate_jet_at_a_critical_point_raises_critical_point_error():
+    # f = z^2 + ... has f'(0) = 0, where every sigma divides by u_1
+    coeffs = [0, 0, 1, 2, 3, 4, 5, 6]
+    batched = [np.array([c, c, c]) for c in coeffs]
+    batched[1] = np.array([1.0, 0.0, 2.0])  # one zero in the batch
+    for f in (coeffs, [float(c) for c in coeffs], batched):
+        with pytest.raises(CriticalPointError):
+            evaluate_jet(sigma_a(4), jet_from_coeffs(f, 0))
 
 
 def test_evaluate_jet_needs_enough_order():

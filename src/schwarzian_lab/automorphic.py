@@ -139,7 +139,8 @@ def sup_on_disc(f) -> float:
     """Sampled estimate of sup |f| over the closed unit disc: 25 radii up to
     0.999 crossed with 64 angles; ValueError at a non-finite sample."""
     pts = _ring_nodes(np.linspace(0.0, 0.999, 25), 64)
-    sup = float(np.max(np.abs(vec_eval(f, pts))))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a pole is the ValueError below
+        sup = float(np.max(np.abs(vec_eval(f, pts))))
     if not math.isfinite(sup):
         raise ValueError("non-finite sample in sup estimation")
     return sup

@@ -361,12 +361,18 @@ def cmd_theta(args) -> dict:
     gens, desc = _group(args)
     ball = group_ball(gens, args.radius)
     f = parse_function(args.f)
-    rep = _finite_or_usage_error("--f", repr(args.f), "a sample point", poincare_theta, f, args.q, ball, args.z)
+    try:
+        rep = poincare_theta(f, args.q, ball, args.z)
+    except ValueError as exc:
+        if "sup estimation" not in str(exc):  # only sup_on_disc's samples are a usage error
+            raise
+        raise argparse.ArgumentTypeError(f"argument --f: {args.f!r} is not finite at a sample point: {exc}") from None
     res = automorphy_residual(f, args.q, ball, args.z) if gens else 0.0
     return checks.report(
         "theta",
         {"group": desc, "radius": args.radius, "q": args.q, "f": args.f, "z": args.z},
-        math.isfinite(rep.automorphy_bound) and res <= rep.automorphy_bound,  # an infinite bound holds nothing
+        # an infinite bound holds nothing, and a non-finite value (a pole at z) satisfies nothing
+        bool(np.isfinite(rep.value)) and math.isfinite(rep.automorphy_bound) and res <= rep.automorphy_bound,
         value=rep.value,
         tail_estimate=rep.tail_estimate,
         automorphy_bound=rep.automorphy_bound,

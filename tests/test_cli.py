@@ -273,6 +273,17 @@ def test_pole_at_a_sample_point_is_a_usage_error_under_theta(capsys):
     assert lines[0].startswith(f"schwarzian-lab theta: error: argument --f: {spec!r} is not finite at a sample point: "), lines
 
 
+def test_pole_at_z_off_the_sample_points_warns_and_fails_under_theta(capsys):
+    # 1/(w - 0.3) is finite on sup_on_disc's samples; its pole is the evaluation point itself,
+    # so the series evaluation warns and the verdict fails on the non-finite value
+    spec = '{"kind": "rational", "num": [[1, 0]], "den": [[-0.3, 0], [1, 0]]}'
+    with pytest.warns(RuntimeWarning):
+        code = run(["theta", "--f", spec, "--z", "0.3", "--group", '{"kind": "trivial"}', "--format", "json"])
+    assert code == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert not np.all(np.isfinite(rep["value"])) and not rep["ok"]
+
+
 @pytest.mark.parametrize("multiplier", [4.0, 1.01, 1.1, 1.5])
 def test_theta_fails_where_the_automorphy_bound_is_infinite(capsys, multiplier):
     # at radius 1 the boundary words do not decay, and an infinite bound holds nothing

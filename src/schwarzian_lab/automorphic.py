@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -388,6 +389,19 @@ def s_bergman_kernel(domain: HyperbolicDomain, s: int):
     return lambda z, w: pref * k(z, w) ** s
 
 
+@lru_cache(maxsize=None)
+def _projection_tables(grid: QuadGrid, s: int) -> tuple:
+    """The Gauss moments w_r r^(k+1) (1-r^2)^(2s-2), a row per ring, and the
+    factors ((2s-1)/pi) C(k+2s-1, k), k < M/2, of a `disc_quadrature` grid;
+    built once per grid and weight and shared, so never written to."""
+    r, ring_w, m = product_rings(grid, "disc")
+    k = np.arange(m // 2)
+    binom = np.ones(k.size)  # C(k+2s-1, k)
+    for j in range(1, 2 * s):
+        binom *= (k + j) / j
+    return (ring_w * (1.0 - r * r) ** (2 * s - 2))[:, None] * r[:, None] ** k, (2 * s - 1) / math.pi * binom
+
+
 def bergman_project(f, s: int, z, grid: QuadGrid | None = None):
     """Weighted Bergman projection (beta f)(z) = integral of
     lambda^(2-2s)(w) K_s(z,w) f(w) over the disc, on the basis z^k:
@@ -397,20 +411,15 @@ def bergman_project(f, s: int, z, grid: QuadGrid | None = None):
 
     On a `disc_quadrature` grid (ValueError for any other) of M angles,
     `ring_moments` reads f in blocks of rings (ValueError if not finite) and
-    takes the c_k with k < M/2 by one FFT per ring and the Gauss moments
-    w_r r^(k+1) (1-r^2)^(2s-2); Horner's rule sums the series.  Fixes
+    takes the c_k, k < M/2, by one FFT per ring against the Gauss moments
+    of `_projection_tables`; Horner's rule sums the series.  Fixes
     holomorphic f of the right growth; z may be a scalar or an array.
     """
     if s < 2:
         raise ValueError("weight must be >= 2")
     grid = grid or disc_quadrature()
-    r, ring_w, m = product_rings(grid, "disc")
-    k = np.arange(m // 2)
-    moments = (ring_w * (1.0 - r * r) ** (2 * s - 2))[:, None] * r[:, None] ** k
-    binom = np.ones(k.size)  # C(k+2s-1, k)
-    for j in range(1, 2 * s):
-        binom *= (k + j) / j
-    c = (2 * s - 1) / math.pi * binom * ring_moments(f, grid, moments)[0]
+    table, scale = _projection_tables(grid, s)
+    c = scale * ring_moments(f, grid, table)[0]
     vals = _horner(c, np.asarray(z, dtype=complex))
     return complex(vals) if np.ndim(z) == 0 else vals
 

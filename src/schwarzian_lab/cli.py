@@ -363,10 +363,9 @@ def cmd_theta(args) -> dict:
     f = parse_function(args.f)
     try:
         rep = poincare_theta(f, args.q, ball, args.z)
-    except ValueError as exc:
-        if "sup estimation" not in str(exc):  # only sup_on_disc's samples are a usage error
-            raise
-        raise argparse.ArgumentTypeError(f"argument --f: {args.f!r} is not finite at a sample point: {exc}") from None
+    except ValueError as exc:  # only sup_on_disc's samples of f make a usage error
+        _require("sup estimation" not in str(exc), f"argument --f: {args.f!r} is not finite at a sample point: {exc}")
+        raise
     res = automorphy_residual(f, args.q, ball, args.z) if gens else 0.0
     return checks.report(
         "theta",

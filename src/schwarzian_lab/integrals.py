@@ -206,14 +206,15 @@ def ring_moments(f, grid: QuadGrid, table: np.ndarray):
     for i in range(0, rings, step):
         block = slice(i * m, (i + step) * m)
         vals = vec_eval(f, grid.nodes[block]) if callable(f) else f[block]
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite density value on quadrature node")
         block_rings = np.reshape(vals, (-1, m))
-        ring_sums[i : i + step] = np.abs(block_rings).sum(axis=1)
+        sums = ring_sums[i : i + step] = np.abs(block_rings).sum(axis=1)
+        # a non-finite value makes its ring's sum non-finite; so may overflow
+        if not np.all(np.isfinite(sums)) and not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite density value on quadrature node")
         modes = np.fft.fft(block_rings, axis=1)[:, :p]
         modes *= table[i : i + step]
-        for ring in modes:
-            moments += ring
+        modes[0] += moments
+        moments = modes.sum(axis=0)  # row by row, in ring order
     return moments, ring_sums
 
 

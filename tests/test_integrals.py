@@ -368,6 +368,24 @@ def test_non_finite_density_in_the_last_block_raises(R, M):
         d0_beta(sigma_a(3), nu, 0.2, grid)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)])
+def test_every_kind_of_non_finite_value_raises(bad):
+    # the check reads the rings' sums of |f|, which every non-finite value makes non-finite
+    grid = disc_quadrature(8, 16)
+    vals = np.ones(grid.nodes.size, dtype=complex)
+    vals[70] = bad
+    with pytest.raises(ValueError, match="non-finite density value"):
+        ring_moments(vals, grid, np.ones((8, 16)))
+
+
+def test_finite_values_whose_ring_sums_overflow_do_not_raise():
+    # an overflowing sum of |f| alone is no non-finite value
+    grid = disc_quadrature(8, 16)
+    with np.errstate(over="ignore", invalid="ignore"):  # the modes overflow too
+        _moments, ring_sums = ring_moments(np.full(grid.nodes.size, 1e308 + 0j), grid, np.ones((8, 16)))
+    assert np.all(np.isinf(ring_sums))
+
+
 def aw_closed_form(coeffs, n, series, z):
     """d0_beta(sigma_n) on the Ahlfors-Weill section of phi(w) = sum c_m w^m:
     c(n) times the n-th derivative of the triple antiderivative

@@ -425,12 +425,8 @@ def bergman_project(f, s: int, z, grid: QuadGrid | None = None):
 
 
 def projection_symmetry_check(f, g, s: int, grid: QuadGrid | None = None) -> dict:
-    """<beta f, g> vs <f, beta g> on a shared grid."""
+    """<beta f, g> vs <f, beta g> on a shared grid, both by `weighted_pairing`."""
     grid = grid or disc_quadrature(R=24, M=48)
     bf = bergman_project(f, s, grid.nodes, grid)
     bg = bergman_project(g, s, grid.nodes, grid)
-    lam = poincare_density(grid.domain, grid.nodes)
-    wgt = lam ** (2.0 - 2.0 * s) * grid.weights
-    lhs = complex(np.sum(bf * np.conj(vec_eval(g, grid.nodes)) * wgt))
-    rhs = complex(np.sum(vec_eval(f, grid.nodes) * np.conj(bg) * wgt))
-    return compare(lhs, rhs)
+    return compare(weighted_pairing(lambda w: bf, g, s, grid), weighted_pairing(f, lambda w: bg, s, grid))

@@ -178,10 +178,11 @@ def _int_at_least(lo: int, even: bool = False):
 
 def parse_function(spec: str) -> AnalyticFn:
     """Function descriptors: catalog names (koebe, identity, cayley),
-    ``rotation:theta``, ``rotated-koebe:theta``, ``taylor:c0,c1,...``,
-    inline JSON descriptors, or ``@path`` to a JSON file.  A spec that does
-    not parse, or a descriptor of an unknown kind or with a missing or
-    malformed field, is an `ArgumentTypeError` (exit 2)."""
+    ``rotation:theta``, ``rotated-koebe:theta`` (the descriptor
+    ``{"kind": "koebe", "theta": theta}``), ``taylor:c0,c1,...``, inline JSON
+    descriptors, or ``@path`` to a JSON file.  A spec that does not parse, or
+    a descriptor of an unknown kind or with a missing, malformed or unread
+    field, is an `ArgumentTypeError` (exit 2)."""
     try:
         if spec.startswith("@"):
             with open(spec[1:]) as fh:

@@ -182,6 +182,18 @@ def _c2pair(z) -> list:
     return [z.real, z.imag]
 
 
+class _Fields(dict):
+    """A descriptor's fields, recording each one its kind's reader reads."""
+
+    def __init__(self, descriptor: dict):
+        super().__init__(descriptor)
+        self.read = {"kind"}
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
 def _get(d: dict, name: str, ok, want: str):
     """Field `name` of the descriptor d; ValueError if it is missing or not ok."""
     if name not in d:
@@ -205,17 +217,28 @@ def _complexes(d: dict, name: str, count: int = 0) -> list:
     return [complex(*p) for p in _get(d, name, ok, f"{count or 'a nonempty list of'} [re, im] pairs of finite numbers")]
 
 
-def _koebe_jet(z0, order: int) -> Jet:
-    # z/(1-z)^2 = sum_k (k + z0) (z - z0)^k / (1-z0)^(k+2)
-    if _any(z0 == 1):
+def _koebe_jet(z0, order: int, e=None) -> Jet:
+    # z/(1-ez)^2 = sum_k c_k (z - z0)^k with w0 = e z0 and t = 1/(1-w0):
+    # c_0 = z0 t^2, c_k = (k + w0) e^(k-1) t^(k+2).  With no e it is Koebe's
+    # z/(1-z)^2 itself, with no product by e, so exact inputs stay exact
+    w0 = z0 if e is None else e * z0
+    if _any(w0 == 1):
         raise JetError("jet at the pole of the Koebe function")
-    t = _inverse(1 - z0)
+    t = _inverse(1 - w0)
+    step = t if e is None else e * t
     power = t * t
     coeffs = [z0 * power]
     for j in range(1, order + 1):
-        power = power * t
-        coeffs.append((j + z0) * power)
+        power = power * (t if j == 1 else step)
+        coeffs.append((j + w0) * power)
     return Jet(z0, tuple(coeffs))
+
+
+def _read_koebe(d: dict):
+    if "theta" not in d:
+        return (lambda z: z / (1.0 - z) ** 2), _koebe_jet
+    e = cmath.exp(1j * _get(d, "theta", _is_real, "a finite number"))
+    return (lambda z: z / (1.0 - e * z) ** 2), lambda z0, order: _koebe_jet(z0, order, e)
 
 
 def _read_taylor(d: dict):
@@ -262,7 +285,7 @@ def _maps(m: Moebius):
 
 
 _KINDS = {
-    "koebe": lambda d: ((lambda z: z / (1.0 - z) ** 2), _koebe_jet),
+    "koebe": _read_koebe,
     "identity": lambda d: _maps(Moebius.identity()),
     "cayley": lambda d: _maps(Moebius.cayley()),
     "rotation": lambda d: _maps(Moebius.rotation(_get(d, "theta", _is_real, "a finite number"))),
@@ -276,7 +299,8 @@ _KINDS = {
 class AnalyticFn:
     """A holomorphic function given by a JSON-serializable descriptor.
 
-    Kinds: ``koebe``, ``identity``, ``cayley``, ``rotation`` (theta),
+    Kinds: ``koebe`` (with an optional theta, the rotated Koebe function
+    z/(1 - e^{i theta} z)^2), ``identity``, ``cayley``, ``rotation`` (theta),
     ``taylor`` (center + coefficients, i.e. a polynomial), ``moebius``
     (coefficient matrix), ``rational`` (numerator/denominator coefficient
     lists around 0), and ``pullback_diff`` (z^k minus its weight-q pull-back
@@ -284,11 +308,12 @@ class AnalyticFn:
     through JSON bit-exactly.
 
     The descriptor is read once: its kind's reader in `_KINDS` checks and
-    converts the fields (`ValueError` on a missing or malformed one) and
-    returns the value and jet maps.  Jets: the Moebius kinds and Koebe in
-    closed form, ``taylor`` by shifting its coefficients, ``rational`` as the
-    quotient of two such shifted polynomials over their own coefficients,
-    and ``pullback_diff`` from the Moebius jet and its derivative.
+    converts the fields and returns the value and jet maps (`ValueError` on
+    a missing or malformed field, or on one the reader does not read).
+    Jets: the Moebius kinds and Koebe, rotated or not, in closed form,
+    ``taylor`` by shifting its coefficients, ``rational`` as the quotient of
+    two such shifted polynomials over their own coefficients, and
+    ``pullback_diff`` from the Moebius jet and its derivative.
     """
 
     def __init__(self, descriptor: dict):
@@ -296,7 +321,11 @@ class AnalyticFn:
         kind = self._d.get("kind")
         if kind not in _KINDS:
             raise ValueError(f"unknown function kind {kind!r}")
-        self._value, self._jet = _KINDS[kind](self._d)
+        fields = _Fields(self._d)
+        self._value, self._jet = _KINDS[kind](fields)
+        unread = sorted(fields.keys() - fields.read)
+        if unread:
+            raise ValueError(f"{kind} descriptor does not take {', '.join(map(repr, unread))}")
 
     def descriptor(self) -> dict:
         return json.loads(self.to_json())
@@ -327,15 +356,17 @@ def catalog(name: str, **params) -> AnalyticFn:
 
 def rotated_koebe(theta: float) -> AnalyticFn:
     """e^{-i theta} k(e^{i theta} z) = z/(1 - e^{i theta} z)^2: schlicht, same
-    norm profile as Koebe."""
-    e = cmath.exp(1j * theta)
-    return AnalyticFn({"kind": "rational", "num": [[0.0, 0.0], [1.0, 0.0]], "den": [[1.0, 0.0], _c2pair(-2 * e), _c2pair(e * e)]})
+    norm profile as Koebe.  The ``koebe`` descriptor with a finite theta, so
+    its jets are in closed form."""
+    return AnalyticFn({"kind": "koebe", "theta": float(theta)})
 
 
 def schlicht_family() -> list:
     """Named functions that are univalent on the unit disc; the test bed for
     the sharp B_n norm bounds."""
     half_plane = AnalyticFn({"kind": "moebius", "mat": [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]})
+    # a quotient: as the Moebius sum (1/(1-z) - 1/(1+z))/2 it loses digits
+    # by cancellation next to the critical points +-i
     odd_koebe = AnalyticFn(
         {"kind": "rational", "num": [[0.0, 0.0], [1.0, 0.0]], "den": [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]}
     )

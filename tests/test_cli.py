@@ -82,9 +82,14 @@ def test_bad_function_descriptor_is_a_one_line_usage_error(capsys, tmp_path, des
         ('{"kind": "pullback_diff", "k": 1.5, "q": 2, "mat": [[1, 0], [0, 0], [0, 0], [1, 0]]}', None),
         ('{"kind": "rational", "num": [[1, 0]], "den": [[0, 0], [0, 0]]}', None),
         ('{"kind": "pullback_diff", "k": -1, "q": 2, "mat": [[1, 0], [0, 0], [0, 0], [1, 0]]}', None),
+        ('{"kind": "koebe", "angle": 1.1}', None),
+        ('{"kind": "identity", "theta": 1.1}', None),
+        ('{"kind": "koebe", "theta": "x"}', None),
+        ('{"kind": "koebe", "theta": NaN}', None),
     ],
     ids=["theta-string", "theta-nan", "rotation-nan", "rotated-koebe-inf", "empty-coeffs", "3-entry-center",
-         "singular-mat", "2-pair-mat", "fractional-k", "zero-den", "negative-k"],
+         "singular-mat", "2-pair-mat", "fractional-k", "zero-den", "negative-k", "koebe-angle", "identity-theta",
+         "koebe-theta-string", "koebe-theta-nan"],
 )
 def test_malformed_descriptor_is_a_value_error_and_a_usage_error(capsys, spec, build):
     # the descriptor is checked when the function is built, not when it is used

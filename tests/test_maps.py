@@ -213,13 +213,20 @@ def _padded_quotient(num, den, z0, order):
     return padded(num) * jet_reciprocal(padded(den))
 
 
+def _rational_rotated_koebe(theta):
+    """z/(1 - e^{i theta} z)^2 as a literal ``rational`` descriptor."""
+    e = cmath.exp(1j * theta)
+    return {"kind": "rational", "num": [[0.0, 0.0], [1.0, 0.0]],
+            "den": [[1.0, 0.0], [(-2 * e).real, (-2 * e).imag], [(e * e).real, (e * e).imag]]}
+
+
 def test_rational_jet_has_the_bits_of_the_padded_quotient():
     rng = np.random.default_rng(18)
     random_den = [[1.0, 0.0]] + [[float(x), float(y)] for x, y in rng.uniform(-0.3, 0.3, (2, 2))]
     descriptors = [
         {"kind": "rational", "num": [[0.0, 0.0], [1.0, 0.0]], "den": [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]},
-        rotated_koebe(1.1).descriptor(),
-        rotated_koebe(math.pi / 3).descriptor(),
+        _rational_rotated_koebe(1.1),
+        _rational_rotated_koebe(math.pi / 3),
         {"kind": "rational", "num": [[float(x), float(y)] for x, y in rng.uniform(-2, 2, (4, 2))], "den": random_den},
     ]
     points = [np.array([0.0, 0.5, 0.3 + 0.2j, -0.55j, -0.7 + 0.1j, 0.999 - 0.01j, 0.9375j]), 0.25 - 0.6j]
@@ -332,6 +339,49 @@ def test_koebe_jet_raises_at_the_pole():
         catalog("koebe").jet(1, 3)
     with pytest.raises(JetError):
         catalog("koebe").jet(np.array([0.5, 1.0 + 0j]), 3)
+    # theta = 0 gives e = 1 exactly, so e z0 = 1 at z0 = 1
+    with pytest.raises(JetError):
+        rotated_koebe(0.0).jet(1.0, 3)
+    with pytest.raises(JetError):
+        rotated_koebe(0.0).jet(np.array([0.5, 1.0 + 0j]), 3)
+
+
+def _koebe_formula_jet(z0, order):
+    """The plain Koebe jet as the closed form has always computed it."""
+    t = 1.0 / (1 - z0)
+    power = t * t
+    coeffs = [z0 * power]
+    for j in range(1, order + 1):
+        power = power * t
+        coeffs.append((j + z0) * power)
+    return coeffs
+
+
+def test_plain_koebe_jet_keeps_its_bits():
+    pts = np.array([0.0, 0.5, 0.3 + 0.2j, -0.55j, -0.7 + 0.1j, 0.999 - 0.01j, -(1 - 2.0**-13) + 0j])
+    for z0 in (pts, 0.25 - 0.6j, -0.3):
+        for order in range(8):
+            got = catalog("koebe").jet(z0, order).coeffs
+            want = _koebe_formula_jet(z0, order)
+            assert len(got) == order + 1
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (z0, order)
+
+
+@pytest.mark.parametrize("theta", [0.7, 1.1, math.pi / 3, 2.9])
+def test_rotated_koebe_closed_form_matches_the_rational_quotient(theta):
+    fn, rational = rotated_koebe(theta), AnalyticFn(_rational_rotated_koebe(theta))
+    assert fn.descriptor() == {"kind": "koebe", "theta": theta}
+    pts = np.array([0.0, 0.5, 0.3 + 0.2j, -0.55j, -0.7 + 0.1j, 0.8 * cmath.exp(-1j * theta), 0.9375j])
+    for z0 in (pts, 0.25 - 0.6j, complex(pts[5])):
+        assert np.all(np.abs(fn(z0) - rational(z0)) <= 1e-13 * np.maximum(1.0, np.abs(rational(z0))))
+        for order in range(8):
+            got, want = fn.jet(z0, order).coeffs, rational.jet(z0, order).coeffs
+            assert len(got) == order + 1
+            for k in range(order + 1):
+                assert np.shape(got[k]) == np.shape(z0)
+                err = np.abs(got[k] - want[k]) / np.maximum(1.0, np.abs(want[k]))
+                assert np.max(err) <= 1e-13, (theta, z0, order, k, np.max(err))
 
 
 # -- schlicht-catalog jets -------------------------------------------------------

@@ -180,16 +180,18 @@ def test_exact_koebe_jet_attains_the_sharp_bounds(series, n, bound):
 
 def _mp_taylor(desc, z, order):
     """Taylor coefficients at z of the rational or Koebe descriptor's
-    function, by mpmath's own differentiation at the working precision."""
+    function, rotated Koebe z/(1 - e^{i theta} z)^2 included, by mpmath's
+    own differentiation at the working precision."""
     import mpmath
 
     if desc["kind"] == "koebe":
-        return mpmath.taylor(lambda w: w / (1 - w) ** 2, z, order)
+        e = mpmath.expj(desc.get("theta", 0))
+        return mpmath.taylor(lambda w: w / (1 - e * w) ** 2, z, order)
     num, den = ([mpmath.mpc(*c) for c in reversed(desc[side])] for side in ("num", "den"))
     return mpmath.taylor(lambda w: mpmath.polyval(num, w) / mpmath.polyval(den, w), z, order)
 
 
-@pytest.mark.parametrize("name", ["koebe", "rotated_koebe", "odd_koebe"])
+@pytest.mark.parametrize("name", ["koebe", "rotated_koebe", "odd_koebe", "rotated_koebe(0.7)", "rotated_koebe(2.9)"])
 def test_bound_table_estimates_match_mpmath_at_their_argmax(name):
     # the float sampler's value at its argmax against sigma_n of the same
     # function from an independent 50-digit jet.  Odd Koebe's argmax sits
@@ -197,7 +199,7 @@ def test_bound_table_estimates_match_mpmath_at_their_argmax(name):
     # recurrence f_n = (p_n - sum_j q_j f_(n-j)) / q_0 reads 9e-13 there
     import mpmath
 
-    fn = dict(schlicht_family())[name]
+    fn = dict(schlicht_family() + [(f"rotated_koebe({t})", rotated_koebe(t)) for t in (0.7, 2.9)])[name]
     desc = fn.descriptor()
     for series in "AB":
         for n in (3, 4, 5):

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .checks import compare
-from .integrals import QuadGrid, _ring_nodes, disc_quadrature, legendre_rule, product_rings, ring_moments, vec_eval, weighted_pairing
+from .integrals import NonFiniteError, QuadGrid, _ring_nodes, disc_quadrature, legendre_rule, product_rings, quiet, ring_moments, vec_eval, weighted_pairing
 from .jets import _horner
 from .maps import DISC, LOWER_HALF, UPPER_HALF, AnalyticFn, HyperbolicDomain, Moebius, _c2pair, poincare_density
 
@@ -138,12 +138,12 @@ def group_from_descriptor(desc: dict) -> list:
 
 def sup_on_disc(f) -> float:
     """Sampled estimate of sup |f| over the closed unit disc: 25 radii up to
-    0.999 crossed with 64 angles; ValueError at a non-finite sample."""
+    0.999 crossed with 64 angles; NonFiniteError at a non-finite sample."""
     pts = _ring_nodes(np.linspace(0.0, 0.999, 25), 64)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a pole is the ValueError below
+    with quiet():
         sup = float(np.max(np.abs(vec_eval(f, pts))))
     if not math.isfinite(sup):
-        raise ValueError("non-finite sample in sup estimation")
+        raise NonFiniteError("non-finite sample in sup estimation", "a sample point")
     return sup
 
 
@@ -410,7 +410,7 @@ def bergman_project(f, s: int, z, grid: QuadGrid | None = None):
         c_k = ((2s-1)/pi) C(k+2s-1, k) integral of f conj(w)^k (1-|w|^2)^(2s-2) dA.
 
     On a `disc_quadrature` grid (ValueError for any other) of M angles,
-    `ring_moments` reads f in blocks of rings (ValueError if not finite) and
+    `ring_moments` reads f in blocks of rings (NonFiniteError if not finite) and
     takes the c_k, k < M/2, by one FFT per ring against the Gauss moments
     of `_projection_tables`; Horner's rule sums the series.  Fixes
     holomorphic f of the right growth; z may be a scalar or an array.

@@ -71,10 +71,10 @@ FLOAT_EPS = float(np.finfo(float).eps)
 
 
 def _maximum(*values):
-    """Elementwise maximum over batch arrays, plain max over scalars."""
+    """Elementwise maximum over batch arrays, plain max over scalars; a NaN wins either way."""
     if any(isinstance(v, np.ndarray) for v in values):
         return reduce(np.maximum, values)
-    return max(values)
+    return max(values, key=lambda v: (v != v, v))
 
 
 def _relerr(lhs, rhs):
@@ -180,7 +180,7 @@ def run_suite(operation: str, spec: Spec, trials: int, seed: int, tol: float, **
         max_relerr=float(np.max(errs)),
         tolerance=tol,
         escalated=len(rechecked),
-        hp_defect=max(rechecked, default=0.0),
+        hp_defect=float(np.max(rechecked, initial=0.0)),
     )
 
 

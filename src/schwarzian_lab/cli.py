@@ -33,6 +33,7 @@ from .automorphic import (
 )
 from .integrals import (
     DensityFn,
+    NonFiniteError,
     ahlfors_weill,
     ahlfors_weill_density,
     d0_beta,
@@ -46,7 +47,7 @@ from .integrals import (
 from .jets import JetError, jet_from_coeffs
 from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, AnalyticFn, catalog, poincare_density, rotated_koebe, schlicht_family
 from .norms import SampleGrid, bn_norm_report, bound_check, bound_ok, bound_row, sigma_phi
-from .ode import homogeneous_a_check, homogeneous_b_residual, ode_residual, schwarzian_solve
+from .ode import homogeneous_a_check, homogeneous_b_residual, max_abs, ode_residual, schwarzian_solve
 from .symbolic import CriticalPointError, classical, evaluate_jet, monomial_part, series_constant, to_string
 
 
@@ -106,12 +107,11 @@ def _emit(report: dict, args) -> None:
         text = "\n".join(lines)
     else:
         text = "\n".join(_text_lines(data))
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        print(text, file=out)
-    finally:
-        if args.out:
-            out.close()
+    if args.out:
+        with open(args.out, "w") as out:
+            print(text, file=out)
+    else:
+        print(text)
 
 
 # -- argument parsing helpers --------------------------------------------------
@@ -204,21 +204,11 @@ def parse_density(spec: str) -> DensityFn:
     """Densities on the exterior disc: ``aw:<function>`` for the bounded
     section of a holomorphic function, or ``const:<c>``."""
     if spec.startswith("aw:"):
-        return _finite_or_usage_error("--density", repr(spec), "a sample point", ahlfors_weill_density, parse_function(spec[3:]))
+        return ahlfors_weill_density(parse_function(spec[3:]))
     if spec.startswith("const:"):
         c = _complex(spec[len("const:") :])
         return DensityFn(lambda eta: np.full_like(np.asarray(eta, dtype=complex), c), EXTERIOR_DISC, abs(c))
     raise argparse.ArgumentTypeError(f"unknown density spec {spec!r} (use aw:<fn> or const:<c>)")
-
-
-def _finite_or_usage_error(option: str, what: str, where: str, fn, *args):
-    """fn(*args) with no warnings from a pole; the ValueError fn raises on a
-    value of `what` that is not finite at `where` is a usage error."""
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):  # no warnings from the pole
-            return fn(*args)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"argument {option}: {what} is not finite at {where}: {exc}") from None
 
 
 def inverse_power_fn(q: int) -> AnalyticFn:
@@ -277,12 +267,7 @@ def cmd_norm(args) -> dict:
     fn = parse_function(args.function)
     expr = checks.sigma_expr(args.series, args.n)
     grid = SampleGrid(J=args.grid_j, M=args.grid_m)
-    try:
-        rep = bn_norm_report(sigma_phi(fn, expr), args.n - 1, grid)
-    except JetError as exc:  # every jet the catalog cannot take is at a pole
-        raise argparse.ArgumentTypeError(f"argument --function: {args.function!r} has a pole at a sample point: {exc}") from None
-    except CriticalPointError as exc:
-        raise argparse.ArgumentTypeError(f"argument --function: {args.function!r} has f' = 0 at a sample point: {exc}") from None
+    rep = bn_norm_report(sigma_phi(fn, expr), args.n - 1, grid)
     row = bound_row(args.series, args.n, rep["estimate"])
     inputs = {"function": args.function, "series": args.series, "n": args.n}
     return checks.report("norm", inputs, bound_ok(row), report=rep, rows=[{"function": args.function, **row}])
@@ -328,7 +313,7 @@ def cmd_aw(args) -> dict:
         target = complex(phi(w))
     _require(np.isfinite(target), f"argument --phi: {args.phi!r} is not finite at 1/conj(z) = {w}")
     sval = ahlfors_weill(phi, args.z)
-    nu = _finite_or_usage_error("--phi", repr(args.phi), "a sample point", ahlfors_weill_density, phi)
+    nu = ahlfors_weill_density(phi)
     grid = _exterior_grid(args, 3)
     round_trip = d0_beta(checks.sigma_expr("A", 3), nu, w, grid)
     relerr = abs(round_trip - target) / max(abs(target), 1e-300)  # relative to the target alone
@@ -362,11 +347,7 @@ def cmd_theta(args) -> dict:
     gens, desc = _group(args)
     ball = group_ball(gens, args.radius)
     f = parse_function(args.f)
-    try:
-        rep = poincare_theta(f, args.q, ball, args.z)
-    except ValueError as exc:  # only sup_on_disc's samples of f make a usage error
-        _require("sup estimation" not in str(exc), f"argument --f: {args.f!r} is not finite at a sample point: {exc}")
-        raise
+    rep = poincare_theta(f, args.q, ball, args.z)
     res = automorphy_residual(f, args.q, ball, args.z) if gens else 0.0
     return checks.report(
         "theta",
@@ -395,9 +376,8 @@ def cmd_pairing(args) -> dict:
     else:
         grid = disc_quadrature(R=args.grid_r, M=args.grid_m)
         domain_note = "unit disc"
-    what = f"{args.f!r} * conj({args.g!r})"
-    val = _finite_or_usage_error("--f/--g", what, "a node", wp_pairing, f, g, spec, grid)
-    flipped = _finite_or_usage_error("--f/--g", what, "a node", wp_pairing, g, f, spec, grid)
+    val = wp_pairing(f, g, spec, grid)
+    flipped = wp_pairing(g, f, spec, grid)
     sym = abs(val - np.conj(flipped)) / max(abs(val), 1e-300)  # relative to <f, g> alone
     inputs = {"f": args.f, "g": args.g, "s": args.s, "domain": domain_note, "grid": dict(grid.meta)}
     return checks.report("pairing", inputs, sym < 1e-9, value=val, conjugate_symmetry_relerr=sym)
@@ -409,13 +389,12 @@ def cmd_bergman(args) -> dict:
     grid = disc_quadrature(R=args.grid_r, M=args.grid_m)
     zs = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.6])
     checks_list = []
-    worst = 0.0
     for k in range(args.k + 1):
         f = lambda w, k=k: np.asarray(w, dtype=complex) ** k
         vals = bergman_project(f, args.s, zs, grid)
         err = float(np.max(np.abs(vals - zs**k)))
-        worst = max(worst, err)
         checks_list.append({"check": f"fixes w^{k}", "max_abs_err": err})
+    worst = np.max([c["max_abs_err"] for c in checks_list])  # NaN if any is, where max drops it
     one = lambda w: np.ones_like(np.asarray(w, dtype=complex))
     v0 = bergman_project(one, args.s, 0.0, grid)
     checks_list.append({"check": "constant at origin", "lhs": v0, "rhs": 1.0, "abs_err": abs(v0 - 1)})
@@ -434,7 +413,7 @@ def cmd_solve(args) -> dict:
         sol = schwarzian_solve(phi, args.order)
         s_f = evaluate_jet(classical("schwarzian"), sol.f)
         m = min(s_f.order, phi.order)
-        residual = max(abs(complex(a - b)) for a, b in zip(s_f.coeffs[: m + 1], phi.coeffs[: m + 1]))
+        residual = max_abs(a - b for a, b in zip(s_f.coeffs[: m + 1], phi.coeffs[: m + 1]))
         return checks.report(
             "solve-ode",
             {"phi": list(coeffs), "order": args.order},
@@ -509,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-j", type=_int_at_least(0), default=14)
     p.add_argument("--grid-m", type=_int_at_least(8, even=True), default=256)
     _add_common(p)
-    p.set_defaults(func=cmd_norm)
+    p.set_defaults(func=cmd_norm, reads="--function")
 
     p = sub.add_parser("bound", help="sharp-bound table over the schlicht catalog")
     p.add_argument("--series", choices=("A", "B"), default="A")
@@ -524,13 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_point_in(DISC), default=0.2 + 0.1j)
     p.add_argument("--density", default="aw:identity")
     _add_common(p, grid=True)
-    p.set_defaults(func=cmd_dzero)
+    p.set_defaults(func=cmd_dzero, reads="--density")
 
     p = sub.add_parser("aw", help="bounded holomorphic section and its round trip through the differential")
     p.add_argument("--phi", default="identity")
     p.add_argument("--z", type=_point_in(EXTERIOR_DISC), default=2 + 0j, help="exterior evaluation point")
     _add_common(p, tol=2e-2, grid=True)
-    p.set_defaults(func=cmd_aw)
+    p.set_defaults(func=cmd_aw, reads="--phi")
 
     p = sub.add_parser(
         "repro",
@@ -546,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_point_in(LOWER_HALF), default=-2j)
     p.add_argument("--phi", default=None, help="defaults to (z-i)^(-2q)")
     _add_common(p, tol=1e-2, grid=True)
-    p.set_defaults(func=cmd_repro)
+    p.set_defaults(func=cmd_repro, reads="--phi")
 
     p = sub.add_parser(
         "kernel-criterion",
@@ -561,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_point_in(DISC), default=0.3 + 0.1j)
     p.add_argument("--density", default="aw:taylor:0,0,1")
     _add_common(p, tol=1e-2, grid=True)
-    p.set_defaults(func=cmd_kernel_criterion)
+    p.set_defaults(func=cmd_kernel_criterion, reads="--density")
 
     p = sub.add_parser("theta", help="truncated Poincare series with tail and automorphy bounds")
     p.add_argument("--group", default='{"kind": "cyclic", "fixpoints": [0.5, 2.8], "multiplier": 4.0}')
@@ -570,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default="taylor:0,0.5,1")
     p.add_argument("--z", type=_point_in(DISC), default=0.3 + 0.2j)
     _add_common(p)
-    p.set_defaults(func=cmd_theta)
+    p.set_defaults(func=cmd_theta, reads="--f")
 
     p = sub.add_parser("pairing", help="Weil-Petersson pairing over the disc or a cyclic fundamental domain")
     p.add_argument("--f", required=True)
@@ -578,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_int_at_least(2), default=2)
     p.add_argument("--group", default=None)
     _add_common(p, grid=True)
-    p.set_defaults(func=cmd_pairing)
+    p.set_defaults(func=cmd_pairing, reads="--f/--g")
 
     p = sub.add_parser("bergman", help="weighted Bergman projection checks")
     p.add_argument("--s", type=_int_at_least(2), default=2)
@@ -604,11 +583,21 @@ def main(argv=None) -> int:
     try:
         report = args.func(args)
         _emit(report, args)
-    except (argparse.ArgumentTypeError, FileNotFoundError) as exc:
-        # the same one-line form argparse uses for the errors it finds itself
-        print(f"schwarzian-lab {args.command}: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-    return 0 if report.get("ok", False) else 1
+    except (NonFiniteError, JetError, CriticalPointError) as exc:
+        # a usage error where the function a subcommand reads (its option `reads`) fails on its grid
+        specs = [getattr(args, name[2:]) for name in args.reads.split("/")] if "reads" in args else [None]
+        if None in specs:
+            raise
+        fails = "is not finite" if isinstance(exc, NonFiniteError) else "has a pole" if isinstance(exc, JetError) else "has f' = 0"
+        where = getattr(exc, "where", "a sample point")  # only norm takes jets, at its sample points
+        error = f"argument {args.reads}: {'/'.join(map(repr, specs))} {fails} at {where}: {exc}"
+    except (argparse.ArgumentTypeError, OSError) as exc:  # OSError: the --out or @path file
+        error = exc
+    else:
+        return 0 if report.get("ok", False) else 1
+    # the same one-line form argparse uses for the errors it finds itself
+    print(f"schwarzian-lab {args.command}: error: {error}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from .symbolic import DiffExpr, monomial_coefficients, series_constant, series_l
 # 192 x 512 grid's would take 1.5 MB.
 BLOCK_NODES = 4096
 
+# No numpy divide, overflow or invalid warnings, for values a NonFiniteError check reads.
+quiet = partial(np.errstate, divide="ignore", over="ignore", invalid="ignore")
+
 
 def vec_eval(fn, pts: np.ndarray) -> np.ndarray:
     """Evaluate fn on an array of complex points in one call; fn must return
@@ -51,6 +54,14 @@ def vec_eval(fn, pts: np.ndarray) -> np.ndarray:
     if vals.shape != np.shape(pts):
         raise ValueError(f"callable returned shape {vals.shape} for points of shape {np.shape(pts)}")
     return vals
+
+
+class NonFiniteError(ValueError):
+    """A value that a sum or a sup needs finite is not, at `where`: "a sample point" or "a node"."""
+
+    def __init__(self, message: str, where: str):
+        super().__init__(message)
+        self.where = where
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +206,7 @@ def ring_moments(f, grid: QuadGrid, table: np.ndarray):
     |f| over each ring, on a disc or exterior product grid of R rings of M
     nodes and an R x P table, P <= M.  f is a callable on arrays of nodes or
     its values at the grid's nodes, read in blocks of whole rings of about
-    BLOCK_NODES nodes; a non-finite value is a ValueError.  The rings' weighted
+    BLOCK_NODES nodes; a non-finite value is a NonFiniteError.  The rings' weighted
     modes are added in ring order, as `sum(axis=0)` over all rings adds them,
     so the sums have the same bits at every block size."""
     m = grid.meta["M"]
@@ -205,12 +216,13 @@ def ring_moments(f, grid: QuadGrid, table: np.ndarray):
     moments = np.zeros(p, dtype=complex)
     for i in range(0, rings, step):
         block = slice(i * m, (i + step) * m)
-        vals = vec_eval(f, grid.nodes[block]) if callable(f) else f[block]
+        with quiet():
+            vals = vec_eval(f, grid.nodes[block]) if callable(f) else f[block]
         block_rings = np.reshape(vals, (-1, m))
         sums = ring_sums[i : i + step] = np.abs(block_rings).sum(axis=1)
         # a non-finite value makes its ring's sum non-finite; so may overflow
         if not np.all(np.isfinite(sums)) and not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite density value on quadrature node")
+            raise NonFiniteError("non-finite density value on quadrature node", "a node")
         modes = np.fft.fft(block_rings, axis=1)[:, :p]
         modes *= table[i : i + step]
         modes[0] += moments
@@ -234,11 +246,12 @@ def half_plane_quadrature(R: int = 32, M: int = 256) -> QuadGrid:
 
 
 def quad2d(integrand, grid: QuadGrid) -> complex:
-    """Weighted node sum.  Deterministic for a fixed grid: evaluation order
-    and the numpy pairwise reduction are fixed by the node layout."""
-    vals = vec_eval(integrand, grid.nodes)
+    """Weighted node sum, NonFiniteError at a non-finite value.  Deterministic for a
+    fixed grid: evaluation order and pairwise reduction follow the node layout."""
+    with quiet():
+        vals = vec_eval(integrand, grid.nodes)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite integrand value on quadrature node")
+        raise NonFiniteError("non-finite integrand value on quadrature node", "a node")
     return complex(np.sum(vals * grid.weights))
 
 
@@ -257,15 +270,16 @@ def half_plane_tail_estimate(integrand, grid: QuadGrid, decay: float = 4.0) -> f
 
 
 def weighted_pairing(f, g, s: int, grid: QuadGrid) -> complex:
-    """integral over the grid of f * conj(g) * lambda^(2-2s); ValueError if
-    the sum is not finite, as it is when the weighted product is not finite
-    at some node (one check on the sum, not one per node)."""
+    """integral over the grid of f * conj(g) * lambda^(2-2s); NonFiniteError
+    if the sum is not finite, as it is when the weighted product is not
+    finite at some node (one check on the sum, not one per node)."""
     lam = grid.domain.density(grid.nodes)
-    fv = vec_eval(f, grid.nodes)
-    gv = vec_eval(g, grid.nodes)
-    total = np.sum(fv * np.conj(gv) * lam ** (2.0 - 2.0 * s) * grid.weights)
+    with quiet():
+        fv = vec_eval(f, grid.nodes)
+        gv = vec_eval(g, grid.nodes)
+        total = np.sum(fv * np.conj(gv) * lam ** (2.0 - 2.0 * s) * grid.weights)
     if not np.isfinite(total):
-        raise ValueError("non-finite pairing integrand on quadrature node")
+        raise NonFiniteError("non-finite pairing integrand on quadrature node", "a node")
     return complex(total)
 
 
@@ -444,7 +458,8 @@ def repro_check(phi, q: int, z: complex, grid: QuadGrid | None = None) -> dict:
     if z.imag >= 0:
         raise ValueError("evaluation point must lie in the lower half-plane")
     grid = grid or half_plane_quadrature()
-    mu_vals = beltrami_from_bers(phi, q)(grid.nodes)
+    with quiet():  # quad2d checks both sums' integrands, and so these values
+        mu_vals = vec_eval(beltrami_from_bers(phi, q), grid.nodes)
     lhs = complex(phi(z))
     rhs = quad2d(lambda eta: mu_vals / (eta - z) ** (q + 2), grid)
     rhs_alt = quad2d(lambda eta: mu_vals / (z - eta) ** (q + 2), grid)
@@ -464,7 +479,8 @@ def kernel_criterion_check(nu, n: int, z: complex, series: str = "A", grid: Quad
     c = float(series_constant(expr))
     auto = grid is None
     grid = grid or exterior_grid(z, 1 + max((k for k, _l in coeffs), default=0))
-    nu_vals = _density_on(nu, grid)(grid.nodes)
+    with quiet():  # ring_moments checks these values
+        nu_vals = vec_eval(_density_on(nu, grid), grid.nodes)
     lhs, error = _d0_series(coeffs, nu_vals, z, grid)
     pairing = weighted_pairing(lambda w: (w - z) ** (-(n + 1.0)), lambda w: np.conj(nu_vals) * grid.domain.density(w) ** 2, 2, grid)
     rhs = -(math.factorial(n) * c / math.pi) * pairing

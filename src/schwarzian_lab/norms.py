@@ -47,8 +47,7 @@ class SampleGrid:
 
 def bn_norm_estimate(phi, n: int, grid: SampleGrid | None = None) -> float:
     """Lower-bound estimate of sup |phi| * lambda^(-n) over the grid."""
-    report = bn_norm_report(phi, n, grid)
-    return report["estimate"]
+    return bn_norm_report(phi, n, grid)["estimate"]
 
 
 @lru_cache(maxsize=None)
@@ -63,14 +62,15 @@ def _sample_table(grid: SampleGrid, n) -> tuple:
 
 
 def bn_norm_report(phi, n: int, grid: SampleGrid | None = None) -> dict:
-    """`phi` maps an array of points to an array of values of the same shape."""
+    """`phi` maps an array of points to an array of values of the same shape; NonFiniteError at a non-finite one."""
     grid = grid or SampleGrid()
     pts, weights = _sample_table(grid, n)
-    vals = np.concatenate([integrals.vec_eval(phi, pts[i : i + BLOCK_POINTS]) for i in range(0, pts.size, BLOCK_POINTS)])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite sample in norm estimation")
-    weighted = np.abs(vals) * weights
-    i = int(np.argmax(weighted))
+    with integrals.quiet():
+        vals = np.concatenate([integrals.vec_eval(phi, pts[i : i + BLOCK_POINTS]) for i in range(0, pts.size, BLOCK_POINTS)])
+        weighted = np.abs(vals) * weights
+    i = int(np.argmax(weighted))  # the first NaN, if there is one
+    if not np.isfinite(weighted[i]):
+        raise integrals.NonFiniteError("non-finite sample in norm estimation", "a sample point")
     return {
         "estimate": float(weighted[i]),
         "argmax": complex(pts[i]),

@@ -98,13 +98,14 @@ def schwarzian_solve(phi: Jet, order: int | None = None) -> OdeSolution:
     return OdeSolution(phi, h1, h2, f, wron.coeffs[0])
 
 
+def max_abs(values) -> float:
+    """max |v| over numbers that convert to complex; NaN if any is, where `max` drops a later NaN."""
+    return max((abs(complex(v)) for v in values), key=lambda a: (a != a, a))
+
+
 def ode_residual(sol: OdeSolution) -> float:
     """max |coefficient| of h'' + (1/2) phi h over both basis solutions."""
-    worst = 0.0
-    for h in (sol.h1, sol.h2):
-        res = jet_derive(h, 2) + 0.5 * (sol.phi * h)
-        worst = max(worst, max(abs(complex(c)) for c in res.coeffs))
-    return worst
+    return max_abs(c for h in (sol.h1, sol.h2) for c in (jet_derive(h, 2) + 0.5 * (sol.phi * h)).coeffs)
 
 
 def homogeneous_b(n: int, alpha, order: int = 14) -> Jet:
@@ -132,7 +133,7 @@ def homogeneous_b_residual(n: int, alpha, order: int = 14, through: int = 8) -> 
     f = homogeneous_b(n, alpha, order)
     res = evaluate_jet(sigma_b(n), f)
     take = min(through, res.order)
-    return max(abs(complex(c)) for c in res.coeffs[: take + 1])
+    return max_abs(res.coeffs[: take + 1])
 
 
 def homogeneous_a_check(poly, n: int, order: int = 14, through: int = 8) -> float:
@@ -154,4 +155,4 @@ def homogeneous_a_check(poly, n: int, order: int = 14, through: int = 8) -> floa
     f = jet_reverse(g)
     res = evaluate_jet(sigma_a(n), f)
     take = min(through, res.order)
-    return max(abs(complex(c)) for c in res.coeffs[: take + 1])
+    return max_abs(res.coeffs[: take + 1])

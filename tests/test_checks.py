@@ -5,12 +5,18 @@ shapes, the determinism of the seeded draws, and that each identity actually
 holds on a handful of instances.
 """
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
+from schwarzian_lab import checks
 from schwarzian_lab.checks import (
     VERIFY_SUITES,
     Spec,
+    _coeff_relerr,
+    _maximum,
     affine_spec,
     affine_suite,
     altrec_spec,
@@ -195,3 +201,22 @@ def test_recheck_keeps_coefficient_precision_at_high_order(spec):
 def test_high_order_covariance_passes_on_recheck():
     rep = covariance_suite("B", n_values=(24,), trials=3)
     assert rep["ok"] and rep["escalated"] == 3 and rep["hp_defect"] < 1e-30
+
+
+def test_scalar_maximum_carries_a_nan_in_any_place():
+    nan = float("nan")
+    assert _maximum(1.0, 3.0, 2.0) == 3.0
+    assert math.isnan(_maximum(1.0, nan, 2.0)) and math.isnan(_maximum(nan, 1.0))
+    assert mpmath.isnan(_maximum(mpmath.mpf(1), mpmath.mpf("nan"), mpmath.mpf(2)))
+    # the high-precision recheck compares mpmath coefficients through the scalar branch
+    one = mpmath.mpc(1)
+    assert mpmath.isnan(_coeff_relerr([one, one, one], [one, mpmath.mpc("nan"), one]))
+
+
+def test_hp_defect_carries_a_nan(monkeypatch):
+    # every trial misses by far, so all three are rechecked; the second recheck is NaN
+    spec = Spec(lambda rng: {"n": 3, "x": rng.random()}, lambda batch: batch["x"], lambda batch: batch["x"] + 1.0)
+    rechecks = iter([0.0, float("nan"), 0.0])
+    monkeypatch.setattr(checks, "hp_relerr", lambda spec, trial: next(rechecks))
+    rep = run_suite("nan", spec, 3, 0, 1e-9)
+    assert rep["escalated"] == 3 and math.isnan(rep["hp_defect"]) and rep["ok"] is False

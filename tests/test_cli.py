@@ -1,15 +1,17 @@
 """Command-line front end: exit codes, output formats, determinism."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from schwarzian_lab import AnalyticFn, catalog, rotated_koebe
+from schwarzian_lab import AnalyticFn, catalog, cli, rotated_koebe
 from schwarzian_lab.automorphic import projection_symmetry_check
 from schwarzian_lab.cli import build_parser, main, parse_function
-from schwarzian_lab.integrals import disc_quadrature, weighted_pairing
+from schwarzian_lab.integrals import NonFiniteError, disc_quadrature, weighted_pairing
+from schwarzian_lab.jets import JetError
 
 
 def run(args):
@@ -499,3 +501,81 @@ def test_reports_copy_the_cached_grid_meta(argv, kind):
     args = build_parser().parse_args([*argv, "--grid-r", "8", "--grid-m", "16"])
     args.func(args)["inputs"]["grid"]["kind"] = "edited"
     assert args.func(args)["inputs"]["grid"] == {"kind": kind, "R": 8, "M": 16}
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["norm", "--function", "taylor:0,1,1e200", "--n", "3"], "a sample point"),
+        (["dzero", "--density", "aw:taylor:0,1e300,1e300"], "a node"),
+        (["aw", "--phi", "taylor:0,1e300,1e300"], "a node"),
+        (["kernel-criterion", "--density", "aw:taylor:0,1e300,1e300"], "a node"),
+        (["repro", "--phi", "taylor:1e300,1e300"], "a node"),
+    ],
+    ids=["norm", "dzero", "aw", "kernel-criterion", "repro"],
+)
+def test_function_that_overflows_on_the_grid_is_a_usage_error(capsys, argv, where):
+    # finite coefficients whose values, or the values built from them, overflow on the grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--format", "json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert out == "" and len(lines) == 1, (out, lines)
+    prefix = f"schwarzian-lab {argv[0]}: error: argument {argv[1]}: {argv[2]!r} is not finite at {where}: "
+    assert lines[0].startswith(prefix), lines
+
+
+def test_point_errors_propagate_where_no_function_spec_was_read(monkeypatch):
+    def jet_error(*args):
+        raise JetError("pole at the center")
+
+    def non_finite(*args):
+        raise NonFiniteError("non-finite integrand value on quadrature node", "a node")
+
+    # solve reads no function spec, so a JetError there is no usage error
+    monkeypatch.setattr(cli, "schwarzian_solve", jet_error)
+    with pytest.raises(JetError):
+        run(["solve", "ode"])
+    # repro with no --phi fails on its own default function; with one, on the user's
+    monkeypatch.setattr(cli, "repro_check", non_finite)
+    with pytest.raises(NonFiniteError):
+        run(["repro"])
+    with pytest.raises(SystemExit) as exc:
+        run(["repro", "--phi", "identity"])
+    assert exc.value.code == 2
+
+
+def test_overflowing_ode_solution_fails(capsys):
+    # f's coefficients are NaN from index 4 on, after finite leading residual coefficients
+    assert run(["solve", "ode", "--phi", "1e300,1e300", "--format", "json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert math.isnan(rep["schwarzian_residual"]) and math.isnan(rep["linear_residual"]) and rep["ok"] is False
+
+
+def test_bergman_fails_on_a_nan_error_in_any_place(monkeypatch, capsys):
+    # only the projection of w^2 is NaN; max over the errors would drop it
+    real = cli.bergman_project
+
+    def nan_for_w2(f, s, zs, grid):
+        vals = real(f, s, zs, grid)
+        return vals * np.nan if f(np.array([2.0 + 0j]))[0] == 4 else vals
+
+    monkeypatch.setattr(cli, "bergman_project", nan_for_w2)
+    assert run(["bergman", "--k", "4", "--grid-r", "8", "--grid-m", "16"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [lambda d: ["expand", "--series", "A", "--n", "3", "--out", str(d)], lambda d: ["norm", "--function", f"@{d}"]],
+    ids=["out", "at-path"],
+)
+def test_directory_path_is_a_one_line_usage_error(capsys, tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv(tmp_path))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert out == "" and len(lines) == 1 and "Is a directory" in lines[0], (out, lines)

@@ -6,6 +6,7 @@ import cmath
 import json
 import math
 import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -30,9 +31,10 @@ from schwarzian_lab import (
     weighted_pairing,
 )
 from schwarzian_lab import integrals
-from schwarzian_lab.automorphic import fundamental_annulus_grid
+from schwarzian_lab.automorphic import fundamental_annulus_grid, sup_on_disc
 from schwarzian_lab.cli import main
 from schwarzian_lab.integrals import (
+    NonFiniteError,
     QuadGrid,
     beltrami_from_bers,
     exterior_grid,
@@ -42,6 +44,7 @@ from schwarzian_lab.integrals import (
     ring_moments,
     w1_term,
 )
+from schwarzian_lab.norms import SampleGrid, bn_norm_report
 from schwarzian_lab.symbolic import monomial_coefficients, series_constant
 
 
@@ -570,3 +573,46 @@ def test_repro_check_values_match_per_call_density():
     mu = beltrami_from_bers(phi, 3)
     assert rep["rhs"] == quad2d(lambda eta: mu(eta) / (eta + 2j) ** 5, grid)
     assert rep["rhs_alt_sign"] == quad2d(lambda eta: mu(eta) / (-2j - eta) ** 5, grid)
+
+
+def _pole_at_first(w):
+    return 1.0 / (w - w.flat[0])
+
+
+@pytest.mark.parametrize(
+    "site, where, message",
+    [
+        (lambda: bn_norm_report(lambda z: 1.0 / z, 2, SampleGrid(J=2, M=8)), "a sample point", "non-finite sample in norm"),
+        (lambda: sup_on_disc(lambda z: 1.0 / z), "a sample point", "non-finite sample in sup estimation"),
+        (lambda: ring_moments(_pole_at_first, disc_quadrature(8, 16), np.ones((8, 16))), "a node", "non-finite density value"),
+        (lambda: quad2d(_pole_at_first, disc_quadrature(8, 16)), "a node", "non-finite integrand value"),
+        (lambda: weighted_pairing(_pole_at_first, np.conj, 2, disc_quadrature(8, 16)), "a node", "non-finite pairing integrand"),
+    ],
+    ids=["bn_norm_report", "sup_on_disc", "ring_moments", "quad2d", "weighted_pairing"],
+)
+def test_each_finiteness_check_raises_a_non_finite_error_without_warnings(site, where, message):
+    # each site silences the numpy warnings of the values it checks, and names where it read them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=message) as exc:
+            site()
+    assert isinstance(exc.value, ValueError) and exc.value.where == where
+
+
+def test_overflowing_ring_sums_still_warn():
+    # the ring sums are returned unchecked, so their overflow stays visible
+    grid = disc_quadrature(8, 16)
+    with pytest.warns(RuntimeWarning, match="overflow"), np.errstate(invalid="ignore"):
+        ring_moments(np.full(grid.nodes.size, 1e308 + 0j), grid, np.ones((8, 16)))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda nu, grid: kernel_criterion_check(nu, 3, 0.3, grid=grid), lambda nu, grid: d0_beta(sigma_a(3), nu, 0.3, grid)],
+    ids=["kernel_criterion_check", "d0_beta"],
+)
+def test_scalar_density_is_the_shape_error(check):
+    # every density is read through vec_eval, whose shape check names the fault
+    nu = DensityFn(lambda eta: 1.0, EXTERIOR_DISC, 1.0)
+    with pytest.raises(ValueError, match=r"callable returned shape \(\) for points of shape"):
+        check(nu, exterior_disc_quadrature(8, 16))

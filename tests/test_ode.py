@@ -18,6 +18,7 @@ from schwarzian_lab.ode import (
     homogeneous_a_check,
     homogeneous_b,
     homogeneous_b_residual,
+    max_abs,
     ode_residual,
     schwarzian_solve,
 )
@@ -157,3 +158,19 @@ def test_basis_from_negative_non_unit_data_matches_the_fraction_recurrence(c0, c
     got = _linear_basis(jet_from_coeffs(phi, 0), order, c0, c1).coeffs
     assert got == tuple(want[: order + 1])
     assert all(type(c) is Fraction for c in got)
+
+
+def test_ode_residual_carries_a_nan_past_the_first_coefficient():
+    # phi = 1e300 + 1e300 z overflows the basis recurrence: h1 is NaN from z^5 on
+    phi = jet_from_coeffs([1e300 + 0j, 1e300 + 0j] + [0j] * 13, 0.0)
+    sol = schwarzian_solve(phi, 14)
+    res = jet_derive(sol.h1, 2) + 0.5 * (sol.phi * sol.h1)
+    assert res.coeffs[0] == 0 and any(c != c for c in res.coeffs)
+    assert ode_residual(sol) != ode_residual(sol)
+
+
+def test_max_abs_carries_a_nan_in_any_place():
+    assert max_abs([1, -3j, Fraction(1, 2)]) == 3.0
+    nan = float("nan")
+    for values in ([nan, 1.0, 2.0], [1.0, nan, 2.0], [1.0, 2.0, complex(0.0, nan)]):
+        assert max_abs(values) != max_abs(values)

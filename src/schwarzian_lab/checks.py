@@ -186,9 +186,10 @@ def run_suite(operation: str, spec: Spec, trials: int, seed: int, tol: float, **
 
 def _jets_at(t) -> tuple:
     """The trial's Moebius jet gj at z and the jet of its f at g(z), both of
-    order n + 2; gj's first two coefficients are g(z) and g'(z)."""
-    gj = moebius_jet(*t["g"], t["z"], t["n"] + 2)
-    return taylor_jet(t["f"], 0j, gj.coeffs[0], t["n"] + 2), gj
+    order n, the highest derivative either side reads; gj's first two
+    coefficients are g(z) and g'(z)."""
+    gj = moebius_jet(*t["g"], t["z"], t["n"])
+    return taylor_jet(t["f"], 0j, gj.coeffs[0], t["n"]), gj
 
 
 def covariance_spec(series: str, n_values=(3, 4, 5, 6)) -> Spec:
@@ -221,7 +222,9 @@ def covariance_spec(series: str, n_values=(3, 4, 5, 6)) -> Spec:
 
 def altrec_spec(n_values=(3, 4, 5, 6)) -> Spec:
     """A-series recursion in divided form:
-    sigma_{n+1}[f]/(f')^(n-1) = (sigma_n[f]/(f')^(n-1))'."""
+    sigma_{n+1}[f]/(f')^(n-1) = (sigma_n[f]/(f')^(n-1))', on jets of order
+    n + 1: sigma_{n+1} reads u_{n+1}, and the quotient's jet keeps the one
+    order its derivative reads."""
     n_values = tuple(n_values)
 
     def draw(rng):
@@ -230,12 +233,12 @@ def altrec_spec(n_values=(3, 4, 5, 6)) -> Spec:
 
     def lhs(t):
         n = t["n"]
-        fj = taylor_jet(t["f"], 0j, t["z"], n + 4)
+        fj = taylor_jet(t["f"], 0j, t["z"], n + 1)
         return evaluate(sigma_a(n + 1), fj) / fj.coeffs[1] ** (n - 1)
 
     def rhs(t):
         n = t["n"]
-        fj = taylor_jet(t["f"], 0j, t["z"], n + 4)
+        fj = taylor_jet(t["f"], 0j, t["z"], n + 1)
         quotient = evaluate_jet(sigma_a(n), fj) * jet_pow(jet_derive(fj, 1), -(n - 1))
         return jet_derive(quotient, 1).coeffs[0]
 
@@ -244,7 +247,8 @@ def altrec_spec(n_values=(3, 4, 5, 6)) -> Spec:
 
 def schwinv_spec(n_values=(4, 5, 6)) -> Spec:
     """sigma^A_n[f] = -(d^(n-3) S_{f^-1}) o f * (f')^(n-1), via jet reversion
-    at the origin, compared coefficient by coefficient.
+    at the origin, compared coefficient by coefficient on jets of order
+    n + 6: both sides keep 7 coefficients.
 
     The minus sign is forced by the chain rule: S_{f^-1} o f * (f')^2 = -S_f
     (differentiate f^-1 o f = id), and the divided recursion propagates that
@@ -270,7 +274,8 @@ def schwinv_spec(n_values=(4, 5, 6)) -> Spec:
 
 
 def affine_spec(n_values=(3, 4, 5, 6)) -> Spec:
-    """sigma^A_n[a f + b] = sigma^A_n[f] for affine postcomposition."""
+    """sigma^A_n[a f + b] = sigma^A_n[f] for affine postcomposition, on jets
+    of order n."""
     n_values = tuple(n_values)
 
     def draw(rng):
@@ -282,10 +287,10 @@ def affine_spec(n_values=(3, 4, 5, 6)) -> Spec:
         return {"n": n, "f": f, "z": z, "a": a, "b": b}
 
     def lhs(t):
-        return evaluate(sigma_a(t["n"]), taylor_jet(t["f"], 0j, t["z"], t["n"] + 2) * t["a"] + t["b"])
+        return evaluate(sigma_a(t["n"]), taylor_jet(t["f"], 0j, t["z"], t["n"]) * t["a"] + t["b"])
 
     def rhs(t):
-        return evaluate(sigma_a(t["n"]), taylor_jet(t["f"], 0j, t["z"], t["n"] + 2))
+        return evaluate(sigma_a(t["n"]), taylor_jet(t["f"], 0j, t["z"], t["n"]))
 
     return Spec(draw, lhs, rhs)
 

@@ -54,18 +54,31 @@ from .symbolic import CriticalPointError, classical, evaluate_jet, monomial_part
 # -- report plumbing -----------------------------------------------------------
 
 
-def _jsonify(obj):
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(x) -> float | str:
+    """x as a float, or as the string "NaN", "Infinity" or "-Infinity":
+    JSON has no number for those, and `json.dumps` would write bare tokens
+    that only lenient parsers read."""
+    x = float(x)
+    return x if math.isfinite(x) else _NON_FINITE[repr(x)]
+
+
+def _jsonify(obj, number=float):
+    """obj as plain dicts, lists, strings and numbers, with every real (and
+    each part of a complex number, as [re, im]) passed through `number`."""
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+        return {str(k): _jsonify(v, number) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [_jsonify(v, number) for v in obj]
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return number(obj)
     if isinstance(obj, (np.complexfloating, complex)):
         z = complex(obj)
-        return [z.real, z.imag]
+        return [number(z.real), number(z.imag)]
     if isinstance(obj, np.integer):
         return int(obj)
     return str(obj)
@@ -93,9 +106,9 @@ def _text_lines(obj, indent: int = 0):
 
 
 def _emit(report: dict, args) -> None:
-    data = _jsonify({"schema": "v1", **report})
+    data = _jsonify({"schema": "v1", **report}, _json_number if args.format == "json" else float)
     if args.format == "json":
-        text = json.dumps(data, sort_keys=True, indent=2)
+        text = json.dumps(data, sort_keys=True, indent=2, allow_nan=False)
     elif args.format == "csv":
         rows = data.get("rows")
         if not rows:

@@ -129,8 +129,13 @@ def homogeneous_b(n: int, alpha, order: int = 14) -> Jet:
 
 def homogeneous_b_residual(n: int, alpha, order: int = 14, through: int = 8) -> float:
     """max |coefficient| of the sigma^B_n jet of homogeneous_b through the
-    given order."""
-    f = homogeneous_b(n, alpha, order)
+    given order.
+
+    The jet is built to order min(order, n + through - 1), the least that
+    carries the coefficients read (the antiderivative adds one order and
+    sigma^B_n takes n off); each truncated-jet coefficient depends only on
+    the coefficients at or below it, so a deeper jet reads the same values."""
+    f = homogeneous_b(n, alpha, min(order, n + through - 1))
     res = evaluate_jet(sigma_b(n), f)
     take = min(through, res.order)
     return max_abs(res.coeffs[: take + 1])
@@ -143,12 +148,18 @@ def homogeneous_a_check(poly, n: int, order: int = 14, through: int = 8) -> floa
     Schwarzian of its inverse is a polynomial of degree <= n-4.  So: solve
     S_g = P for the given polynomial P, revert the jet, and measure the
     sigma^A_n coefficients of the reverse through the given order.
+
+    The jets are built to order min(order, n + through), the least that
+    carries the coefficients read; each truncated-jet coefficient depends
+    only on the coefficients at or below it, so a deeper jet reads the same
+    values.
     """
     poly = list(poly)
     if n < 4:
         raise ValueError("need n >= 4")
     if len(poly) - 1 > n - 4:
         raise ValueError(f"polynomial degree must be <= {n - 4}")
+    order = min(order, n + through)
     coeffs = poly + [0] * (order + 1 - len(poly))
     phi = jet_from_coeffs(coeffs[: order + 1], 0.0)
     g = schwarzian_solve(phi, order).f

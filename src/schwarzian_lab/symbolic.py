@@ -5,18 +5,20 @@ where u_k stands for the k-th derivative f^(k) of an undetermined holomorphic
 function.  The exponent of u_1 lives in (1/2)Z because the B-series
 construction passes through (f')^{1-n/2}; exponents of u_2, u_3, ... are
 nonnegative integers.  An expression is *canonical* when every u_1 exponent
-is integral — the final form of both Schwarzian series is canonical, and
-``sigma_b`` asserts this.
+is integral — the final form of both Schwarzian series is canonical.
 
 Exponent keys are stored as integer tuples ``(2*e_1, e_2, ..., e_K)`` with
 trailing zeros trimmed; coefficients are ``fractions.Fraction``.  The formal
 derivative behind both series runs on plain integers: an expression is put
 over the lcm D of its denominators, one derivative maps integer numerators
 over D to integer numerators over 2D, and ``Fraction`` values are built
-once at the end.  Evaluation is one loop over the terms that reads every
-factor from one power table, run on point values (``evaluate``), on float,
-batched or mpmath jets, or on series of integer numerators over one
-denominator (``evaluate_jet`` on an exact jet).
+once at the end.  The A series takes one derivative per order from the
+order below; the B series reads every order from one chain of partial Bell
+polynomials (Faa di Bruno's formula), one derivative per row.  Evaluation
+is one loop over the terms that reads every factor from one power table,
+run on point values (``evaluate``), on float, batched or mpmath jets, or on
+series of integer numerators over one denominator (``evaluate_jet`` on an
+exact jet).
 """
 
 from __future__ import annotations
@@ -215,12 +217,39 @@ def sigma_a(n: int) -> DiffExpr:
 
 
 @lru_cache(maxsize=None)
+def _bell_row(m: int) -> tuple:
+    """The partial Bell polynomials B_{m,k}(u_2, u_3, ...), k = 0..m, each
+    as {key: integer coefficient} over keys whose u_1 slot is 0.
+
+    B_{0,0} = 1 and B_{m+1,k} = B_{m,k}' + u_2 * B_{m,k-1}, where ' is the
+    formal derivative u_j -> u_{j+1}: Faa di Bruno's formula for d^m g(f'),
+    with g^(k)(f') * B_{m,k} the terms that carry the k-th derivative of g
+    (Comtet, Advanced Combinatorics, 1974, sec. 3.3)."""
+    if m == 0:
+        return ({(0,): 1},)
+    prev = _bell_row(m - 1)
+    row = [{}]
+    for k in range(1, m + 1):
+        # `_derive` gives the derivative over the denominator 2 on these keys
+        nums = {key: v // 2 for key, v in _derive(prev[k]).items()} if k < m else {}
+        for key, v in prev[k - 1].items():  # times u_2
+            key = (0, key[1] + 1) + key[2:] if len(key) > 1 else (0, 1)
+            nums[key] = nums.get(key, 0) + v
+        row.append(nums)
+    return tuple(row)
+
+
+@lru_cache(maxsize=None)
 def sigma_b(n: int) -> DiffExpr:
     """B-series higher Schwarzian: -2*(f')^{n/2-1} * d^{n-1}/dz^{n-1} (f')^{1-n/2}.
 
-    The n-1 derivatives run over integer numerators from (f')^{1-n/2} on the
-    half-integer u_1 lattice, over the denominator 2^(n-1); the final
-    product is asserted canonical (all u_1 exponents integral).
+    By Faa di Bruno, d^{n-1} (f')^a = sum_k (a)_k (f')^(a-k) B_{n-1,k}, with
+    (a)_k = a (a-1) ... (a-k+1) the falling factorial, so
+    sigma_n = -2 sum_k (1-n/2)_k u_1^(-k) B_{n-1,k}: the Bell rows of
+    `_bell_row` serve every n, and u_1's exponent is an integer by
+    construction.  The terms are put in ascending order of their keys, the
+    order the Leibniz chain over (f')^{1-n/2} produced, which fixes the float
+    summation order of `evaluate`.
 
     Some published coefficient tables for n = 4, 5 differ in signs and one
     exponent from this direct expansion; the defining derivative formula is
@@ -229,13 +258,14 @@ def sigma_b(n: int) -> DiffExpr:
     """
     if n < 3:
         raise ValueError("B-series starts at n = 3")
-    nums = {(2 - n,): 1}  # (f')^{1 - n/2}
-    for _ in range(n - 1):
-        nums = _derive(nums)
-    expr = _over({(key[0] + n - 2,) + key[1:]: -2 * v for key, v in nums.items()}, 2 ** (n - 1))
-    if not expr.is_canonical():
-        raise AssertionError("B-series expansion failed to cancel half-integer exponents")
-    return expr
+    # -2 (1-n/2)_k over the denominator 2^(n-1), with (1-n/2)_k = prod_{j<k} (2-n-2j)/2
+    nums, falling = {}, -2 * 2 ** (n - 1)
+    for k, poly in enumerate(_bell_row(n - 1)):
+        if k:
+            falling = falling * (4 - n - 2 * k) // 2
+        for key, v in poly.items():
+            nums[(-2 * k,) + key[1:]] = falling * v
+    return _over(dict(sorted(nums.items())), 2 ** (n - 1))
 
 
 def series_letter(series: str) -> str:

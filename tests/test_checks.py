@@ -34,8 +34,12 @@ from schwarzian_lab.checks import (
     schwinv_suite,
     series_bound_constant,
     sigma_expr,
+    trial_relerrs,
     weight_suite,
 )
+from schwarzian_lab.jets import jet_compose, jet_derive, jet_pow, jet_reverse
+from schwarzian_lab.maps import moebius_jet, taylor_jet
+from schwarzian_lab.symbolic import classical, evaluate, evaluate_jet, sigma_a
 
 
 @pytest.mark.parametrize("series", ["A", "B"])
@@ -141,6 +145,45 @@ def test_batched_sides_match_scalar_sides(name, spec):
             lhs1, rhs1 = spec.lhs(one), spec.rhs(one)
             assert _close(lhs1, _trial(lhs, j)), (name, n, i)
             assert _close(rhs1, _trial(rhs, j)), (name, n, i)
+
+
+def _sides_at_deeper_jets(name, t):
+    """The two sides of the named spec on trial batch t, rebuilt through the
+    public jets API on jets of order n + 2 (n + 4 for altrec), deeper than
+    the specs build them; schwinv, which reads every coefficient, at its
+    own order n + 6."""
+    n, kind = t["n"], name.split()[0]
+    if kind in ("covariance", "bol"):
+        gj = moebius_jet(*t["g"], t["z"], n + 2)
+        fj = taylor_jet(t["f"], 0j, gj.coeffs[0], n + 2)
+        if kind == "bol":
+            f2 = jet_compose(fj, gj) * jet_pow(jet_derive(gj, 1), 1 - n // 2)
+            return jet_derive(f2, n - 1).coeffs[0], jet_derive(fj, n - 1).coeffs[0] * gj.coeffs[1] ** (n // 2)
+        sigma = sigma_expr(name.split()[1], n)
+        return evaluate(sigma, jet_compose(fj, gj)), evaluate(sigma, fj) * gj.coeffs[1] ** (n - 1)
+    if kind == "altrec":
+        fj = taylor_jet(t["f"], 0j, t["z"], n + 4)
+        quotient = evaluate_jet(sigma_a(n), fj) * jet_pow(jet_derive(fj, 1), -(n - 1))
+        return evaluate(sigma_a(n + 1), fj) / fj.coeffs[1] ** (n - 1), jet_derive(quotient, 1).coeffs[0]
+    if kind == "schwinv":
+        fj = taylor_jet(t["f"], 0j, 0.0, n + 6)
+        s_inv = evaluate_jet(classical("schwarzian"), jet_reverse(fj))
+        lhs = jet_compose(jet_derive(s_inv, n - 3), fj) * jet_pow(jet_derive(fj, 1), n - 1) * (-1)
+        return lhs.coeffs, evaluate_jet(sigma_a(n), fj).coeffs
+    fj = taylor_jet(t["f"], 0j, t["z"], n + 2)
+    return evaluate(sigma_a(n), fj * t["a"] + t["b"]), evaluate(sigma_a(n), fj)
+
+
+@pytest.mark.parametrize("name,spec", SPECS, ids=[name for name, _ in SPECS])
+def test_jets_cut_to_the_order_read_change_no_bits(name, spec):
+    # a truncated-jet coefficient depends only on the coefficients at or
+    # below it, so the specs' jets, built no deeper than each side reads,
+    # give the relative errors of deeper jets bit for bit
+    draws = draw_trials(spec, 40, seed=0)
+    deeper = np.empty(len(draws))
+    for idx in by_order(draws).values():
+        deeper[idx] = spec.relerr(*_sides_at_deeper_jets(name, make_batch([draws[i] for i in idx])))
+    assert trial_relerrs(spec, draws).tobytes() == deeper.tobytes()
 
 
 def test_cli_orders_run_batched():

@@ -1,7 +1,6 @@
 """Command-line front end: exit codes, output formats, determinism."""
 
 import json
-import math
 import warnings
 
 import numpy as np
@@ -288,7 +287,7 @@ def test_pole_at_z_off_the_sample_points_warns_and_fails_under_theta(capsys):
         code = run(["theta", "--f", spec, "--z", "0.3", "--group", '{"kind": "trivial"}', "--format", "json"])
     assert code == 1
     rep = json.loads(capsys.readouterr().out)
-    assert not np.all(np.isfinite(rep["value"])) and not rep["ok"]
+    assert any(v in ("NaN", "Infinity", "-Infinity") for v in rep["value"]) and not rep["ok"]
 
 
 @pytest.mark.parametrize("multiplier", [4.0, 1.01, 1.1, 1.5])
@@ -297,7 +296,7 @@ def test_theta_fails_where_the_automorphy_bound_is_infinite(capsys, multiplier):
     group = json.dumps({"kind": "cyclic", "fixpoints": [0.5, 2.8], "multiplier": multiplier})
     assert run(["theta", "--radius", "1", "--group", group, "--format", "json"]) == 1
     rep = json.loads(capsys.readouterr().out)
-    assert rep["automorphy_bound"] == float("inf") and not rep["ok"]
+    assert rep["automorphy_bound"] == "Infinity" and not rep["ok"]
 
 
 def test_bergman_passes_on_a_coarse_grid(capsys):
@@ -552,7 +551,28 @@ def test_overflowing_ode_solution_fails(capsys):
     # f's coefficients are NaN from index 4 on, after finite leading residual coefficients
     assert run(["solve", "ode", "--phi", "1e300,1e300", "--format", "json"]) == 1
     rep = json.loads(capsys.readouterr().out)
-    assert math.isnan(rep["schwarzian_residual"]) and math.isnan(rep["linear_residual"]) and rep["ok"] is False
+    assert rep["schwarzian_residual"] == "NaN" and rep["linear_residual"] == "NaN" and rep["ok"] is False
+
+
+def _strict_json(text):
+    """json.loads that refuses the bare NaN and Infinity tokens, which are not JSON."""
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_reports_write_non_finite_numbers_as_strings(capsys):
+    # the text format keeps Python's spelling of the same values
+    assert run(["theta", "--radius", "1", "--format", "json"]) == 1
+    rep = _strict_json(capsys.readouterr().out)
+    assert rep["automorphy_bound"] == rep["tail_estimate"] == "Infinity"
+    assert run(["solve", "ode", "--phi", "1e300,1e300", "--format", "json"]) == 1
+    rep = _strict_json(capsys.readouterr().out)
+    assert rep["f_coeffs"][3] == [1.6666666666666668e299, 0.0] and rep["f_coeffs"][4:] == [["NaN", "NaN"]] * 11
+    assert run(["theta", "--radius", "1", "--format", "text"]) == 1
+    assert "automorphy_bound: inf" in capsys.readouterr().out.splitlines()
 
 
 def test_bergman_fails_on_a_nan_error_in_any_place(monkeypatch, capsys):

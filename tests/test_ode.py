@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schwarzian_lab.jets import JetError, jet_derive, jet_from_coeffs
+from schwarzian_lab.jets import JetError, jet_derive, jet_from_coeffs, jet_reverse
 from schwarzian_lab.maps import Moebius
 from schwarzian_lab.ode import (
     _linear_basis,
@@ -22,7 +22,7 @@ from schwarzian_lab.ode import (
     ode_residual,
     schwarzian_solve,
 )
-from schwarzian_lab.symbolic import evaluate_jet, sigma_a
+from schwarzian_lab.symbolic import evaluate_jet, sigma_a, sigma_b
 
 
 def _phi():
@@ -174,3 +174,17 @@ def test_max_abs_carries_a_nan_in_any_place():
     nan = float("nan")
     for values in ([nan, 1.0, 2.0], [1.0, nan, 2.0], [1.0, 2.0, complex(0.0, nan)]):
         assert max_abs(values) != max_abs(values)
+
+
+def test_homogeneous_residuals_read_the_same_bits_as_deeper_jets():
+    # the residuals build their jets only as deep as the coefficients they
+    # read; float data leaves round-off in those coefficients, so a deeper
+    # jet that changed any of them would change the residual
+    alpha, poly = (1, 0.3, -0.2), (0.5, 0.25)
+    deep_b = evaluate_jet(sigma_b(5), homogeneous_b(5, alpha, 20))
+    g = schwarzian_solve(jet_from_coeffs(list(poly) + [0] * 19, 0.0), 20).f
+    deep_a = evaluate_jet(sigma_a(5), jet_reverse(g))
+    assert 0 < homogeneous_b_residual(5, alpha) < 1e-12 and 0 < homogeneous_a_check(poly, 5) < 1e-12
+    for through in range(9):
+        assert homogeneous_b_residual(5, alpha, through=through) == max_abs(deep_b.coeffs[: through + 1]), through
+        assert homogeneous_a_check(poly, 5, through=through) == max_abs(deep_a.coeffs[: through + 1]), through

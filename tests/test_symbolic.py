@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
+from sympy.functions.combinatorial.numbers import bell, stirling
 
 from schwarzian_lab import (
     DiffExpr,
@@ -33,7 +35,7 @@ from schwarzian_lab import (
 )
 from schwarzian_lab.checks import random_function
 from schwarzian_lab.jets import derivative_values
-from schwarzian_lab.symbolic import CriticalPointError, evaluate, monomial_coefficients
+from schwarzian_lab.symbolic import CriticalPointError, _bell_row, evaluate, monomial_coefficients
 
 
 def test_classical_schwarzian_string():
@@ -122,13 +124,37 @@ def test_series_match_the_fraction_leibniz_reference():
     fixes the float summation order of `evaluate`), against the expansion
     re-run from scratch through the Fraction reference."""
     expr = classical("schwarzian")
-    for n in range(3, 17):
+    for n in range(3, 21):
         if n > 3:
             expr = reference_derive(expr) - (classical("pre_schwarzian") * expr).scale(n - 2)
         assert list(sigma_a(n).terms.items()) == list(expr.terms.items()), n
         assert list(sigma_b(n).terms.items()) == list(reference_sigma_b(n).terms.items()), n
         for c in list(sigma_a(n).terms.values()) + list(sigma_b(n).terms.values()):
             assert type(c) is Fraction
+
+
+def test_bell_rows_match_sympy():
+    # B_{m,k}(1, 1, ...) counts the partitions of m things into k blocks;
+    # through m = 10 the rows are also sympy's Bell polynomials term by term
+    xs = sympy.symbols("x1:11")
+    for m in range(16):
+        row = _bell_row(m)
+        assert len(row) == m + 1
+        for k, poly in enumerate(row):
+            assert all(key[0] == 0 and type(v) is int and v > 0 for key, v in poly.items())
+            assert sum(poly.values()) == stirling(m, k), (m, k)
+            if 0 < k and m <= 10:
+                ours = {key[1:] + (0,) * (11 - len(key)): v for key, v in poly.items()}
+                assert ours == dict(sympy.Poly(bell(m, k, xs[: m - k + 1]), *xs).terms()), (m, k)
+
+
+def test_sigma_b_reads_one_bell_chain():
+    sigma_b.cache_clear()
+    _bell_row.cache_clear()
+    sigma_b(16)
+    assert _bell_row.cache_info().misses == 16
+    sigma_b(9)
+    assert _bell_row.cache_info().misses == 16
 
 
 _terms = st.dictionaries(

@@ -34,9 +34,9 @@ from functools import lru_cache
 import numpy as np
 
 from .checks import compare
-from .integrals import NonFiniteError, QuadGrid, _ring_nodes, disc_quadrature, legendre_rule, product_rings, quiet, ring_moments, vec_eval, weighted_pairing
+from .integrals import QuadGrid, disc_quadrature, legendre_rule, product_rings, ring_moments, weighted_pairing
 from .jets import _horner
-from .maps import DISC, LOWER_HALF, UPPER_HALF, AnalyticFn, HyperbolicDomain, Moebius, _c2pair, poincare_density
+from .maps import DISC, LOWER_HALF, UPPER_HALF, AnalyticFn, HyperbolicDomain, Moebius, NonFiniteError, _c2pair, _ring_nodes, poincare_density, quiet, vec_eval
 
 
 class GroupError(Exception):
@@ -148,11 +148,15 @@ def sup_on_disc(f) -> float:
 
 
 def theta_values(f, q: int, ball: GroupBall, z):
-    """Truncated Poincare series sum_{g in ball} f(g z) g'(z)^q, vectorized."""
+    """Truncated Poincare series sum_{g in ball} f(g z) g'(z)^q, vectorized.
+    Each element's c z + d is computed once, for g(z) = (a z + b)/(c z + d)
+    and g'(z) = 1/(c z + d)^2, by the operations of `Moebius.__call__` and
+    `Moebius.deriv`, so the sum has their bits."""
     z = np.asarray(z, dtype=complex)
     acc = np.zeros_like(z)
     for g in ball.elements:
-        acc = acc + vec_eval(f, g(z)) * g.deriv(z) ** q
+        w = g.c * z + g.d
+        acc = acc + vec_eval(f, (g.a * z + g.b) / w) * (1.0 / w**2) ** q
     return acc
 
 

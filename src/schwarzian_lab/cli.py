@@ -5,6 +5,9 @@ Reports are plain data: ``--format json`` serializes them canonically
 (schema "v1", sorted keys, complex numbers as [re, im] pairs), so a fixed
 command line and seed produce byte-identical output.  Exit status: 0 when
 every check in the report passed, 1 when one failed, 2 for invalid usage.
+
+The norm, quadrature and group layers are imported by the subcommands that
+use them, so `verify`, `expand` and `solve` never load them.
 """
 
 from __future__ import annotations
@@ -19,34 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import checks
-from .automorphic import (
-    GroupError,
-    PairingSpec,
-    automorphy_residual,
-    bergman_project,
-    fundamental_annulus_grid,
-    group_ball,
-    group_from_descriptor,
-    poincare_theta,
-    projection_symmetry_check,
-    wp_pairing,
-)
-from .integrals import (
-    DensityFn,
-    NonFiniteError,
-    ahlfors_weill,
-    ahlfors_weill_density,
-    d0_beta,
-    d0_beta_norm_bound,
-    disc_quadrature,
-    exterior_disc_quadrature,
-    half_plane_quadrature,
-    kernel_criterion_check,
-    repro_check,
-)
 from .jets import JetError, jet_from_coeffs
-from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, AnalyticFn, catalog, poincare_density, rotated_koebe, schlicht_family
-from .norms import SampleGrid, bn_norm_report, bound_check, bound_ok, bound_row, sigma_phi
+from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, AnalyticFn, NonFiniteError, catalog, poincare_density, rotated_koebe, schlicht_family
 from .ode import homogeneous_a_check, homogeneous_b_residual, max_abs, ode_residual, schwarzian_solve
 from .symbolic import CriticalPointError, classical, evaluate_jet, monomial_part, series_constant, to_string
 
@@ -213,9 +190,11 @@ def parse_function(spec: str) -> AnalyticFn:
         raise argparse.ArgumentTypeError(f"invalid function spec {spec!r}: {exc}") from None
 
 
-def parse_density(spec: str) -> DensityFn:
-    """Densities on the exterior disc: ``aw:<function>`` for the bounded
-    section of a holomorphic function, or ``const:<c>``."""
+def parse_density(spec: str):
+    """The `integrals.DensityFn` on the exterior disc that ``aw:<function>``
+    (the bounded section of a holomorphic function) or ``const:<c>`` names."""
+    from .integrals import DensityFn, ahlfors_weill_density
+
     if spec.startswith("aw:"):
         return ahlfors_weill_density(parse_function(spec[3:]))
     if spec.startswith("const:"):
@@ -231,6 +210,8 @@ def inverse_power_fn(q: int) -> AnalyticFn:
 
 
 def _group(args) -> tuple:
+    from .automorphic import GroupError, group_from_descriptor
+
     try:
         desc = json.loads(args.group)
         return group_from_descriptor(desc), desc
@@ -277,6 +258,8 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_norm(args) -> dict:
+    from .norms import SampleGrid, bn_norm_report, bound_ok, bound_row, sigma_phi
+
     fn = parse_function(args.function)
     expr = checks.sigma_expr(args.series, args.n)
     grid = SampleGrid(J=args.grid_j, M=args.grid_m)
@@ -287,6 +270,8 @@ def cmd_norm(args) -> dict:
 
 
 def cmd_bound(args) -> dict:
+    from .norms import bound_check, bound_ok
+
     fams = schlicht_family()
     rows = [
         {"function": name, **bound_check(args.series, n, fn)}
@@ -302,12 +287,16 @@ def cmd_bound(args) -> dict:
 
 
 def _exterior_grid(args, order: int):
+    from .integrals import exterior_disc_quadrature
+
     # the moment series of a kernel of order k reads the modes past k + 1
     _require(args.grid_m > order + 1, f"argument --grid-m: a kernel of order {order} needs more than {order + 1} angles")
     return exterior_disc_quadrature(R=args.grid_r, M=args.grid_m)
 
 
 def cmd_dzero(args) -> dict:
+    from .integrals import d0_beta, d0_beta_norm_bound
+
     nu = parse_density(args.density)
     grid = _exterior_grid(args, args.n)
     expr = checks.sigma_expr(args.series, args.n)
@@ -320,6 +309,8 @@ def cmd_dzero(args) -> dict:
 
 
 def cmd_aw(args) -> dict:
+    from .integrals import ahlfors_weill, ahlfors_weill_density, d0_beta
+
     phi = parse_function(args.phi)
     w = 1 / np.conj(args.z)
     with np.errstate(divide="ignore", invalid="ignore"):  # no warnings from a pole at w
@@ -341,6 +332,8 @@ def cmd_aw(args) -> dict:
 
 
 def cmd_repro(args) -> dict:
+    from .integrals import half_plane_quadrature, repro_check
+
     phi = parse_function(args.phi) if args.phi else inverse_power_fn(args.q)
     grid = half_plane_quadrature(R=args.grid_r, M=args.grid_m)
     rep = repro_check(phi, args.q, args.z, grid)
@@ -349,6 +342,8 @@ def cmd_repro(args) -> dict:
 
 
 def cmd_kernel_criterion(args) -> dict:
+    from .integrals import kernel_criterion_check
+
     nu = parse_density(args.density)
     grid = _exterior_grid(args, args.n)
     rep = kernel_criterion_check(nu, args.n, args.z, args.series, grid)
@@ -357,6 +352,8 @@ def cmd_kernel_criterion(args) -> dict:
 
 
 def cmd_theta(args) -> dict:
+    from .automorphic import automorphy_residual, group_ball, poincare_theta
+
     gens, desc = _group(args)
     ball = group_ball(gens, args.radius)
     f = parse_function(args.f)
@@ -376,6 +373,9 @@ def cmd_theta(args) -> dict:
 
 
 def cmd_pairing(args) -> dict:
+    from .automorphic import PairingSpec, fundamental_annulus_grid, wp_pairing
+    from .integrals import disc_quadrature
+
     f = parse_function(args.f)
     g = parse_function(args.g)
     spec = PairingSpec(args.s)
@@ -397,6 +397,9 @@ def cmd_pairing(args) -> dict:
 
 
 def cmd_bergman(args) -> dict:
+    from .automorphic import bergman_project, projection_symmetry_check
+    from .integrals import disc_quadrature
+
     # the projection resolves the angular modes below M/2 only
     _require(args.grid_m > 2 * args.k, f"argument --grid-m: fixing w^{args.k} needs more than {2 * args.k} angles")
     grid = disc_quadrature(R=args.grid_r, M=args.grid_m)

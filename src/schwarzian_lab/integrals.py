@@ -30,39 +30,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
-from .maps import DISC, EXTERIOR_DISC, UPPER_HALF, HyperbolicDomain
 from .checks import compare
+from .maps import DISC, EXTERIOR_DISC, UPPER_HALF, HyperbolicDomain, NonFiniteError, _ring_nodes, quiet, vec_eval
+from .norms import bn_norm_estimate
 from .symbolic import DiffExpr, monomial_coefficients, series_constant, series_letter, sigma_expr
 
 # Nodes per block of whole rings in which `ring_moments` reads an integrand:
 # its values, modes and their moduli then take about 64 kB each, where the
 # 192 x 512 grid's would take 1.5 MB.
 BLOCK_NODES = 4096
-
-# No numpy divide, overflow or invalid warnings, for values a NonFiniteError check reads.
-quiet = partial(np.errstate, divide="ignore", over="ignore", invalid="ignore")
-
-
-def vec_eval(fn, pts: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an array of complex points in one call; fn must return
-    an array of the same shape."""
-    vals = np.asarray(fn(pts), dtype=complex)
-    if vals.shape != np.shape(pts):
-        raise ValueError(f"callable returned shape {vals.shape} for points of shape {np.shape(pts)}")
-    return vals
-
-
-class NonFiniteError(ValueError):
-    """A value that a sum or a sup needs finite is not, at `where`: "a sample point" or "a node"."""
-
-    def __init__(self, message: str, where: str):
-        super().__init__(message)
-        self.where = where
-
 
 @dataclass(frozen=True, eq=False)
 class QuadGrid:
@@ -140,12 +120,6 @@ def _read_only_grid(domain, nodes, weights, kind: str, R: int, M: int) -> QuadGr
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadGrid(domain, nodes, weights, {"kind": kind, "R": R, "M": M})
-
-
-def _ring_nodes(radii, M: int) -> np.ndarray:
-    """Nodes radii[i] e^(i theta_j), theta_j = 2 pi j / M, ring by ring from
-    angle 0: one outer product."""
-    return np.outer(radii, np.exp(1j * (2.0 * math.pi * np.arange(M) / M))).ravel()
 
 
 def _ring_grid(domain, radii, ring_weights, M: int, kind: str, R: int) -> QuadGrid:
@@ -318,8 +292,6 @@ def ahlfors_weill(phi, z) -> complex:
 def ahlfors_weill_density(phi) -> DensityFn:
     """The section as a DensityFn on the exterior disc, bounded by half the
     sampled B_2 norm of phi."""
-    from .norms import bn_norm_estimate
-
     return DensityFn(lambda z: ahlfors_weill(phi, z), EXTERIOR_DISC, 0.5 * bn_norm_estimate(phi, 2))
 
 

@@ -1,5 +1,7 @@
-"""Möbius maps, hyperbolic domains with Poincaré densities, and a catalog
-of named analytic functions evaluable to jets.
+"""Möbius maps, hyperbolic domains with Poincaré densities, a catalog
+of named analytic functions evaluable to jets, and the helpers that evaluate
+a function on an array of points (`vec_eval`, `quiet`, `NonFiniteError`,
+`_ring_nodes`), which the norm, quadrature and group layers share.
 
 Densities use the curvature -4 normalization lambda_D(z) = (1-|z|^2)^{-1} on
 the unit disc, which is the convention under which the sharp Schwarzian-norm
@@ -13,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +24,36 @@ from .jets import Jet, JetError, _any, _convolve, _horner, _is_exact, _reciproca
 
 class DomainError(ValueError):
     pass
+
+
+# -- functions on arrays of points ---------------------------------------------
+
+
+class NonFiniteError(ValueError):
+    """A value that a sum or a sup needs finite is not, at `where`: "a sample point" or "a node"."""
+
+    def __init__(self, message: str, where: str):
+        super().__init__(message)
+        self.where = where
+
+
+# No numpy divide, overflow or invalid warnings, for values a NonFiniteError check reads.
+quiet = partial(np.errstate, divide="ignore", over="ignore", invalid="ignore")
+
+
+def vec_eval(fn, pts: np.ndarray) -> np.ndarray:
+    """Evaluate fn on an array of complex points in one call; fn must return
+    an array of the same shape."""
+    vals = np.asarray(fn(pts), dtype=complex)
+    if vals.shape != np.shape(pts):
+        raise ValueError(f"callable returned shape {vals.shape} for points of shape {np.shape(pts)}")
+    return vals
+
+
+def _ring_nodes(radii, M: int) -> np.ndarray:
+    """Nodes radii[i] e^(i theta_j), theta_j = 2 pi j / M, ring by ring from
+    angle 0: one outer product."""
+    return np.outer(radii, np.exp(1j * (2.0 * math.pi * np.arange(M) / M))).ravel()
 
 
 def _inverse(x):

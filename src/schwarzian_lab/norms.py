@@ -14,8 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import integrals
-from .maps import DISC, AnalyticFn
+from .maps import DISC, AnalyticFn, NonFiniteError, _ring_nodes, quiet, vec_eval
 from .symbolic import DiffExpr, evaluate, series_letter, sigma_expr
 
 # Points per evaluation call; caps the batched jets' temporaries (one bound
@@ -41,7 +40,7 @@ class SampleGrid:
             raise ValueError("negative radial depth")
 
     def points(self) -> np.ndarray:
-        rings = integrals._ring_nodes(1.0 - 0.5 ** np.arange(1, self.J + 1), self.M)
+        rings = _ring_nodes(1.0 - 0.5 ** np.arange(1, self.J + 1), self.M)
         return np.concatenate([np.array([0.0 + 0.0j]), rings])
 
 
@@ -65,12 +64,12 @@ def bn_norm_report(phi, n: int, grid: SampleGrid | None = None) -> dict:
     """`phi` maps an array of points to an array of values of the same shape; NonFiniteError at a non-finite one."""
     grid = grid or SampleGrid()
     pts, weights = _sample_table(grid, n)
-    with integrals.quiet():
-        vals = np.concatenate([integrals.vec_eval(phi, pts[i : i + BLOCK_POINTS]) for i in range(0, pts.size, BLOCK_POINTS)])
+    with quiet():
+        vals = np.concatenate([vec_eval(phi, pts[i : i + BLOCK_POINTS]) for i in range(0, pts.size, BLOCK_POINTS)])
         weighted = np.abs(vals) * weights
     i = int(np.argmax(weighted))  # the first NaN, if there is one
     if not np.isfinite(weighted[i]):
-        raise integrals.NonFiniteError("non-finite sample in norm estimation", "a sample point")
+        raise NonFiniteError("non-finite sample in norm estimation", "a sample point")
     return {
         "estimate": float(weighted[i]),
         "argmax": complex(pts[i]),

@@ -115,6 +115,36 @@ def test_theta_reindexing_residual_shrinks_with_radius():
     assert res[0] > res[1] > res[2]
 
 
+def _theta_reference(f, q, ball, z):
+    """The series as one Moebius call and one derivative call per element."""
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros_like(z)
+    for g in ball.elements:
+        acc = acc + integrals.vec_eval(f, g(z)) * g.deriv(z) ** q
+    return acc
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_theta_values_has_the_bits_of_the_per_element_calls(monkeypatch, q):
+    f = catalog("taylor", coeffs=[0.3j, 1 - 0.5j, 0.7j, 0.2])
+    ball = group_ball(_cyclic_gens(), 8)
+    z = 0.3 + 0.2j
+    pts = fundamental_annulus_grid(0.5, 2.8, 4.0).nodes
+    assert len(ball) == 17 and pts.size > 1000
+    assert _same_bits(theta_values(f, q, ball, z), _theta_reference(f, q, ball, z))
+    assert _same_bits(theta_values(f, q, ball, pts), _theta_reference(f, q, ball, pts))
+    fast = (complex(poincare_theta(f, q, ball, z)), automorphy_residual(f, q, ball, z), _lemma(12))
+    monkeypatch.setattr(automorphic, "theta_values", _theta_reference)
+    slow = (complex(poincare_theta(f, q, ball, z)), automorphy_residual(f, q, ball, z), _lemma(12))
+    assert _same_bits(fast[0], slow[0]) and fast[1] == slow[1]
+    assert fast[2] == slow[2] and abs(fast[2]["lhs"]) > 1e-4  # the lemma's every field, on a nondegenerate pairing
+
+
 def test_metzger_element_theta_decays():
     g = Moebius.hyperbolic(0.5, 2.8, 2.0)  # small multiplier keeps the tail
     # above the float cancellation floor at radius 16

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from schwarzian_lab import AnalyticFn, catalog, cli, rotated_koebe
+from schwarzian_lab import AnalyticFn, automorphic, catalog, cli, integrals, rotated_koebe
 from schwarzian_lab.automorphic import projection_symmetry_check
 from schwarzian_lab.cli import build_parser, main, parse_function
 from schwarzian_lab.integrals import NonFiniteError, disc_quadrature, weighted_pairing
@@ -539,7 +539,8 @@ def test_point_errors_propagate_where_no_function_spec_was_read(monkeypatch):
     with pytest.raises(JetError):
         run(["solve", "ode"])
     # repro with no --phi fails on its own default function; with one, on the user's
-    monkeypatch.setattr(cli, "repro_check", non_finite)
+    # (cli imports repro_check from integrals when repro runs)
+    monkeypatch.setattr(integrals, "repro_check", non_finite)
     with pytest.raises(NonFiniteError):
         run(["repro"])
     with pytest.raises(SystemExit) as exc:
@@ -576,14 +577,16 @@ def test_json_reports_write_non_finite_numbers_as_strings(capsys):
 
 
 def test_bergman_fails_on_a_nan_error_in_any_place(monkeypatch, capsys):
-    # only the projection of w^2 is NaN; max over the errors would drop it
-    real = cli.bergman_project
+    # only the projection of w^2 is NaN; max over the errors would drop it.
+    # At 2i only w^2 reads -4 (the pairing check's w + conj(w) reads 0 there,
+    # and it projects through the same patched function)
+    real = automorphic.bergman_project
 
     def nan_for_w2(f, s, zs, grid):
         vals = real(f, s, zs, grid)
-        return vals * np.nan if f(np.array([2.0 + 0j]))[0] == 4 else vals
+        return vals * np.nan if f(np.array([2j]))[0] == -4 else vals
 
-    monkeypatch.setattr(cli, "bergman_project", nan_for_w2)
+    monkeypatch.setattr(automorphic, "bergman_project", nan_for_w2)
     assert run(["bergman", "--k", "4", "--grid-r", "8", "--grid-m", "16"]) == 1
 
 

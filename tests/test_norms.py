@@ -211,3 +211,29 @@ def test_bound_table_estimates_match_mpmath_at_their_argmax(name):
                 reference = abs(value) * (1 - abs(z) ** 2) ** (n - 1)
                 relerr = float(abs(report["estimate"] - reference) / reference)
             assert relerr <= 1e-13, (name, series, n, report["argmax"], relerr)
+
+
+@pytest.mark.parametrize("theta", [0.7, 2.9])
+def test_rotated_koebe_sigma_matches_mpmath_near_its_extremal_ray(theta):
+    # at the origin, where every rotated-Koebe row takes its argmax, |sigma_n|
+    # does not see a unimodular factor in the jet; off it, near the extremal
+    # ray e^{-i theta} r, the complex sigma_n does.  The default grid's two
+    # angles around -theta on each of the levels r = 1/2, 3/4 and 7/8
+    import mpmath
+
+    fn = rotated_koebe(theta)
+    grid = SampleGrid()
+    pts, _weights = _sample_table(grid, 2)
+    near = np.abs(np.angle(pts * cmath.exp(1j * theta))) < 2 * np.pi / grid.M
+    pts = pts[near & np.isin(np.abs(pts).round(12), [0.5, 0.75, 0.875])]
+    assert pts.size == 6
+    for series in "AB":
+        for n in (3, 4, 5):
+            expr = sigma_a(n) if series == "A" else sigma_b(n)
+            values = sigma_phi(fn, expr)(pts)
+            with mpmath.workdps(50):
+                for z, value in zip(pts, values):
+                    zm = mpmath.mpc(z)
+                    reference = evaluate(expr, Jet(zm, tuple(_mp_taylor(fn.descriptor(), zm, n))))
+                    relerr = float(abs(value - reference) / abs(reference))
+                    assert relerr <= 1e-13, (theta, series, n, z, relerr)

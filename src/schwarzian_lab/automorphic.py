@@ -33,10 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .checks import compare
 from .integrals import QuadGrid, disc_quadrature, legendre_rule, product_rings, ring_moments, weighted_pairing
 from .jets import _horner
-from .maps import DISC, LOWER_HALF, UPPER_HALF, AnalyticFn, HyperbolicDomain, Moebius, NonFiniteError, _c2pair, _ring_nodes, poincare_density, quiet, vec_eval
+from .maps import DISC, LOWER_HALF, UPPER_HALF, AnalyticFn, HyperbolicDomain, Moebius, NonFiniteError, _c2pair, _ring_nodes, compare, poincare_density, quiet, vec_eval
 
 
 class GroupError(Exception):

@@ -10,19 +10,18 @@ value decides its verdict.  The suites are deterministic for a fixed seed,
 so CLI reports are byte-stable.  They are shared between the command-line
 front end and the test bench.  The weight suite is exact and stays a plain
 loop.  Every suite and CLI subcommand builds its report through `report`,
-and every two-sided numerical check in the library through `compare`.
+and every two-sided numerical check in the library through `maps.compare`.
 """
 
 from __future__ import annotations
 
 import random
-from functools import reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .jets import jet_compose, jet_derive, jet_pow, jet_reverse
-from .maps import AnalyticFn, Moebius, catalog, moebius_jet, taylor_jet
+from .maps import AnalyticFn, Moebius, _maximum, _relerr, catalog, compare, moebius_jet, taylor_jet
 from .symbolic import classical, evaluate, evaluate_jet, series_constant, sigma_a, sigma_expr
 
 
@@ -68,23 +67,6 @@ def random_point(rng: random.Random) -> complex:
 
 
 FLOAT_EPS = float(np.finfo(float).eps)
-
-
-def _maximum(*values):
-    """Elementwise maximum over batch arrays, plain max over scalars; a NaN wins either way."""
-    if any(isinstance(v, np.ndarray) for v in values):
-        return reduce(np.maximum, values)
-    return max(values, key=lambda v: (v != v, v))
-
-
-def _relerr(lhs, rhs):
-    """|lhs - rhs| relative to the larger side, elementwise over batches."""
-    return abs(lhs - rhs) / _maximum(abs(lhs), abs(rhs), 1e-300)
-
-
-def compare(lhs, rhs, **extra) -> dict:
-    """The two sides of a numerical identity, their relative error, then `extra`."""
-    return {"lhs": lhs, "rhs": rhs, "relerr": _relerr(lhs, rhs), **extra}
 
 
 def _coeff_relerr(lhs, rhs):

@@ -434,8 +434,9 @@ def cmd_solve(args) -> dict:
             "solve-ode",
             {"phi": list(coeffs), "order": args.order},
             residual < args.tol,
-            f_coeffs=list(sol.f.coeffs),
-            wronskian=sol.wronskian,
+            # complex throughout: the float bases start from the reals 0.0 and 1.0
+            f_coeffs=[complex(c) for c in sol.f.coeffs],
+            wronskian=complex(sol.wronskian),
             linear_residual=ode_residual(sol),
             schwarzian_residual=residual,
         )

@@ -34,8 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .checks import compare
-from .maps import DISC, EXTERIOR_DISC, UPPER_HALF, HyperbolicDomain, NonFiniteError, _ring_nodes, quiet, vec_eval
+from .maps import DISC, EXTERIOR_DISC, UPPER_HALF, HyperbolicDomain, NonFiniteError, _ring_nodes, compare, quiet, vec_eval
 from .norms import bn_norm_estimate
 from .symbolic import DiffExpr, monomial_coefficients, series_constant, series_letter, sigma_expr
 

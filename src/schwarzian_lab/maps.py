@@ -1,7 +1,8 @@
 """Möbius maps, hyperbolic domains with Poincaré densities, a catalog
 of named analytic functions evaluable to jets, and the helpers that evaluate
 a function on an array of points (`vec_eval`, `quiet`, `NonFiniteError`,
-`_ring_nodes`), which the norm, quadrature and group layers share.
+`_ring_nodes`) or compare two sides of an identity (`compare`), which the
+norm, quadrature and group layers share.
 
 Densities use the curvature -4 normalization lambda_D(z) = (1-|z|^2)^{-1} on
 the unit disc, which is the convention under which the sharp Schwarzian-norm
@@ -15,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -48,6 +49,23 @@ def vec_eval(fn, pts: np.ndarray) -> np.ndarray:
     if vals.shape != np.shape(pts):
         raise ValueError(f"callable returned shape {vals.shape} for points of shape {np.shape(pts)}")
     return vals
+
+
+def _maximum(*values):
+    """Elementwise maximum over batch arrays, plain max over scalars; a NaN wins either way."""
+    if any(isinstance(v, np.ndarray) for v in values):
+        return reduce(np.maximum, values)
+    return max(values, key=lambda v: (v != v, v))
+
+
+def _relerr(lhs, rhs):
+    """|lhs - rhs| relative to the larger side, elementwise over batches."""
+    return abs(lhs - rhs) / _maximum(abs(lhs), abs(rhs), 1e-300)
+
+
+def compare(lhs, rhs, **extra) -> dict:
+    """The two sides of a numerical identity, their relative error, then `extra`."""
+    return {"lhs": lhs, "rhs": rhs, "relerr": _relerr(lhs, rhs), **extra}
 
 
 def _ring_nodes(radii, M: int) -> np.ndarray:

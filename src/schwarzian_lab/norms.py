@@ -17,10 +17,20 @@ import numpy as np
 from .maps import DISC, AnalyticFn, NonFiniteError, _ring_nodes, quiet, vec_eval
 from .symbolic import DiffExpr, evaluate, series_letter, sigma_expr
 
-# Points per evaluation call; caps the batched jets' temporaries (one bound
-# table, n = 3..5 over the schlicht catalog, peaks 0.49 MB of tracemalloc
-# above import in blocks of 1,024, 1.40 MB on whole 3,585-point grids).
-BLOCK_POINTS = 1024
+# The most points per evaluation call: a grid is read in the fewest equal
+# blocks of at most this many, so the default 3,585 points go in two of
+# 1,793 and 1,792.  Each block pays the fixed cost of every numpy operation
+# of the jet and of sigma's terms, which dominates small blocks; large ones
+# make the allocator hand pages back to the OS between rows.  One bound
+# table (A and B, n = 3..5 over the schlicht catalog, plus four rotated-Koebe
+# n = 3 rows) on an x86-64 Linux host with glibc malloc, read in blocks of B
+# points and a shorter remainder: best pass 12.5 ms at B = 1,024 (the earlier
+# rule, 3 x 1,024 + 513), 8.9 ms at 1,793 (this rule's two blocks), 10.1 ms
+# at 2,048, 10.5 ms at 2,560, 13.2 ms at 3,072 and 12.4 ms at 4,096 (the
+# whole grid); minor page faults per pass 0, 0, 1,352, 2,048, 4,060 and 4,918
+# (the allocator's, so host-dependent; they start between 1,856 and 1,920);
+# tracemalloc peak of a warm pass 0.40, 0.66, 0.73, 0.91, 1.09 and 1.27 MB.
+BLOCK_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,8 @@ def bn_norm_report(phi, n: int, grid: SampleGrid | None = None) -> dict:
     grid = grid or SampleGrid()
     pts, weights = _sample_table(grid, n)
     with quiet():
-        vals = np.concatenate([vec_eval(phi, pts[i : i + BLOCK_POINTS]) for i in range(0, pts.size, BLOCK_POINTS)])
+        blocks = np.array_split(pts, -(-pts.size // BLOCK_POINTS))
+        vals = np.concatenate([vec_eval(phi, block) for block in blocks])
         weighted = np.abs(vals) * weights
     i = int(np.argmax(weighted))  # the first NaN, if there is one
     if not np.isfinite(weighted[i]):

@@ -257,6 +257,25 @@ def test_solve_default_ok(capsys):
     assert run(["solve", "homog-a", "--n", "5", "--poly", "0.5,0.25"]) == 0
 
 
+def _pairs(values):
+    return all(isinstance(v, list) and len(v) == 2 for v in values)
+
+
+@pytest.mark.parametrize("phi", [None, "0.3-0.2j,1j"])
+def test_solve_ode_writes_every_coefficient_and_the_wronskian_as_a_pair(capsys, phi):
+    # the float bases start from the reals 0.0 and 1.0; the report is complex throughout
+    argv = ["solve", "ode", "--order", "6"] + (["--phi", phi] if phi else [])
+    run(argv + ["--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert len(rep["f_coeffs"]) == 7 and _pairs(rep["f_coeffs"]) and _pairs([rep["wronskian"]])
+    assert rep["f_coeffs"][:2] == [[0.0, 0.0], [1.0, 0.0]] and rep["wronskian"] == [1.0, 0.0]
+    run(argv)
+    lines = capsys.readouterr().out.splitlines()
+    top, w = lines.index("f_coeffs:"), lines.index("wronskian:")
+    assert lines[top + 1 : top + 4] == ["  -", "    - 0.0", "    - 0.0"]
+    assert lines[w + 1 : w + 3] == ["  - 1.0", "  - 0.0"]
+
+
 def test_theta_report(capsys):
     code = run(["theta", "--radius", "6", "--format", "json"])
     assert code == 0
@@ -571,7 +590,8 @@ def test_json_reports_write_non_finite_numbers_as_strings(capsys):
     assert rep["automorphy_bound"] == rep["tail_estimate"] == "Infinity"
     assert run(["solve", "ode", "--phi", "1e300,1e300", "--format", "json"]) == 1
     rep = _strict_json(capsys.readouterr().out)
-    assert rep["f_coeffs"][3] == [1.6666666666666668e299, 0.0] and rep["f_coeffs"][4:] == [["NaN", "NaN"]] * 11
+    assert rep["f_coeffs"][:4] == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.6666666666666668e299, 0.0]]
+    assert rep["f_coeffs"][4:] == [["NaN", "NaN"]] * 11 and rep["wronskian"] == [1.0, 0.0]
     assert run(["theta", "--radius", "1", "--format", "text"]) == 1
     assert "automorphy_bound: inf" in capsys.readouterr().out.splitlines()
 

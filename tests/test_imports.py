@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import schwarzian_lab
 
 SRC = str(Path(schwarzian_lab.__file__).resolve().parents[1])
@@ -60,6 +62,13 @@ def test_the_cli_loads_no_norm_quadrature_or_group_layer():
     loaded = _loaded_after("import schwarzian_lab.cli")
     assert "schwarzian_lab.cli" in loaded
     assert not loaded & {"schwarzian_lab.integrals", "schwarzian_lab.automorphic", "schwarzian_lab.norms"}, loaded
+
+
+@pytest.mark.parametrize("module", ["integrals", "automorphic"])
+def test_the_quadrature_and_group_layers_load_no_identity_suites(module):
+    # they compare two sides through maps.compare; checks is left to cli and the tests
+    loaded = _loaded_after(f"import schwarzian_lab.{module}")
+    assert f"schwarzian_lab.{module}" in loaded and "schwarzian_lab.checks" not in loaded, loaded
 
 
 def test_star_import_gives_every_public_name():

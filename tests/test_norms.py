@@ -13,6 +13,7 @@ import pytest
 
 from schwarzian_lab import (
     DISC,
+    AnalyticFn,
     Jet,
     SampleGrid,
     a_series_bound,
@@ -25,6 +26,7 @@ from schwarzian_lab import (
     d0_beta_norm_bound,
     exterior_disc_quadrature,
     kernel_criterion_check,
+    norms,
     rotated_koebe,
     schlicht_family,
     sigma_a,
@@ -32,8 +34,10 @@ from schwarzian_lab import (
     sigma_phi,
 )
 from schwarzian_lab.integrals import vec_eval
+from schwarzian_lab.jets import JetError
+from schwarzian_lab.maps import NonFiniteError
 from schwarzian_lab.norms import _sample_table, bound_row
-from schwarzian_lab.symbolic import evaluate
+from schwarzian_lab.symbolic import CriticalPointError, evaluate, sigma_expr
 
 REL_SLACK = 1e-9
 
@@ -237,3 +241,62 @@ def test_rotated_koebe_sigma_matches_mpmath_near_its_extremal_ray(theta):
                     reference = evaluate(expr, Jet(zm, tuple(_mp_taylor(fn.descriptor(), zm, n))))
                     relerr = float(abs(value - reference) / abs(reference))
                     assert relerr <= 1e-13, (theta, series, n, z, relerr)
+
+
+def _outcome(fn, series, n):
+    """The default-grid estimate and argmax of sigma_n[fn] in B_{n-1}, or the
+    type and message of the error it raises."""
+    try:
+        report = bn_norm_report(sigma_phi(fn, sigma_expr(series, n)), n - 1)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return report["estimate"], report["argmax"]
+
+
+def _seeded_taylor(seed):
+    rng = np.random.default_rng(seed)
+    return catalog("taylor", coeffs=[0, 1, *(0.3 * (rng.standard_normal(5) + 1j * rng.standard_normal(5)))])
+
+
+PARTITION_FNS = (
+    schlicht_family()
+    + [(f"rotated_koebe({t})", rotated_koebe(t)) for t in (0.7, 2.9)]
+    + [(f"taylor(seed {s})", _seeded_taylor(s)) for s in (5, 6, 7)]
+    + [
+        # a pole at the grid point 1/2, f' = 0 at the grid point 0, and an overflow
+        ("pole", AnalyticFn({"kind": "rational", "num": [[1, 0]], "den": [[-0.5, 0], [1, 0]]})),
+        ("critical", catalog("taylor", coeffs=[0, 0, 1])),
+        ("overflow", catalog("taylor", coeffs=[0, 1, 1e200])),
+    ]
+)
+
+
+ERRORS = {"pole": JetError, "critical": CriticalPointError, "overflow": NonFiniteError}
+
+
+def test_the_block_partition_never_shows(monkeypatch):
+    # every sample is elementwise in the points, so the estimate, its argmax
+    # and the error raised do not depend on how the grid is cut into blocks
+    rows = [(name, fn, series, n) for name, fn in PARTITION_FNS for series in "AB" for n in (3, 4, 5, 6)]
+    reference = None
+    for size in (1024, 2048, SampleGrid().points().size):
+        monkeypatch.setattr(norms, "BLOCK_POINTS", size)
+        outcomes = {(name, series, n): _outcome(fn, series, n) for name, fn, series, n in rows}
+        reference = reference or outcomes
+        assert outcomes == reference, size
+    for (name, series, n), outcome in reference.items():
+        assert outcome[0] is ERRORS[name] if name in ERRORS else type(outcome[0]) is float, (name, series, n)
+
+
+def test_the_default_grid_is_read_in_two_equal_blocks():
+    sizes = []
+
+    def phi(z):
+        sizes.append(z.size)
+        return s_koebe(z)
+
+    bn_norm_report(phi, 2)
+    assert sizes == [1793, 1792]
+    sizes.clear()
+    bn_norm_report(phi, 2, SampleGrid(J=16, M=256))  # 4,097 points
+    assert sizes == [1366, 1366, 1365]

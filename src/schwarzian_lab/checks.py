@@ -1,16 +1,18 @@
 """Randomized verification suites for the operator identities.
 
 Each identity is a `Spec`: how to draw one trial (polynomial, Moebius map,
-point) from a seeded RNG, and its two sides.  One harness, `run_suite`,
-draws every trial first, groups the trials by operator order and evaluates
-each group as one batched jet whose coefficients are numpy arrays over the
-trials.  A trial whose float relative error reaches the tolerance is
-recomputed through the same spec on mpmath numbers at 50 digits, and that
-value decides its verdict.  The suites are deterministic for a fixed seed,
-so CLI reports are byte-stable.  They are shared between the command-line
-front end and the test bench.  The weight suite is exact and stays a plain
-loop.  Every suite and CLI subcommand builds its report through `report`,
-and every two-sided numerical check in the library through `maps.compare`.
+point) from a seeded RNG, and one `sides` per identity, which builds the
+jets a batch of trials needs once and returns both sides.  One harness,
+`run_suite`, draws every trial first, groups the trials by operator order
+and has `sides` evaluate each group as one batch of jets whose coefficients
+are numpy arrays over the trials.  A trial whose float relative error
+reaches the tolerance is recomputed through the same spec on mpmath numbers
+at 50 digits, and that value decides its verdict.  The suites are
+deterministic for a fixed seed, so CLI reports are byte-stable.  They are
+shared between the command-line front end and the test bench.  The weight
+suite is exact and needs no batch.  Every suite and CLI subcommand builds
+its report through `report`, and every two-sided numerical check in the
+library through `maps.compare`.
 """
 
 from __future__ import annotations
@@ -78,13 +80,12 @@ def _coeff_relerr(lhs, rhs):
 
 class Spec(NamedTuple):
     """One seeded identity.  `draw(rng)` draws a trial: a dict of its inputs,
-    with its operator order under "n".  `lhs(batch)` and `rhs(batch)`
-    evaluate the two sides on a batch of trials of one order (see
-    `make_batch`), and `relerr(lhs, rhs)` compares them elementwise."""
+    with its operator order under "n".  `sides(batch)` builds the jets of a
+    batch of trials of one order (see `make_batch`) once and returns the
+    identity's two sides, and `relerr(lhs, rhs)` compares them elementwise."""
 
     draw: Callable
-    lhs: Callable
-    rhs: Callable
+    sides: Callable
     relerr: Callable = _relerr
 
 
@@ -124,7 +125,7 @@ def trial_relerrs(spec: Spec, draws: list) -> np.ndarray:
     errs = np.empty(len(draws))
     for idx in by_order(draws).values():
         batch = make_batch([draws[i] for i in idx])
-        errs[idx] = spec.relerr(spec.lhs(batch), spec.rhs(batch))
+        errs[idx] = spec.relerr(*spec.sides(batch))
     return errs
 
 
@@ -137,7 +138,7 @@ def hp_relerr(spec: Spec, trial: dict) -> float:
 
     with mpmath.workdps(50):
         batch = make_batch([trial], mpmath.mpc)
-        return float(spec.relerr(spec.lhs(batch), spec.rhs(batch)))
+        return float(spec.relerr(*spec.sides(batch)))
 
 
 def run_suite(operation: str, spec: Spec, trials: int, seed: int, tol: float, **shown) -> dict:
@@ -191,15 +192,12 @@ def covariance_spec(series: str, n_values=(3, 4, 5, 6)) -> Spec:
             if abs(g.deriv(z)) > 1e-2 and abs(gz) < 20 and abs(fp) > 1e-3:
                 return {"n": n, "f": f, "g": (g.a, g.b, g.c, g.d), "z": z}
 
-    def lhs(t):
+    def sides(t):
         fj, gj = _jets_at(t)
-        return evaluate(sigma_expr(series, t["n"]), jet_compose(fj, gj))
+        sigma = sigma_expr(series, t["n"])
+        return evaluate(sigma, jet_compose(fj, gj)), evaluate(sigma, fj) * gj.coeffs[1] ** (t["n"] - 1)
 
-    def rhs(t):
-        fj, gj = _jets_at(t)
-        return evaluate(sigma_expr(series, t["n"]), fj) * gj.coeffs[1] ** (t["n"] - 1)
-
-    return Spec(draw, lhs, rhs)
+    return Spec(draw, sides)
 
 
 def altrec_spec(n_values=(3, 4, 5, 6)) -> Spec:
@@ -213,18 +211,13 @@ def altrec_spec(n_values=(3, 4, 5, 6)) -> Spec:
         n = rng.choice(n_values)
         return {"n": n, "f": random_coeffs(rng), "z": random_point(rng)}
 
-    def lhs(t):
-        n = t["n"]
-        fj = taylor_jet(t["f"], 0j, t["z"], n + 1)
-        return evaluate(sigma_a(n + 1), fj) / fj.coeffs[1] ** (n - 1)
-
-    def rhs(t):
+    def sides(t):
         n = t["n"]
         fj = taylor_jet(t["f"], 0j, t["z"], n + 1)
         quotient = evaluate_jet(sigma_a(n), fj) * jet_pow(jet_derive(fj, 1), -(n - 1))
-        return jet_derive(quotient, 1).coeffs[0]
+        return evaluate(sigma_a(n + 1), fj) / fj.coeffs[1] ** (n - 1), jet_derive(quotient, 1).coeffs[0]
 
-    return Spec(draw, lhs, rhs)
+    return Spec(draw, sides)
 
 
 def schwinv_spec(n_values=(4, 5, 6)) -> Spec:
@@ -243,16 +236,14 @@ def schwinv_spec(n_values=(4, 5, 6)) -> Spec:
     def draw(rng):
         return {"n": rng.choice(n_values), "f": random_coeffs(rng)}
 
-    def lhs(t):
+    def sides(t):
         n = t["n"]
         fj = taylor_jet(t["f"], 0j, 0.0, n + 6)
         s_inv = evaluate_jet(classical("schwarzian"), jet_reverse(fj))
-        return (jet_compose(jet_derive(s_inv, n - 3), fj) * jet_pow(jet_derive(fj, 1), n - 1) * (-1)).coeffs
+        lhs = jet_compose(jet_derive(s_inv, n - 3), fj) * jet_pow(jet_derive(fj, 1), n - 1) * (-1)
+        return lhs.coeffs, evaluate_jet(sigma_a(n), fj).coeffs
 
-    def rhs(t):
-        return evaluate_jet(sigma_a(t["n"]), taylor_jet(t["f"], 0j, 0.0, t["n"] + 6)).coeffs
-
-    return Spec(draw, lhs, rhs, _coeff_relerr)
+    return Spec(draw, sides, _coeff_relerr)
 
 
 def affine_spec(n_values=(3, 4, 5, 6)) -> Spec:
@@ -268,13 +259,11 @@ def affine_spec(n_values=(3, 4, 5, 6)) -> Spec:
         b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         return {"n": n, "f": f, "z": z, "a": a, "b": b}
 
-    def lhs(t):
-        return evaluate(sigma_a(t["n"]), taylor_jet(t["f"], 0j, t["z"], t["n"]) * t["a"] + t["b"])
+    def sides(t):
+        fj = taylor_jet(t["f"], 0j, t["z"], t["n"])
+        return evaluate(sigma_a(t["n"]), fj * t["a"] + t["b"]), evaluate(sigma_a(t["n"]), fj)
 
-    def rhs(t):
-        return evaluate(sigma_a(t["n"]), taylor_jet(t["f"], 0j, t["z"], t["n"]))
-
-    return Spec(draw, lhs, rhs)
+    return Spec(draw, sides)
 
 
 def bol_spec(n_values=(4, 6)) -> Spec:
@@ -299,18 +288,13 @@ def bol_spec(n_values=(4, 6)) -> Spec:
             if abs(g.deriv(z)) > 1e-2 and abs(g(z)) < 20:
                 return {"n": n, "f": f1, "g": (g.a, g.b, g.c, g.d), "z": z}
 
-    def lhs(t):
+    def sides(t):
         n = t["n"]
         f1j, gj = _jets_at(t)
         f2 = jet_compose(f1j, gj) * jet_pow(jet_derive(gj, 1), 1 - n // 2)
-        return jet_derive(f2, n - 1).coeffs[0]
+        return jet_derive(f2, n - 1).coeffs[0], jet_derive(f1j, n - 1).coeffs[0] * gj.coeffs[1] ** (n // 2)
 
-    def rhs(t):
-        n = t["n"]
-        f1j, gj = _jets_at(t)
-        return jet_derive(f1j, n - 1).coeffs[0] * gj.coeffs[1] ** (n // 2)
-
-    return Spec(draw, lhs, rhs)
+    return Spec(draw, sides)
 
 
 def covariance_suite(series: str, n_values=(3, 4, 5, 6), trials: int = 200, seed: int = 0, tol: float = 1e-9) -> dict:
@@ -334,18 +318,16 @@ def bol_suite(n_values=(4, 6), trials: int = 100, seed: int = 0, tol: float = 1e
     return run_suite("bol", bol_spec(n_values), trials, seed, tol, n=list(n_values))
 
 
-def weight_suite(trials: int = 100, seed: int = 0, n_max: int = 8) -> dict:
+WEIGHT_N_MAX = 8
+
+
+def weight_suite(trials: int = 100, seed: int = 0) -> dict:
     """Weight homogeneity: every monomial of sigma_n has total weight n-1
-    (u_k counts k-1), for randomly drawn series and order."""
+    (u_k counts k-1), for randomly drawn series and order 3..WEIGHT_N_MAX."""
     rng = random.Random(seed)
-    bad = []
-    for _ in range(trials):
-        series = rng.choice(("A", "B"))
-        n = rng.randint(3, n_max)
-        expr = sigma_expr(series, n)
-        if expr.weights() != {n - 1}:
-            bad.append((series, n))
-    return report("weight_homogeneity", {"trials": trials, "seed": seed, "n_max": n_max}, not bad, failures=bad)
+    draws = [(rng.choice(("A", "B")), rng.randint(3, WEIGHT_N_MAX)) for _ in range(trials)]
+    bad = [(series, n) for series, n in draws if sigma_expr(series, n).weights() != {n - 1}]
+    return report("weight_homogeneity", {"trials": trials, "seed": seed, "n_max": WEIGHT_N_MAX}, not bad, failures=bad)
 
 
 VERIFY_SUITES = {

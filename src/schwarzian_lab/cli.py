@@ -98,7 +98,11 @@ def _emit(report: dict, args) -> None:
     else:
         text = "\n".join(_text_lines(data))
     if args.out:
-        with open(args.out, "w") as out:
+        try:
+            out = open(args.out, "w")
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        with out:
             print(text, file=out)
     else:
         print(text)
@@ -188,6 +192,8 @@ def parse_function(spec: str) -> AnalyticFn:
         return catalog(spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"invalid function spec {spec!r}: {exc}") from None
+    except OSError as exc:  # the @path file cannot be read
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_density(spec: str):
@@ -608,7 +614,7 @@ def main(argv=None) -> int:
         fails = "is not finite" if isinstance(exc, NonFiniteError) else "has a pole" if isinstance(exc, JetError) else "has f' = 0"
         where = getattr(exc, "where", "a sample point")  # only norm takes jets, at its sample points
         error = f"argument {args.reads}: {'/'.join(map(repr, specs))} {fails} at {where}: {exc}"
-    except (argparse.ArgumentTypeError, OSError) as exc:  # OSError: the --out or @path file
+    except argparse.ArgumentTypeError as exc:
         error = exc
     else:
         return 0 if report.get("ok", False) else 1

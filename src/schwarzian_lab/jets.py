@@ -44,6 +44,11 @@ def _is_exact(x) -> bool:
     return type(x) in _EXACT_TYPES
 
 
+def _inverse(x):
+    """1/x, kept exact (a Fraction) for an int or Fraction x."""
+    return Fraction(1, x) if _is_exact(x) else 1.0 / x
+
+
 def _over_common(coeffs):
     """Integer numerators over one common denominator for exact coefficients.
 
@@ -147,7 +152,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * jet_reciprocal(other)
-        return self * (Fraction(1, other) if _is_exact(other) else 1.0 / other)
+        return self * _inverse(other)
 
     def __rtruediv__(self, other):
         return jet_reciprocal(self) * other

@@ -15,12 +15,11 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial, reduce
 
 import numpy as np
 
-from .jets import Jet, JetError, _any, _convolve, _horner, _is_exact, _reciprocal, jet_derive, jet_from_coeffs, jet_shift, jet_variable
+from .jets import Jet, JetError, _any, _convolve, _horner, _inverse, _reciprocal, jet_derive, jet_from_coeffs, jet_shift, jet_variable
 
 
 class DomainError(ValueError):
@@ -72,11 +71,6 @@ def _ring_nodes(radii, M: int) -> np.ndarray:
     """Nodes radii[i] e^(i theta_j), theta_j = 2 pi j / M, ring by ring from
     angle 0: one outer product."""
     return np.outer(radii, np.exp(1j * (2.0 * math.pi * np.arange(M) / M))).ravel()
-
-
-def _inverse(x):
-    """1/x, kept exact (a Fraction) for an int or Fraction x."""
-    return Fraction(1, x) if _is_exact(x) else 1.0 / x
 
 
 def moebius_jet(a, b, c, d, z0, order: int) -> Jet:

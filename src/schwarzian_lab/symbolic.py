@@ -32,6 +32,7 @@ from .jets import (
     _any,
     _convolve,
     _fractions,
+    _inverse,
     _is_exact,
     _is_mp,
     _over_common,
@@ -391,7 +392,7 @@ def evaluate(e: DiffExpr, f: Jet):
     u1 = us[0]
     if _any(u1 == 0):
         raise CriticalPointError("vanishing first derivative at evaluation point")
-    total = _sum_terms(e, us, Fraction(1) / u1 if _is_exact(u1) else 1 / u1, _coeff_cast(us))
+    total = _sum_terms(e, us, _inverse(u1), _coeff_cast(us))
     if total is None:
         return Fraction(0) if all(_is_exact(u) for u in us) else 0j
     return total

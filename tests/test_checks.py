@@ -139,10 +139,9 @@ def test_batched_sides_match_scalar_sides(name, spec):
     for n, idx in groups.items():
         batch = make_batch([draws[i] for i in idx])
         assert batch["n"] == n
-        lhs, rhs = spec.lhs(batch), spec.rhs(batch)
+        lhs, rhs = spec.sides(batch)
         for j, i in enumerate(idx):
-            one = make_batch([draws[i]], complex)
-            lhs1, rhs1 = spec.lhs(one), spec.rhs(one)
+            lhs1, rhs1 = spec.sides(make_batch([draws[i]], complex))
             assert _close(lhs1, _trial(lhs, j)), (name, n, i)
             assert _close(rhs1, _trial(rhs, j)), (name, n, i)
 
@@ -172,6 +171,28 @@ def _sides_at_deeper_jets(name, t):
         return lhs.coeffs, evaluate_jet(sigma_a(n), fj).coeffs
     fj = taylor_jet(t["f"], 0j, t["z"], n + 2)
     return evaluate(sigma_a(n), fj * t["a"] + t["b"]), evaluate(sigma_a(n), fj)
+
+
+@pytest.mark.parametrize("name,spec", SPECS, ids=[name for name, _ in SPECS])
+def test_each_batch_builds_its_jets_once(name, spec, monkeypatch):
+    # both sides of an identity read one set of jets per order group: one
+    # Taylor jet each, and one Moebius jet for the specs that compose with g
+    calls = {"taylor_jet": 0, "moebius_jet": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for fn in (taylor_jet, moebius_jet):
+        monkeypatch.setattr(checks, fn.__name__, counted(fn))
+    draws = draw_trials(spec, 20, seed=0)
+    groups = len(by_order(draws))
+    trial_relerrs(spec, draws)
+    moebius = groups if name.split()[0] in ("covariance", "bol") else 0
+    assert calls == {"taylor_jet": groups, "moebius_jet": moebius}, (name, groups)
 
 
 @pytest.mark.parametrize("name,spec", SPECS, ids=[name for name, _ in SPECS])
@@ -208,8 +229,12 @@ def test_recheck_clears_float_roundoff(seed, series):
 
 def test_recheck_still_fails_a_perturbed_identity():
     spec = covariance_spec("A")
-    perturbed = Spec(spec.draw, spec.lhs, lambda batch: spec.rhs(batch) * (1 + 1e-8))
-    rep = run_suite("covariance", perturbed, 20, 0, 1e-9)
+
+    def perturbed(batch):
+        lhs, rhs = spec.sides(batch)
+        return lhs, rhs * (1 + 1e-8)
+
+    rep = run_suite("covariance", spec._replace(sides=perturbed), 20, 0, 1e-9)
     assert rep["ok"] is False
     assert rep["escalated"] == 20
     assert rep["hp_defect"] > 5e-9
@@ -258,7 +283,7 @@ def test_scalar_maximum_carries_a_nan_in_any_place():
 
 def test_hp_defect_carries_a_nan(monkeypatch):
     # every trial misses by far, so all three are rechecked; the second recheck is NaN
-    spec = Spec(lambda rng: {"n": 3, "x": rng.random()}, lambda batch: batch["x"], lambda batch: batch["x"] + 1.0)
+    spec = Spec(lambda rng: {"n": 3, "x": rng.random()}, lambda batch: (batch["x"], batch["x"] + 1.0))
     rechecks = iter([0.0, float("nan"), 0.0])
     monkeypatch.setattr(checks, "hp_relerr", lambda spec, trial: next(rechecks))
     rep = run_suite("nan", spec, 3, 0, 1e-9)

@@ -1,7 +1,11 @@
 """Command-line front end: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from schwarzian_lab.automorphic import projection_symmetry_check
 from schwarzian_lab.cli import build_parser, main, parse_function
 from schwarzian_lab.integrals import NonFiniteError, disc_quadrature, weighted_pairing
 from schwarzian_lab.jets import JetError
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run(args):
@@ -622,3 +628,20 @@ def test_directory_path_is_a_one_line_usage_error(capsys, tmp_path, argv):
     out, err = capsys.readouterr()
     lines = err.strip().splitlines()
     assert out == "" and len(lines) == 1 and "Is a directory" in lines[0], (out, lines)
+
+
+def test_closed_stdout_is_not_a_usage_error():
+    # writing the report into a pipe that nobody reads raises BrokenPipeError;
+    # that is not a bad argument, so the CLI must not report it as exit 2
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "schwarzian_lab.cli", "expand", "--series", "B", "--n", "8"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode != 2 and "error: [Errno 32]" not in proc.stderr, (proc.returncode, proc.stderr)
+    assert "BrokenPipeError" in proc.stderr, proc.stderr

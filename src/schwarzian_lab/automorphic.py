@@ -234,11 +234,10 @@ def metzger_element(k: int, g: Moebius, q: int) -> AnalyticFn:
 
 @dataclass(frozen=True)
 class PairingSpec:
-    """Weight and domain of a Weil-Petersson pairing <f,g> =
-    integral of f conj(g) lambda^(2-2s) over a fundamental domain."""
+    """Weight of a Weil-Petersson pairing <f,g> = integral of f conj(g)
+    lambda^(2-2s) over a fundamental domain in the disc."""
 
     s: int
-    domain: HyperbolicDomain = DISC
 
     def __post_init__(self):
         if int(self.s) != self.s or self.s < 2:
@@ -246,8 +245,8 @@ class PairingSpec:
 
 
 def wp_pairing(f, g, spec: PairingSpec, grid: QuadGrid) -> complex:
-    if grid.domain is not spec.domain:
-        raise ValueError("grid and pairing spec disagree on the domain")
+    if grid.domain is not DISC:
+        raise ValueError(f"a Weil-Petersson pairing is taken on the disc, the grid is on {grid.domain.tag}")
     return weighted_pairing(f, g, spec.s, grid)
 
 
@@ -337,8 +336,6 @@ def lemma_scalar_check(f, h, spec: PairingSpec, ball: GroupBall, fd_grid: QuadGr
     >= LEMMA_FFT/2, so for decaying coefficients it bounds the modes
     >= LEMMA_FFT that alias onto each f_k LEMMA_RADIUS^k.
     """
-    if spec.domain is not DISC:
-        raise ValueError("the unfolding lemma pairs over the unit disc")
     desc = h.descriptor() if isinstance(h, AnalyticFn) else {}
     if desc.get("kind") != "taylor":
         raise ValueError("lemma_scalar_check needs a polynomial h: a taylor AnalyticFn")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import checks
 from .jets import JetError, jet_from_coeffs
-from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, AnalyticFn, NonFiniteError, catalog, poincare_density, rotated_koebe, schlicht_family
+from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, AnalyticFn, NonFiniteError, catalog, poincare_density, quiet, rotated_koebe, schlicht_family
 from .ode import homogeneous_a_check, homogeneous_b_residual, max_abs, ode_residual, schwarzian_solve
 from .symbolic import CriticalPointError, classical, evaluate_jet, monomial_part, series_constant, to_string
 
@@ -342,8 +342,14 @@ def cmd_repro(args) -> dict:
 
     phi = parse_function(args.phi) if args.phi else inverse_power_fn(args.q)
     grid = half_plane_quadrature(R=args.grid_r, M=args.grid_m)
-    rep = repro_check(phi, args.q, args.z, grid)
     inputs = {"q": args.q, "z": args.z, "phi": args.phi or f"(z-i)^(-{2 * args.q})"}
+    try:
+        rep = repro_check(phi, args.q, args.z, grid)
+    except NonFiniteError as exc:
+        with quiet():  # a usage error if the default phi, set by --q, is what overflows
+            if args.phi or np.all(np.isfinite(phi(grid.nodes))):
+                raise
+        raise argparse.ArgumentTypeError(f"argument --q: the default phi {inputs['phi']} is not finite at {exc.where}: {exc}")
     return checks.report("repro", inputs, rep["relerr"] < args.tol, **rep)
 
 

@@ -328,7 +328,8 @@ def _density_on(nu, grid: QuadGrid):
 def _d0_series(coeffs: dict, nu, z: complex, grid: QuadGrid):
     """The d0_beta sum from nu (a callable or its values, as `ring_moments`
     takes it) on an exterior product grid, and a bound on its error: the
-    series' tail past the last mode plus round-off.
+    series' tail past the last mode plus round-off.  NonFiniteError if the sum
+    is not finite, as when finite values of nu have overflowing moments.
 
     I_k = (-1)^(k+1) S_k with S_k = sum_j C(j+k, k) z^j m_(j+k+1), so the
     (k, l) term is -(a_kl k!/pi) S_k.  The same sums over the moments of |nu|
@@ -349,6 +350,8 @@ def _d0_series(coeffs: dict, nu, z: complex, grid: QuadGrid):
         size += abs(a) * np.dot(np.abs(t), absolute[k + 1 :])
         ratio = r * m / (m - k)  # bounds the ratio of successive dropped terms
         tail += abs(a) * math.comb(m - 1, k) * r ** (m - k - 1) * absolute[-1] / (1.0 - ratio) if ratio < 1.0 else math.inf
+    if not np.isfinite(total):
+        raise NonFiniteError(f"the d0_beta moment series is {total}", "a node")
     return complex(-total / math.pi), (tail + size * np.finfo(float).eps * m) / math.pi
 
 

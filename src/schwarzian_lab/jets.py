@@ -13,12 +13,12 @@ Exact jets (every coefficient an ``int`` or a ``fractions.Fraction``) run the
 same loops on integer numerators: each operand is put over one common
 denominator, the output numerators over a denominator fixed before the loop
 starts, and where the float step divides, the exact step divides its integer
-sum exactly (``//`` with no remainder).  Each output coefficient is then built
-as a single ``Fraction(numerator, denominator)``.  Products, reciprocals,
-powers (integer exponent, or rational exponent with c_0 = 1), reversion and
-antiderivatives stay exact this way, at one gcd per output coefficient
-instead of one per partial product.  Composition needs no scaling: its power
-table only adds and multiplies, so it stays exact on its own.
+sum exactly (``//`` with no remainder), one ``Fraction`` per output
+coefficient.  Products, reciprocals, powers (integer exponent, or rational
+exponent with c_0 = 1) and reversion, whose one loop takes integer
+coefficients pre-scaled by powers of x_1, stay exact this way, at one gcd per
+output coefficient instead of one per partial product.  Composition needs no
+scaling (its power table only adds and multiplies), nor does an antiderivative.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from operator import mul
+from operator import mul, truediv
 
 import numpy as np
 
@@ -201,8 +201,7 @@ def jet_reciprocal(a: Jet) -> Jet:
     exact = _over_common(a.coeffs)
     if exact:
         x, d, _ = exact
-        x0 = x[0]
-        return Jet(a.center, _fractions(_reciprocal(x, n, d * x0**n, lambda s: -s // x0), x0 ** (n + 1)))
+        return Jet(a.center, _fractions(*_exact_reciprocal(x, n, d)))
     inv0 = 1.0 / c0
     return Jet(a.center, tuple(_reciprocal(a.coeffs, n, inv0, lambda s: -inv0 * s)))
 
@@ -215,6 +214,12 @@ def _reciprocal(x, order: int, first, step) -> list:
     for n in range(1, order + 1):
         out.append(step(sum(map(mul, x[1 : n + 1], out[::-1]))))
     return out
+
+
+def _exact_reciprocal(x, order: int, d) -> tuple:
+    """(numerators, denominator) of 1/(x/d) to `order` for integers x, d."""
+    x0 = x[0]
+    return _reciprocal(x, order, d * x0**order, lambda s: -s // x0), x0 ** (order + 1)
 
 
 def jet_pow(a: Jet, alpha) -> Jet:
@@ -329,10 +334,8 @@ def jet_reverse(a: Jet) -> Jet:
     g_m = -(1/a_1) sum_{k=2}^{m} a_k P[k][m].  O(n^3) coefficient products at
     order n, no intermediate jets.
 
-    Over exact coefficients a = x/d the table runs on integers: with
-    g_m = d^m G_m / x_1^(2m-1) and Q[k][m] = x_1^(2m-k) [z^m] G(z)^k,
-    Q[k][m] = sum_j G_j Q[k-1][m-j] and G_m = -sum_k x_k Q[k][m] x_1^(k-2).
-    Reversion keeps this scaling of its own: over one denominator D for
+    Exact a = x/d runs the same loop on integers, x_k x_1^(k-2) for a_k and
+    1 for 1/a_1, to G_m = x_1^(2m-1) g_m / d^m; over one denominator D for
     every g_m, row k of the table would carry D^k.
     """
     if _any(a.center != 0):
@@ -346,30 +349,23 @@ def jet_reverse(a: Jet) -> Jet:
     exact = _over_common(c)
     if exact:
         x, d, _ = exact
-        return Jet(a.center, _exact_reverse(x, d))
+        x1 = x[1]
+        g = _reverse([0, 0] + [x[k] * x1 ** (k - 2) for k in range(2, n + 1)], n, 0, 1, lambda s: -s)
+        return Jet(a.center, (Fraction(0),) + tuple(Fraction(d**m * g[m], x1 ** (2 * m - 1)) for m in range(1, n + 1)))
     inv1 = 1.0 / c[1]
-    zero = c[0] * 0
-    g = [zero, inv1] + [zero] * (n - 1)
-    powers = [None, g] + [[zero] * (n + 1) for _ in range(n - 1)]
-    for m in range(2, n + 1):
-        _fill_column(g, powers, m)
-        g[m] = -inv1 * sum(c[k] * powers[k][m] for k in range(2, m + 1))
-    return Jet(a.center, tuple(g))
+    return Jet(a.center, tuple(_reverse(c, n, c[0] * 0, inv1, lambda s: -inv1 * s)))
 
 
-def _exact_reverse(x, d) -> tuple:
-    """Reversion of a = x/d on the integer power table (see jet_reverse)."""
-    n = len(x) - 1
-    x1 = x[1]
-    x1_pow = [1]
-    for _ in range(2 * n - 1):
-        x1_pow.append(x1_pow[-1] * x1)
-    g = [0, 1] + [0] * (n - 1)
-    powers = [None, g] + [[0] * (n + 1) for _ in range(n - 1)]
-    for m in range(2, n + 1):
+def _reverse(c, order: int, zero, first, step) -> list:
+    """g_0 = zero, g_1 = first and g_m = step(sum_{k=2}^{m} c_k P[k][m])
+    for m = 2..order, P[k][m] = [z^m] g^k filled by `_fill_column`: the
+    recurrence of the compositional inverse."""
+    g = [zero, first] + [zero] * (order - 1)
+    powers = [None, g] + [[zero] * (order + 1) for _ in range(order - 1)]
+    for m in range(2, order + 1):
         _fill_column(g, powers, m)
-        g[m] = -sum(x[k] * powers[k][m] * x1_pow[k - 2] for k in range(2, m + 1))
-    return (Fraction(0),) + tuple(Fraction(d**m * g[m], x1_pow[2 * m - 1]) for m in range(1, n + 1))
+        g[m] = step(sum(c[k] * powers[k][m] for k in range(2, m + 1)))
+    return g
 
 
 def jet_derive(a: Jet, k: int = 1) -> Jet:
@@ -385,14 +381,10 @@ def jet_derive(a: Jet, k: int = 1) -> Jet:
 
 
 def jet_antiderive(a: Jet, const=0) -> Jet:
-    """Termwise antiderivative with prescribed value at the center."""
-    exact = _over_common(a.coeffs)
-    if exact:
-        nums, d, _ = exact
-        coeffs = (const,) + tuple(Fraction(x, d * (j + 1)) for j, x in enumerate(nums))
-    else:
-        coeffs = (const,) + tuple(c / (j + 1) for j, c in enumerate(a.coeffs))
-    return Jet(a.center, coeffs)
+    """Termwise antiderivative with prescribed value at the center; `Fraction`s
+    when every coefficient is exact."""
+    div = Fraction if all(map(_is_exact, a.coeffs)) else truediv
+    return Jet(a.center, (const,) + tuple(div(c, j + 1) for j, c in enumerate(a.coeffs)))
 
 
 def jet_shift(a: Jet, w, order: int | None = None) -> Jet:

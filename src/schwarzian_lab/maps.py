@@ -51,7 +51,7 @@ def vec_eval(fn, pts: np.ndarray) -> np.ndarray:
 
 
 def _maximum(*values):
-    """Elementwise maximum over batch arrays, plain max over scalars; a NaN wins either way."""
+    """Elementwise maximum over batch arrays, plain max over scalars; a NaN wins either way, in any place."""
     if any(isinstance(v, np.ndarray) for v in values):
         return reduce(np.maximum, values)
     return max(values, key=lambda v: (v != v, v))

@@ -28,6 +28,7 @@ from .jets import (
     jet_reciprocal,
     jet_reverse,
 )
+from .maps import _maximum
 from .symbolic import evaluate_jet, sigma_a, sigma_b
 
 
@@ -99,8 +100,8 @@ def schwarzian_solve(phi: Jet, order: int | None = None) -> OdeSolution:
 
 
 def max_abs(values) -> float:
-    """max |v| over numbers that convert to complex; NaN if any is, where `max` drops a later NaN."""
-    return max((abs(complex(v)) for v in values), key=lambda a: (a != a, a))
+    """max |v| over numbers that convert to complex, by `maps._maximum`: NaN if any is."""
+    return _maximum(*(abs(complex(v)) for v in values))
 
 
 def ode_residual(sol: OdeSolution) -> float:

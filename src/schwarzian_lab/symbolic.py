@@ -31,12 +31,12 @@ from .jets import (
     Jet,
     _any,
     _convolve,
+    _exact_reciprocal,
     _fractions,
     _inverse,
     _is_exact,
     _is_mp,
     _over_common,
-    _reciprocal,
     derivative_values,
     jet_const,
     jet_derive,
@@ -402,8 +402,8 @@ def evaluate_jet(e: DiffExpr, f: Jet) -> Jet:
     """e[f] as a jet at f.center (order drops by the top derivative index):
     the term loop on the jets u_k = f^(k) cut to the output order and on one
     jet reciprocal 1/u_1.  On an exact jet f = x/d the u_k are `_Series` over
-    d, and 1/u_1 is the reciprocal loop's numerators over v_0^(n+1), for u_1
-    = v/d, cut by their one common gcd to the least denominator."""
+    d, and 1/u_1 is the jets' exact reciprocal, cut by its one common gcd to
+    the least denominator."""
     top = e.max_index()
     if f.order < top:
         raise ValueError(f"jet order {f.order} below required derivative index {top}")
@@ -414,8 +414,7 @@ def evaluate_jet(e: DiffExpr, f: Jet) -> Jet:
     if exact:
         x, d, _ = exact
         us = [_Series([x[j + k] * perm(j + k, k) for j in range(n + 1)], d) for k in range(1, top + 1)]
-        v0 = us[0].nums[0]
-        inv, den = _reciprocal(us[0].nums, n, d * v0**n, lambda s: -s // v0), v0 ** (n + 1)
+        inv, den = _exact_reciprocal(us[0].nums, n, d)
         g = gcd(den, *inv)
         total = _sum_terms(e, us, _Series([r // g for r in inv], den // g), lambda c: c)
         total = _Series([0] * (n + 1), 1) + (0 if total is None else total)

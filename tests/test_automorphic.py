@@ -160,10 +160,9 @@ def test_wp_pairing_constant():
 
 
 def test_wp_pairing_rejects_a_grid_on_another_domain():
-    spec = PairingSpec(2, UPPER_HALF)
-    grid = disc_quadrature(R=8, M=8)
-    with pytest.raises(ValueError):
-        wp_pairing(lambda z: z, lambda z: z, spec, grid)
+    grid = half_plane_quadrature(R=8, M=8)
+    with pytest.raises(ValueError, match="on the disc"):
+        wp_pairing(lambda z: z, lambda z: z, PairingSpec(2), grid)
 
 
 def test_dilation_conjugator_straightens_generator():

@@ -573,6 +573,25 @@ def test_point_errors_propagate_where_no_function_spec_was_read(monkeypatch):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["dzero", "--density", "const:1e308"], "--density: 'const:1e308'"),
+        (["repro", "--q", "40"], "--q: the default phi (z-i)^(-80)"),
+    ],
+    ids=["dzero-moments", "repro-default-phi"],
+)
+def test_overflow_set_by_an_option_is_a_usage_error(argv, named):
+    # the constant density is finite at every node but its moments overflow; the default
+    # phi's binomial denominator overflows at the outermost half-plane node.  A fresh
+    # interpreter shows the warnings numpy prints on the way, which may precede the line.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "schwarzian_lab.cli", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr, (proc.returncode, proc.stderr)
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith(f"schwarzian-lab {argv[0]}: error: argument {named} is not finite at a node: "), last
+
+
 def test_overflowing_ode_solution_fails(capsys):
     # f's coefficients are NaN from index 4 on, after finite leading residual coefficients
     assert run(["solve", "ode", "--phi", "1e300,1e300", "--format", "json"]) == 1

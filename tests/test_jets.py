@@ -200,6 +200,20 @@ def test_reversion_matches_lagrange_inversion():
         assert g.coeffs == _lagrange_reverse(coeffs), n
 
 
+def test_mpmath_reversion_matches_lagrange_inversion():
+    # the 50-digit recheck of `verify schwinv` reverses mpc jets
+    import mpmath
+
+    rng = random.Random(5)
+    coeffs = [Fraction(0), Fraction(-3, 2)] + [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(11)]
+    with mpmath.workdps(50):
+        mp = lambda c: mpmath.mpc(mpmath.mpf(c.numerator) / c.denominator)
+        g = jet_reverse(jet_from_coeffs([mp(c) for c in coeffs], center=0))
+        assert all(type(c) is mpmath.mpc for c in g.coeffs)
+        for m, (got, want) in enumerate(zip(g.coeffs, _lagrange_reverse(coeffs))):
+            assert abs(got - mp(want)) <= 1e-45 * abs(mp(want)), (m, got, want)
+
+
 small = st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False)
 slopes = st.complex_numbers(min_magnitude=0.5, max_magnitude=2, allow_nan=False, allow_infinity=False)
 
@@ -262,7 +276,12 @@ def test_derive_antiderive_roundtrip():
     f = jet_from_coeffs([3, 1, 4, 1, 5])
     g = jet_antiderive(jet_derive(f), const=3)
     assert g.coeffs == f.coeffs[: g.order + 1]
+    assert all(type(c) is Fraction for c in g.coeffs[1:])
     assert jet_derive(f, 2).coeffs == (8, 6, 60)
+    # one complex coefficient makes the whole jet inexact, its ints included
+    mixed = jet_antiderive(jet_from_coeffs([3, 2j, 4, 1]), const=0j)
+    assert mixed.coeffs == (0j, 3.0, 1j, 4 / 3, 0.25)
+    assert not any(isinstance(c, (int, Fraction)) for c in mixed.coeffs), mixed.coeffs
 
 
 def test_shift_reexpands():

@@ -4,7 +4,7 @@ Word-ball enumeration for finitely generated groups of disc automorphisms,
 truncated Poincare series with decay-based tail estimates, Weil-Petersson
 pairings over fundamental domains, the weighted Bergman kernel and its
 projection operator, and the difference functions z^k - g(z)^k g'(z)^q that
-group averaging annihilates.
+group averaging annihilates.  A bad generator or axis is a ValueError.
 
 The only groups with a fundamental domain we parameterize exactly are cyclic
 hyperbolic ones: conjugating the generator to a pure dilation turns the
@@ -35,20 +35,12 @@ import numpy as np
 
 from .integrals import QuadGrid, disc_quadrature, legendre_rule, product_rings, ring_moments, weighted_pairing
 from .jets import _horner
-from .maps import DISC, LOWER_HALF, UPPER_HALF, AnalyticFn, HyperbolicDomain, Moebius, NonFiniteError, _c2pair, _ring_nodes, compare, poincare_density, quiet, vec_eval
-
-
-class GroupError(Exception):
-    pass
+from .maps import DISC, LOWER_HALF, UPPER_HALF, AnalyticFn, HyperbolicDomain, Moebius, NonFiniteError, _axis, _c2pair, _ring_nodes, compare, poincare_density, quiet, vec_eval
 
 
 def _preserves_disc(g: Moebius) -> bool:
-    if abs(g(0.2 + 0.1j)) >= 1:
-        return False
-    for theta in (0.0, 1.0, 2.5, 4.0):
-        if abs(abs(g(np.exp(1j * theta))) - 1.0) > 1e-9:
-            return False
-    return True
+    """g, of determinant 1, maps the disc onto itself iff its matrix is +-(a, b; conj b, conj a)."""
+    return abs(g.c - g.b.conjugate()) + abs(g.d - g.a.conjugate()) <= 1e-9 * max(abs(g.a), 1)
 
 
 def _psl_key(g: Moebius) -> tuple:
@@ -98,7 +90,7 @@ def group_ball(gens, radius: int) -> GroupBall:
     gens = tuple(gens)
     for g in gens:
         if not _preserves_disc(g):
-            raise GroupError("generator does not preserve the unit disc")
+            raise ValueError("generator does not preserve the unit disc")
     steps = list(gens) + [g.inverse() for g in gens]
     ident = Moebius.identity()
     seen = {_psl_key(ident)}
@@ -129,7 +121,7 @@ def group_from_descriptor(desc: dict) -> list:
     if kind == "cyclic":
         t1, t2 = desc["fixpoints"]
         return [Moebius.hyperbolic(float(t1), float(t2), float(desc["multiplier"]))]
-    raise GroupError(f"unknown group descriptor kind {kind!r}")
+    raise ValueError(f"unknown group descriptor kind {kind!r}")
 
 
 # -- Poincare series ----------------------------------------------------------
@@ -263,9 +255,8 @@ def dilation_conjugator(theta1: float, theta2: float) -> Moebius:
     with these axis endpoints and multiplier m by t yields the pure dilation
     zeta -> m zeta.
     """
+    _axis(theta1, theta2)
     p, q = np.exp(1j * theta1), np.exp(1j * theta2)
-    if abs(p - q) < 1e-12:
-        raise GroupError("axis endpoints coincide")
     v = 1j * p / (p - q)
     u = np.conj(v) / abs(v)
     return Moebius(u, -u * p, 1, -q)
@@ -290,8 +281,7 @@ def fundamental_annulus_grid(
     |(T^{-1})'|^2, so the grid's nodes live in the disc and its weights
     integrate d^2z there.
     """
-    if not (math.isfinite(multiplier) and multiplier > 0 and multiplier != 1):
-        raise ValueError("multiplier must be finite, positive and != 1")
+    _axis(theta1, theta2, multiplier)
     t = dilation_conjugator(theta1, theta2)
     m = max(multiplier, 1 / multiplier)
     xs, wx = legendre_rule(n_rad)

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .jets import jet_compose, jet_derive, jet_pow, jet_reverse
-from .maps import AnalyticFn, Moebius, _maximum, _relerr, catalog, compare, moebius_jet, taylor_jet
+from .maps import AnalyticFn, Moebius, _maximum, _relerr, catalog, moebius_jet, taylor_jet
 from .symbolic import classical, evaluate, evaluate_jet, series_constant, sigma_a, sigma_expr
 
 

@@ -216,12 +216,12 @@ def inverse_power_fn(q: int) -> AnalyticFn:
 
 
 def _group(args) -> tuple:
-    from .automorphic import GroupError, group_from_descriptor
+    from .automorphic import group_from_descriptor
 
     try:
         desc = json.loads(args.group)
         return group_from_descriptor(desc), desc
-    except (GroupError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"argument --group: invalid group descriptor: {exc}") from None
 
 

@@ -21,9 +21,10 @@ ring of a product grid times a radial table, summed over the rings a block at
 a time.  On the exterior the table is w r^p and the sums are the moments
 m_p = integral of nu eta^-p, p < M, the coefficients of (z-eta)^-(k+1) as a
 power series in z for |z| < 1 < |eta|.
-With `grid=None` they build one grid sized a priori (`exterior_grid`), and
-the criterion reports `nodes` and `quad_error`.  Its right side (through
-`weighted_pairing`) and `w1_term` stay node sums, independent of the moments.
+Both share one setup that reads the coefficients, sizes a grid a priori when
+given none (`exterior_grid`) and checks nu's domain and the grid's angles
+before nu is read; the criterion reports `nodes` and `quad_error`.  Its
+right side (`weighted_pairing`) and `w1_term` stay node sums, not moments.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .maps import DISC, EXTERIOR_DISC, UPPER_HALF, HyperbolicDomain, NonFiniteError, _ring_nodes, compare, quiet, vec_eval
+from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, UPPER_HALF, HyperbolicDomain, NonFiniteError, _ring_nodes, compare, quiet, vec_eval
 from .norms import bn_norm_estimate
 from .symbolic import DiffExpr, monomial_coefficients, series_constant, series_letter, sigma_expr
 
@@ -196,8 +197,9 @@ def ring_moments(f, grid: QuadGrid, table: np.ndarray):
         # a non-finite value makes its ring's sum non-finite; so may overflow
         if not np.all(np.isfinite(sums)) and not np.all(np.isfinite(vals)):
             raise NonFiniteError("non-finite density value on quadrature node", "a node")
-        modes = np.fft.fft(block_rings, axis=1)[:, :p]
-        modes *= table[i : i + step]
+        with quiet():  # values whose ring sums overflowed warned there
+            modes = np.fft.fft(block_rings, axis=1)[:, :p]
+            modes *= table[i : i + step]
         modes[0] += moments
         moments = modes.sum(axis=0)  # row by row, in ring order
     return moments, ring_sums
@@ -281,7 +283,7 @@ def ahlfors_weill(phi, z) -> complex:
     quadratically at the unit circle; this is exactly the normalization under
     which the differential of the Bers map at the origin inverts it.
     """
-    if np.ndim(z) == 0 and abs(z) <= 1:
+    if np.ndim(z) == 0 and not EXTERIOR_DISC.contains(z):
         raise ValueError("Ahlfors-Weill section lives on the exterior of the closed disc")
     zb = np.conj(z)
     zb2 = zb * zb
@@ -317,12 +319,20 @@ def exterior_grid(z: complex, power: int) -> QuadGrid:
     return exterior_disc_quadrature(R, M)
 
 
-def _density_on(nu, grid: QuadGrid):
-    """nu itself, once it is known not to live on another domain than the grid."""
-    nu_domain = getattr(nu, "domain", None)
-    if nu_domain is not None and nu_domain != grid.domain:
-        raise ValueError(f"density lives on {nu_domain.tag}, grid on {grid.domain.tag}")
-    return nu
+def _d0_setup(coeffs, nu, z: complex, grid: QuadGrid | None):
+    """The coefficient map (read off a DiffExpr) and the grid (`exterior_grid`
+    if None); ValueError before nu is read if nu lives on another domain, or
+    the grid is no exterior product grid with more than top k + 1 angles."""
+    if isinstance(coeffs, DiffExpr):
+        coeffs = monomial_coefficients(coeffs)
+    top = max((k for k, _l in coeffs), default=0)
+    grid = grid or exterior_grid(z, 1 + top)
+    if getattr(nu, "domain", grid.domain) != grid.domain:
+        raise ValueError(f"density lives on {nu.domain.tag}, grid on {grid.domain.tag}")
+    m = product_rings(grid, "exterior_disc")[2]
+    if m <= top + 1:
+        raise ValueError(f"a kernel of order {top} needs more than {top + 1} angles, the grid has {m}")
+    return coeffs, grid
 
 
 def _d0_series(coeffs: dict, nu, z: complex, grid: QuadGrid):
@@ -338,11 +348,10 @@ def _d0_series(coeffs: dict, nu, z: complex, grid: QuadGrid):
     radii, _ring_weights, m = product_rings(grid, "exterior_disc")
     powers = _exterior_powers(radii.size, m)
     moments, ring_sums = ring_moments(nu, grid, powers)
-    absolute, r = ring_sums @ powers, abs(z)
+    with quiet():  # ring sums that overflowed warned in ring_moments
+        absolute, r = ring_sums @ powers, abs(z)
     total, size, tail = 0j, 0.0, 0.0
     for (k, _l), a in coeffs.items():
-        if m <= k + 1:
-            raise ValueError(f"a kernel of order {k} needs more than {k + 1} angles, the grid has {m}")
         a = float(a) * math.factorial(k)
         j = np.arange(1, m - k - 1)
         t = np.cumprod(np.r_[1.0, z * (j + k) / j])  # C(j+k, k) z^j for j < M-k-1
@@ -369,10 +378,8 @@ def d0_beta(coeffs, nu, z: complex, grid: QuadGrid | None = None) -> complex:
     `exterior_disc_quadrature` grid (ValueError for any other); with none,
     `exterior_grid` sizes one from |z| and the top kernel power.
     """
-    if isinstance(coeffs, DiffExpr):
-        coeffs = monomial_coefficients(coeffs)
-    grid = grid or exterior_grid(z, 1 + max((k for k, _l in coeffs), default=0))
-    return _d0_series(coeffs, _density_on(nu, grid), z, grid)[0]
+    coeffs, grid = _d0_setup(coeffs, nu, z, grid)
+    return _d0_series(coeffs, nu, z, grid)[0]
 
 
 def d0_beta_norm_bound(n: int, series: str) -> float:
@@ -429,7 +436,7 @@ def repro_check(phi, q: int, z: complex, grid: QuadGrid | None = None) -> dict:
     that reproduces phi for all q (the q = 3 case decides it), and the report
     records the opposite orientation alongside rather than hiding it.
     """
-    if z.imag >= 0:
+    if not LOWER_HALF.contains(z):
         raise ValueError("evaluation point must lie in the lower half-plane")
     grid = grid or half_plane_quadrature()
     with quiet():  # quad2d checks both sums' integrands, and so these values
@@ -449,12 +456,11 @@ def kernel_criterion_check(nu, n: int, z: complex, series: str = "A", grid: Quad
     `exterior_grid` sizes one and the report adds `nodes` and `quad_error`:
     the series' own bound plus |lhs - rhs|, which bounds both sides."""
     expr = sigma_expr(series, n)
-    coeffs = monomial_coefficients(expr)
     c = float(series_constant(expr))
     auto = grid is None
-    grid = grid or exterior_grid(z, 1 + max((k for k, _l in coeffs), default=0))
+    coeffs, grid = _d0_setup(expr, nu, z, grid)
     with quiet():  # ring_moments checks these values
-        nu_vals = vec_eval(_density_on(nu, grid), grid.nodes)
+        nu_vals = vec_eval(nu, grid.nodes)
     lhs, error = _d0_series(coeffs, nu_vals, z, grid)
     pairing = weighted_pairing(lambda w: (w - z) ** (-(n + 1.0)), lambda w: np.conj(nu_vals) * grid.domain.density(w) ** 2, 2, grid)
     rhs = -(math.factorial(n) * c / math.pi) * pairing

@@ -382,8 +382,8 @@ def jet_derive(a: Jet, k: int = 1) -> Jet:
 
 def jet_antiderive(a: Jet, const=0) -> Jet:
     """Termwise antiderivative with prescribed value at the center; `Fraction`s
-    when every coefficient is exact."""
-    div = Fraction if all(map(_is_exact, a.coeffs)) else truediv
+    when every coefficient is exact, each built from two ints."""
+    div = (lambda c, k: Fraction(c.numerator, c.denominator * k)) if all(map(_is_exact, a.coeffs)) else truediv
     return Jet(a.center, (const,) + tuple(div(c, j + 1) for j, c in enumerate(a.coeffs)))
 
 

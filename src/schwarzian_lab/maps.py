@@ -4,6 +4,7 @@ a function on an array of points (`vec_eval`, `quiet`, `NonFiniteError`,
 `_ring_nodes`) or compare two sides of an identity (`compare`), which the
 norm, quadrature and group layers share.
 
+The four domains' membership tests and densities are one table, `_DOMAINS`.
 Densities use the curvature -4 normalization lambda_D(z) = (1-|z|^2)^{-1} on
 the unit disc, which is the convention under which the sharp Schwarzian-norm
 constant for schlicht functions is 6.
@@ -20,10 +21,6 @@ from functools import partial, reduce
 import numpy as np
 
 from .jets import Jet, JetError, _any, _convolve, _horner, _inverse, _reciprocal, jet_derive, jet_from_coeffs, jet_shift, jet_variable
-
-
-class DomainError(ValueError):
-    pass
 
 
 # -- functions on arrays of points ---------------------------------------------
@@ -160,20 +157,36 @@ class Moebius:
     def hyperbolic(cls, theta1: float, theta2: float, multiplier: float) -> "Moebius":
         """Disc-preserving hyperbolic map with axis endpoints e^{i theta_j}
         and the given real multiplier > 0 (translation length 2*log sqrt(m))."""
-        if not all(map(math.isfinite, (theta1, theta2, multiplier))):
-            raise ValueError("axis angles and multiplier must be finite")
-        if multiplier <= 0 or multiplier == 1:
-            raise ValueError("multiplier must be positive and != 1")
-        p, q = cmath.exp(1j * theta1), cmath.exp(1j * theta2)
-        if abs(p - q) < 1e-12:
-            raise ValueError("axis endpoints coincide")
+        p, q = _axis(theta1, theta2, multiplier)
         t = cls(1, -p, 1, -q)  # sends p -> 0, q -> inf
         s = math.sqrt(multiplier)
         dil = cls(s, 0, 0, 1 / s)
         return t.inverse().compose(dil).compose(t)
 
 
+def _axis(theta1: float, theta2: float, *multiplier: float) -> tuple:
+    """The endpoints e^{i theta_j} of a hyperbolic axis; ValueError unless the
+    angles and the multiplier, if given, are finite, the multiplier is
+    positive and != 1, and the endpoints are distinct."""
+    if not all(map(math.isfinite, (theta1, theta2, *multiplier))):
+        raise ValueError("axis angles and multiplier must be finite")
+    if any(m <= 0 or m == 1 for m in multiplier):
+        raise ValueError("multiplier must be positive and != 1")
+    p, q = cmath.exp(1j * theta1), cmath.exp(1j * theta2)
+    if abs(p - q) < 1e-12:
+        raise ValueError("axis endpoints coincide")
+    return p, q
+
+
 # -- hyperbolic domains ------------------------------------------------------
+
+# tag: (membership test, Poincaré density lambda_D), on scalars or numpy arrays
+_DOMAINS = {
+    "disc": (lambda z: abs(z) < 1, lambda z: 1.0 / (1.0 - np.abs(z) ** 2)),
+    "exterior_disc": (lambda z: abs(z) > 1, lambda z: 1.0 / (np.abs(z) ** 2 - 1.0)),
+    "upper_half": (lambda z: z.imag > 0, lambda z: 1.0 / (2.0 * np.imag(z))),
+    "lower_half": (lambda z: z.imag < 0, lambda z: 1.0 / (-2.0 * np.imag(z))),
+}
 
 
 @dataclass(frozen=True)
@@ -181,30 +194,11 @@ class HyperbolicDomain:
     tag: str
 
     def contains(self, z) -> bool:
-        if self.tag == "disc":
-            return abs(z) < 1
-        if self.tag == "exterior_disc":
-            return abs(z) > 1
-        if self.tag == "upper_half":
-            return z.imag > 0
-        if self.tag == "lower_half":
-            return z.imag < 0
-        raise DomainError(self.tag)
+        return _DOMAINS[self.tag][0](z)
 
     def density(self, z):
-        """Poincaré density lambda_D, curvature -4 normalization.
-
-        Accepts scalars or numpy arrays; strictly positive inside the domain.
-        """
-        if self.tag == "disc":
-            return 1.0 / (1.0 - np.abs(z) ** 2)
-        if self.tag == "exterior_disc":
-            return 1.0 / (np.abs(z) ** 2 - 1.0)
-        if self.tag == "upper_half":
-            return 1.0 / (2.0 * np.imag(z))
-        if self.tag == "lower_half":
-            return 1.0 / (-2.0 * np.imag(z))
-        raise DomainError(self.tag)
+        """Poincaré density lambda_D, strictly positive inside the domain."""
+        return _DOMAINS[self.tag][1](z)
 
 
 DISC = HyperbolicDomain("disc")
@@ -215,7 +209,7 @@ LOWER_HALF = HyperbolicDomain("lower_half")
 
 def poincare_density(dom: HyperbolicDomain, z) -> float:
     if np.ndim(z) == 0 and not dom.contains(complex(z)):
-        raise DomainError(f"{z} is not inside {dom.tag}")
+        raise ValueError(f"{z} is not inside {dom.tag}")
     return dom.density(z)
 
 

@@ -34,7 +34,7 @@ from schwarzian_lab import (
     wp_pairing,
 )
 from schwarzian_lab import automorphic, integrals
-from schwarzian_lab.automorphic import GroupError, sup_on_disc, theta_values, dilation_conjugator
+from schwarzian_lab.automorphic import _preserves_disc, sup_on_disc, theta_values, dilation_conjugator
 from schwarzian_lab.integrals import product_rings
 from schwarzian_lab.jets import _horner
 
@@ -63,15 +63,33 @@ def test_group_ball_two_generators():
 
 
 def test_group_ball_rejects_non_disc_maps():
-    with pytest.raises(GroupError):
+    with pytest.raises(ValueError, match="does not preserve the unit disc"):
         group_ball([Moebius(2, 1, 1, 1)], 2)
+
+
+@pytest.mark.parametrize(
+    "g, preserves",
+    [
+        (Moebius.rotation(0.7), True),
+        (group_from_descriptor(CYCLIC)[0], True),
+        (Moebius.hyperbolic(0.0, math.pi, 4.0), True),
+        (Moebius.hyperbolic(math.pi / 2, 3 * math.pi / 2, 4.0), True),
+        (Moebius.hyperbolic(0.5, 2.8, 4.0).compose(Moebius.hyperbolic(1.0, 4.0, 3.0)), True),
+        (Moebius(0, 1, 1, 0), False),  # z -> 1/z swaps the disc and its exterior
+        (Moebius(2, 1, 1, 1), False),
+        (Moebius(2, 0, 0, 1), False),  # z -> 2z
+    ],
+    ids=["rotation", "cyclic", "two-gen-a", "two-gen-b", "product", "inversion", "2111", "dilation"],
+)
+def test_preserves_disc_reads_the_matrix(g, preserves):
+    assert _preserves_disc(g) is preserves
 
 
 def test_group_descriptor_validation():
     assert group_from_descriptor({"kind": "trivial"}) == []
-    with pytest.raises((GroupError, ValueError)):
+    with pytest.raises(ValueError):
         group_from_descriptor({"kind": "cyclic", "fixpoints": [0.5, 0.5], "multiplier": 4.0})
-    with pytest.raises((GroupError, ValueError)):
+    with pytest.raises(ValueError):
         group_from_descriptor({"kind": "nonsense"})
 
 
@@ -195,6 +213,13 @@ def test_fundamental_domain_takes_the_multiplier_or_its_inverse():
     for bad in (1.0, 0.0, -4.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             fundamental_annulus_grid(0.5, 2.8, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fundamental_domain_rejects_a_non_finite_angle(bad):
+    # the grid checks its axis as Moebius.hyperbolic does, not only its multiplier
+    with pytest.raises(ValueError, match="axis angles and multiplier must be finite"):
+        fundamental_annulus_grid(bad, 2.8, 4.0)
 
 
 def test_fundamental_domain_base_radius_invariance():

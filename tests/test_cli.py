@@ -592,6 +592,16 @@ def test_overflow_set_by_an_option_is_a_usage_error(argv, named):
     assert last.startswith(f"schwarzian-lab {argv[0]}: error: argument {named} is not finite at a node: "), last
 
 
+def test_overflowing_density_warns_once():
+    # the ring sums' overflow stays visible; the values computed from them warn no more
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-m", "schwarzian_lab.cli", "dzero", "--density", "const:1e308"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 2 and lines[-1].startswith("schwarzian-lab dzero: error: "), proc.stderr
+    assert sum("RuntimeWarning" in line for line in lines) == 1, proc.stderr
+
+
 def test_overflowing_ode_solution_fails(capsys):
     # f's coefficients are NaN from index 4 on, after finite leading residual coefficients
     assert run(["solve", "ode", "--phi", "1e300,1e300", "--format", "json"]) == 1

@@ -484,6 +484,34 @@ def test_auto_grid_rejects_density_on_wrong_domain():
         kernel_criterion_check(nu, 3, 0.1)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [lambda nu, grid: d0_beta(sigma_a(5), nu, 0.3, grid), lambda nu, grid: kernel_criterion_check(nu, 5, 0.3, grid=grid)],
+    ids=["d0_beta", "kernel_criterion_check"],
+)
+def test_too_few_angles_are_refused_before_any_node_is_read(check):
+    # the n = 5 kernel needs more than 6 angles; the grid's 48 nodes are never read
+    reads = []
+    nu = DensityFn(lambda eta: reads.append(np.size(eta)) or np.ones_like(eta), EXTERIOR_DISC, 1.0)
+    with pytest.raises(ValueError, match="a kernel of order 5 needs more than 6 angles, the grid has 6"):
+        check(nu, exterior_disc_quadrature(8, 6))
+    assert sum(reads) == 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ahlfors_weill(catalog("taylor", coeffs=[1.0]), math.nan), "lives on the exterior of the closed disc"),
+        (lambda: repro_check(catalog("taylor", coeffs=[1.0]), 2, complex(0.0, math.nan)), "must lie in the lower half-plane"),
+    ],
+    ids=["ahlfors_weill", "repro_check"],
+)
+def test_a_nan_point_lies_in_no_domain(call, message):
+    # the domain's own membership test refuses NaN, before any value is computed
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_auto_grid_raises_where_no_level_confirms():
     nu = ahlfors_weill_density(catalog("taylor", coeffs=[0, 0, 1]))
     z = 0.995 * cmath.exp(0.4j)

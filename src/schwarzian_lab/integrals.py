@@ -13,7 +13,10 @@ like |eta|^-4; the grid is built from its radial and angular factors.
 Half-plane ones go through the Cayley map eta = i(1+zeta)/(1-zeta),
 d^2 eta = 4|1-zeta|^-4 d^2 zeta, and are not truncated.  Each grid, like
 each rule, is built once per size and process (`functools.lru_cache`) and
-shared read-only, so a caller must not edit a grid's `meta` in place.
+shared read-only, so a caller must not edit a grid's `meta` in place.  A disc
+or exterior product grid keeps only its rings: node radii, ring weights and
+the M roots of unity.  Its `nodes` and `weights` arrays are built, read-only,
+the first time a node sum reads them; `ring_moments` never does.
 
 Every spectral integral, `d0_beta`, the left side of `kernel_criterion_check`
 and `automorphic.bergman_project`, is one loop, `ring_moments`: one FFT per
@@ -30,30 +33,47 @@ right side (`weighted_pairing`) and `w1_term` stay node sums, not moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, UPPER_HALF, HyperbolicDomain, NonFiniteError, _ring_nodes, compare, quiet, vec_eval
+from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, UPPER_HALF, HyperbolicDomain, NonFiniteError, _ring_nodes, _roots_of_unity, compare, quiet, vec_eval
 from .norms import bn_norm_estimate
 from .symbolic import DiffExpr, monomial_coefficients, series_constant, series_letter, sigma_expr
 
 # Nodes per block of whole rings in which `ring_moments` reads an integrand:
-# its values, modes and their moduli then take about 64 kB each, where the
-# 192 x 512 grid's would take 1.5 MB.
+# the block's nodes, values, modes and moduli then take about 64 kB each, where
+# the 192 x 512 grid's nodes and values would take 1.5 MB each.
 BLOCK_NODES = 4096
 
-@dataclass(frozen=True, eq=False)
-class QuadGrid:
-    """Nodes and weights of a product rule on `domain`.  Two grids are equal
-    only when they are the same object, so grids of different sizes never
-    collide as keys."""
 
-    domain: HyperbolicDomain
-    nodes: np.ndarray
-    weights: np.ndarray
-    meta: dict = field(default_factory=dict)
+class QuadGrid:
+    """Nodes and weights of a rule on `domain`, and its `meta`.  A product
+    grid (`_ring_grid`) holds only its rings, `rings` = (node radii, ring
+    weights, the M roots of unity), and builds its `nodes`, ring by ring from
+    angle 0, and `weights` from them on first read, read-only; any other grid
+    has `rings` None.  Two grids are equal only when they are the same
+    object, so grids of different sizes never collide as keys."""
+
+    def __init__(self, domain: HyperbolicDomain, nodes=None, weights=None, meta=None, rings=None):
+        self.domain, self.meta, self.rings = domain, {} if meta is None else meta, rings
+        if rings is None:
+            self.nodes, self.weights = nodes, weights
+
+    def _ring_block(self, rings: slice) -> np.ndarray:
+        """The nodes of the product grid's rings `rings`, ring by ring."""
+        radii, _ring_weights, roots = self.rings
+        return (radii[rings, None] * roots).ravel()
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return _read_only(self._ring_block(slice(None)))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        _radii, ring_weights, roots = self.rings
+        return _read_only(np.repeat(ring_weights, roots.size))
 
 
 @lru_cache(maxsize=None)
@@ -116,16 +136,22 @@ def _gauss_legendre(n: int):
     return 0.5 * x + 0.5, 0.5 * w
 
 
-def _read_only_grid(domain, nodes, weights, kind: str, R: int, M: int) -> QuadGrid:
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadGrid(domain, nodes, weights, {"kind": kind, "R": R, "M": M})
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _ring_grid(domain, radii, ring_weights, M: int, kind: str, R: int) -> QuadGrid:
-    """Product grid on `_ring_nodes`, each ring's M nodes weighted
-    ring_weights[i]."""
-    return _read_only_grid(domain, _ring_nodes(radii, M), np.repeat(ring_weights, M), kind, R, M)
+    """Product grid of M nodes radii[i] e^(i theta_j) on ring i, each weighted
+    ring_weights[i], kept as its rings."""
+    rings = tuple(map(_read_only, (radii, ring_weights, _roots_of_unity(M))))
+    return QuadGrid(domain, meta={"kind": kind, "R": R, "M": M}, rings=rings)
+
+
+def _disc_rings(R: int, M: int):
+    """Gauss radii r and ring weights w_r r 2 pi/M of the disc grid."""
+    r, wr = _gauss_legendre(R)
+    return r, wr * r * (2.0 * math.pi / M)
 
 
 @lru_cache(maxsize=None)
@@ -133,8 +159,7 @@ def disc_quadrature(R: int = 96, M: int = 256) -> QuadGrid:
     """Gauss-Legendre radial x uniform angular product rule on the unit disc:
     nodes r e^(i theta), weights w_r r 2 pi/M.  Built once per (R, M) and
     shared read-only."""
-    r, wr = _gauss_legendre(R)
-    return _ring_grid(DISC, r, wr * r * (2.0 * math.pi / M), M, "disc", R)
+    return _ring_grid(DISC, *_disc_rings(R, M), M, "disc", R)
 
 
 def _exterior_rings(R: int, M: int):
@@ -159,9 +184,10 @@ def _exterior_powers(R: int, M: int) -> np.ndarray:
     `exterior_disc_quadrature(R, M)` times the powers of its disc radii;
     built once per (R, M), from the rule and not from the grid, read-only."""
     r, ring_weights = _exterior_rings(R, M)
-    powers = np.cumprod(np.hstack((ring_weights[:, None], np.tile(r[:, None], M - 1))), axis=1)
-    powers.setflags(write=False)
-    return powers
+    powers = np.empty((R, M))
+    powers[:, 0] = ring_weights
+    powers[:, 1:] = r[:, None]
+    return _read_only(np.cumprod(powers, axis=1, out=powers))
 
 
 def product_rings(grid: QuadGrid, kind: str):
@@ -169,10 +195,9 @@ def product_rings(grid: QuadGrid, kind: str):
     (kind "disc") or `exterior_disc_quadrature` grid (kind "exterior_disc"),
     whose nodes run ring by ring from angle 0: r e^(i theta) on the disc,
     e^(i theta) / r on the exterior.  ValueError for any other grid."""
-    if grid.meta.get("kind") != kind:
+    if grid.rings is None or grid.meta.get("kind") != kind:
         raise ValueError(f"expected a {kind}_quadrature product grid, got {grid.meta.get('kind', grid.domain.tag)!r}")
-    R, M = grid.meta["R"], grid.meta["M"]
-    return _gauss_legendre(R)[0], grid.weights[::M], M
+    return _gauss_legendre(grid.meta["R"])[0], grid.rings[1], grid.meta["M"]
 
 
 def ring_moments(f, grid: QuadGrid, table: np.ndarray):
@@ -180,18 +205,18 @@ def ring_moments(f, grid: QuadGrid, table: np.ndarray):
     |f| over each ring, on a disc or exterior product grid of R rings of M
     nodes and an R x P table, P <= M.  f is a callable on arrays of nodes or
     its values at the grid's nodes, read in blocks of whole rings of about
-    BLOCK_NODES nodes; a non-finite value is a NonFiniteError.  The rings' weighted
-    modes are added in ring order, as `sum(axis=0)` over all rings adds them,
-    so the sums have the same bits at every block size."""
+    BLOCK_NODES nodes, whose nodes are made from the grid's rings, so the
+    grid's node array is never built; a non-finite value is a NonFiniteError.
+    The rings' weighted modes are added in ring order, as `sum(axis=0)` over
+    all rings adds them, so the sums have the same bits at every block size."""
     m = grid.meta["M"]
     rings, p = table.shape
     step = max(1, BLOCK_NODES // m)
     ring_sums = np.empty(rings)
     moments = np.zeros(p, dtype=complex)
     for i in range(0, rings, step):
-        block = slice(i * m, (i + step) * m)
         with quiet():
-            vals = vec_eval(f, grid.nodes[block]) if callable(f) else f[block]
+            vals = vec_eval(f, grid._ring_block(slice(i, i + step))) if callable(f) else f[i * m : (i + step) * m]
         block_rings = np.reshape(vals, (-1, m))
         sums = ring_sums[i : i + step] = np.abs(block_rings).sum(axis=1)
         # a non-finite value makes its ring's sum non-finite; so may overflow
@@ -210,14 +235,14 @@ def half_plane_quadrature(R: int = 32, M: int = 256) -> QuadGrid:
     """Upper half-plane as the Cayley image eta = i(1+zeta)/(1-zeta) of the
     disc rule, weights times 4/|1-zeta|^4.  Nothing is truncated, and for q >= 2
     `repro_check`'s integrands pull back analytic on the closed disc.  Built
-    once per (R, M) and shared read-only."""
-    base = disc_quadrature(R, M)
-    zeta = base.nodes
+    once per (R, M) and shared read-only, from the disc rule's rings."""
+    r, ring_weights = _disc_rings(R, M)
+    zeta = _ring_nodes(r, M)
     d = 1.0 - zeta
     nodes = 1j * (1.0 + zeta) / d
     s = 1.0 / (d.real * d.real + d.imag * d.imag)  # 1/|1-zeta|^2
-    weights = base.weights * 4.0 * (s * s)
-    return _read_only_grid(UPPER_HALF, nodes, weights, "half_plane", R, M)
+    weights = np.repeat(ring_weights, M) * 4.0 * (s * s)
+    return QuadGrid(UPPER_HALF, _read_only(nodes), _read_only(weights), {"kind": "half_plane", "R": R, "M": M})
 
 
 def quad2d(integrand, grid: QuadGrid) -> complex:

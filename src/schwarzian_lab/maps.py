@@ -1,8 +1,8 @@
 """Möbius maps, hyperbolic domains with Poincaré densities, a catalog
 of named analytic functions evaluable to jets, and the helpers that evaluate
 a function on an array of points (`vec_eval`, `quiet`, `NonFiniteError`,
-`_ring_nodes`) or compare two sides of an identity (`compare`), which the
-norm, quadrature and group layers share.
+`_ring_nodes`, `_roots_of_unity`) or compare two sides of an identity
+(`compare`), which the norm, quadrature and group layers share.
 
 The four domains' membership tests and densities are one table, `_DOMAINS`.
 Densities use the curvature -4 normalization lambda_D(z) = (1-|z|^2)^{-1} on
@@ -64,10 +64,15 @@ def compare(lhs, rhs, **extra) -> dict:
     return {"lhs": lhs, "rhs": rhs, "relerr": _relerr(lhs, rhs), **extra}
 
 
+def _roots_of_unity(M: int) -> np.ndarray:
+    """e^(i theta_j), theta_j = 2 pi j / M, for j < M."""
+    return np.exp(1j * (2.0 * math.pi * np.arange(M) / M))
+
+
 def _ring_nodes(radii, M: int) -> np.ndarray:
     """Nodes radii[i] e^(i theta_j), theta_j = 2 pi j / M, ring by ring from
-    angle 0: one outer product."""
-    return np.outer(radii, np.exp(1j * (2.0 * math.pi * np.arange(M) / M))).ravel()
+    angle 0: one outer product with `_roots_of_unity(M)`."""
+    return np.outer(radii, _roots_of_unity(M)).ravel()
 
 
 def moebius_jet(a, b, c, d, z0, order: int) -> Jet:

@@ -6,6 +6,7 @@ import cmath
 import json
 import math
 import random
+import tracemalloc
 import warnings
 
 import mpmath
@@ -30,8 +31,8 @@ from schwarzian_lab import (
     sigma_b,
     weighted_pairing,
 )
-from schwarzian_lab import integrals
-from schwarzian_lab.automorphic import fundamental_annulus_grid, sup_on_disc
+from schwarzian_lab import automorphic, integrals
+from schwarzian_lab.automorphic import bergman_project, fundamental_annulus_grid, sup_on_disc
 from schwarzian_lab.cli import main
 from schwarzian_lab.integrals import (
     NonFiniteError,
@@ -44,6 +45,7 @@ from schwarzian_lab.integrals import (
     ring_moments,
     w1_term,
 )
+from schwarzian_lab.maps import _ring_nodes
 from schwarzian_lab.norms import SampleGrid, bn_norm_report
 from schwarzian_lab.symbolic import monomial_coefficients, series_constant
 
@@ -354,6 +356,98 @@ def test_blocked_moments_have_the_bits_of_the_one_shot_sum(monkeypatch, R, M, bl
         moments, ring_sums = ring_moments(source, grid, powers)
         got = moments, ring_sums @ powers
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def reference_ring_moments(f, grid, table):
+    """`ring_moments` as it read a grid whose nodes were all built: each block
+    of rings sliced out of `grid.nodes`."""
+    m = grid.meta["M"]
+    rings, p = table.shape
+    step = max(1, integrals.BLOCK_NODES // m)
+    ring_sums = np.empty(rings)
+    moments = np.zeros(p, dtype=complex)
+    for i in range(0, rings, step):
+        block = slice(i * m, (i + step) * m)
+        vals = integrals.vec_eval(f, grid.nodes[block]) if callable(f) else f[block]
+        block_rings = np.reshape(vals, (-1, m))
+        ring_sums[i : i + step] = np.abs(block_rings).sum(axis=1)
+        modes = np.fft.fft(block_rings, axis=1)[:, :p]
+        modes *= table[i : i + step]
+        modes[0] += moments
+        moments = modes.sum(axis=0)
+    return moments, ring_sums
+
+
+# one ring per block past BLOCK_NODES angles; 7 rings of 1,000 angles are two
+# blocks of 4 rings, the second one short
+@pytest.mark.parametrize("R, M", [(1, 8), (5, 300), (40, 1000), (96, 256), (192, 512), (3, integrals.BLOCK_NODES + 4), (7, 1000)])
+def test_rings_made_per_block_have_the_bits_of_sliced_nodes(monkeypatch, R, M):
+    nu = ahlfors_weill_density(catalog("taylor", coeffs=[1, 0.5, 0.25j, 1]))
+    f = lambda w: np.exp(w) * np.abs(w) ** 2
+    exterior, disc = exterior_disc_quadrature(R, M), disc_quadrature(R, M)
+    tables = ((nu, exterior, integrals._exterior_powers(R, M)), (f, disc, automorphic._projection_tables(disc, 2)[0]))
+    for source, grid, table in tables:
+        got, want = ring_moments(source, grid, table), reference_ring_moments(source, grid, table)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def outputs():
+        zs = np.array([0.0, 0.3 + 0.2j, -0.5j])
+        return d0_beta(sigma_a(3), nu, 0.3 + 0.1j, exterior), bergman_project(f, 2, zs, disc)
+
+    generated = outputs()
+    monkeypatch.setattr(integrals, "ring_moments", reference_ring_moments)
+    monkeypatch.setattr(automorphic, "ring_moments", reference_ring_moments)
+    assert all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(generated, outputs()))
+
+
+def built_arrays(grid):
+    """Which of a grid's node and weight arrays exist."""
+    return {"nodes", "weights"} & vars(grid).keys()
+
+
+@pytest.mark.parametrize("build", [disc_quadrature, exterior_disc_quadrature], ids=["disc", "exterior_disc"])
+def test_product_grids_build_nodes_and_weights_on_first_read(build):
+    build.cache_clear()
+    grid = build(12, 40)
+    assert not built_arrays(grid)
+    radii, ring_weights, roots = grid.rings
+    assert roots.tobytes() == _ring_nodes([1.0], 40).tobytes()
+    assert grid.nodes.tobytes() == _ring_nodes(radii, 40).tobytes()
+    assert grid.weights.tobytes() == np.repeat(ring_weights, 40).tobytes()
+    assert grid.nodes is grid.nodes and grid.weights is grid.weights
+    for array in (grid.nodes, grid.weights, *grid.rings):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def clear_grid_caches():
+    for cache in (legendre_rule, *GRID_CACHES, automorphic._projection_tables):
+        cache.cache_clear()
+
+
+def test_spectral_integrals_build_no_node_array():
+    nu = ahlfors_weill_density(catalog("taylor", coeffs=[1.0]))
+    expr = sigma_a(3)
+    d0_beta(expr, nu, 0.2 + 0.1j, exterior_disc_quadrature(8, 16))  # the code paths, not the grid caches
+    clear_grid_caches()
+    tracemalloc.start()
+    try:
+        grid = exterior_disc_quadrature(192, 512)
+        d0_beta(expr, nu, 0.2 + 0.1j, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 3.94 MB while the grid held its 98,304 nodes and weights
+    assert peak < 2e6
+    assert not built_arrays(grid)
+    bergman_project(lambda w: np.ones_like(w), 2, 0.0)
+    assert not built_arrays(disc_quadrature())
+
+
+def test_half_plane_grids_build_no_disc_nodes():
+    clear_grid_caches()
+    half_plane_quadrature(8, 16)
+    assert not built_arrays(disc_quadrature(8, 16))
 
 
 @pytest.mark.parametrize("R, M", [(192, 512), (8, 16)])

@@ -87,9 +87,7 @@ def _emit(report: dict, args) -> None:
     if args.format == "json":
         text = json.dumps(data, sort_keys=True, indent=2, allow_nan=False)
     elif args.format == "csv":
-        rows = data.get("rows")
-        if not rows:
-            raise argparse.ArgumentTypeError("argument --format: csv is only available for tabular reports (norm, bound)")
+        rows = data["rows"]
         cols = list(rows[0])
         lines = [",".join(cols)]
         for row in rows:
@@ -319,7 +317,7 @@ def cmd_aw(args) -> dict:
 
     phi = parse_function(args.phi)
     w = 1 / np.conj(args.z)
-    with np.errstate(divide="ignore", invalid="ignore"):  # no warnings from a pole at w
+    with quiet():  # no warnings from a pole or an overflow at w
         target = complex(phi(w))
     _require(np.isfinite(target), f"argument --phi: {args.phi!r} is not finite at 1/conj(z) = {w}")
     sval = ahlfors_weill(phi, args.z)
@@ -471,13 +469,13 @@ def cmd_solve(args) -> dict:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_common(p, tol: float | None = None, grid: bool = False) -> None:
-    """The options a subcommand ends with; with `grid`, they start with the
-    96 x 256 quadrature grid's --grid-r and --grid-m."""
+def _add_common(p, tol: float | None = None, grid: bool = False, formats=("text", "json")) -> None:
+    """The options a subcommand ends with, --format one of `formats` (csv only for tabular
+    reports); with `grid`, they start with the 96 x 256 grid's --grid-r and --grid-m."""
     if grid:
         p.add_argument("--grid-r", type=_int_at_least(1), default=96)
         p.add_argument("--grid-m", type=_int_at_least(1), default=256)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", help="write the report to this path instead of stdout")
     if tol is not None:
         p.add_argument("--tol", type=_positive_float, default=tol)
@@ -516,14 +514,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(3), default=3)
     p.add_argument("--grid-j", type=_int_at_least(0), default=14)
     p.add_argument("--grid-m", type=_int_at_least(8, even=True), default=256)
-    _add_common(p)
+    _add_common(p, formats=("text", "json", "csv"))
     p.set_defaults(func=cmd_norm, reads="--function")
 
     p = sub.add_parser("bound", help="sharp-bound table over the schlicht catalog")
     p.add_argument("--series", choices=("A", "B"), default="A")
     p.add_argument("--n", type=_int_at_least(3), nargs="+", default=(3, 4, 5))
     p.add_argument("--function", default="all")
-    _add_common(p)
+    _add_common(p, formats=("text", "json", "csv"))
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("dzero", help="differential of the higher Bers map at the origin")

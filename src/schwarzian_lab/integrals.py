@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, UPPER_HALF, HyperbolicDomain, NonFiniteError, _ring_nodes, _roots_of_unity, compare, quiet, vec_eval
+from .maps import DISC, EXTERIOR_DISC, LOWER_HALF, UPPER_HALF, HyperbolicDomain, NonFiniteError, _read_only, _ring_nodes, _roots_of_unity, compare, quiet, vec_eval
 from .norms import bn_norm_estimate
 from .symbolic import DiffExpr, monomial_coefficients, series_constant, series_letter, sigma_expr
 
@@ -136,11 +136,6 @@ def _gauss_legendre(n: int):
     return 0.5 * x + 0.5, 0.5 * w
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
 def _ring_grid(domain, radii, ring_weights, M: int, kind: str, R: int) -> QuadGrid:
     """Product grid of M nodes radii[i] e^(i theta_j) on ring i, each weighted
     ring_weights[i], kept as its rings."""
@@ -206,27 +201,26 @@ def ring_moments(f, grid: QuadGrid, table: np.ndarray):
     nodes and an R x P table, P <= M.  f is a callable on arrays of nodes or
     its values at the grid's nodes, read in blocks of whole rings of about
     BLOCK_NODES nodes, whose nodes are made from the grid's rings, so the
-    grid's node array is never built; a non-finite value is a NonFiniteError.
-    The rings' weighted modes are added in ring order, as `sum(axis=0)` over
-    all rings adds them, so the sums have the same bits at every block size."""
+    grid's node array is never built; NonFiniteError if a ring sum or a
+    moment is not finite.  The rings' weighted modes are added in ring order,
+    as `sum(axis=0)` over all rings adds them, so the sums have the same bits
+    at every block size."""
     m = grid.meta["M"]
     rings, p = table.shape
     step = max(1, BLOCK_NODES // m)
     ring_sums = np.empty(rings)
     moments = np.zeros(p, dtype=complex)
-    for i in range(0, rings, step):
-        with quiet():
+    with quiet():
+        for i in range(0, rings, step):
             vals = vec_eval(f, grid._ring_block(slice(i, i + step))) if callable(f) else f[i * m : (i + step) * m]
-        block_rings = np.reshape(vals, (-1, m))
-        sums = ring_sums[i : i + step] = np.abs(block_rings).sum(axis=1)
-        # a non-finite value makes its ring's sum non-finite; so may overflow
-        if not np.all(np.isfinite(sums)) and not np.all(np.isfinite(vals)):
-            raise NonFiniteError("non-finite density value on quadrature node", "a node")
-        with quiet():  # values whose ring sums overflowed warned there
+            block_rings = np.reshape(vals, (-1, m))
+            ring_sums[i : i + step] = np.abs(block_rings).sum(axis=1)
             modes = np.fft.fft(block_rings, axis=1)[:, :p]
             modes *= table[i : i + step]
-        modes[0] += moments
-        moments = modes.sum(axis=0)  # row by row, in ring order
+            modes[0] += moments
+            moments = modes.sum(axis=0)  # row by row, in ring order
+    if not (np.all(np.isfinite(ring_sums)) and np.all(np.isfinite(moments))):
+        raise NonFiniteError("non-finite density value or overflowing sum on quadrature nodes", "a node")
     return moments, ring_sums
 
 
@@ -246,13 +240,13 @@ def half_plane_quadrature(R: int = 32, M: int = 256) -> QuadGrid:
 
 
 def quad2d(integrand, grid: QuadGrid) -> complex:
-    """Weighted node sum, NonFiniteError at a non-finite value.  Deterministic for a
+    """Weighted node sum, NonFiniteError if it is not finite.  Deterministic for a
     fixed grid: evaluation order and pairwise reduction follow the node layout."""
     with quiet():
-        vals = vec_eval(integrand, grid.nodes)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteError("non-finite integrand value on quadrature node", "a node")
-    return complex(np.sum(vals * grid.weights))
+        total = np.sum(vec_eval(integrand, grid.nodes) * grid.weights)
+    if not np.isfinite(total):
+        raise NonFiniteError("non-finite integrand value or overflowing sum on quadrature nodes", "a node")
+    return complex(total)
 
 
 def half_plane_tail_estimate(integrand, grid: QuadGrid, decay: float = 4.0) -> float:
@@ -270,17 +264,13 @@ def half_plane_tail_estimate(integrand, grid: QuadGrid, decay: float = 4.0) -> f
 
 
 def weighted_pairing(f, g, s: int, grid: QuadGrid) -> complex:
-    """integral over the grid of f * conj(g) * lambda^(2-2s); NonFiniteError
-    if the sum is not finite, as it is when the weighted product is not
-    finite at some node (one check on the sum, not one per node)."""
-    lam = grid.domain.density(grid.nodes)
-    with quiet():
-        fv = vec_eval(f, grid.nodes)
-        gv = vec_eval(g, grid.nodes)
-        total = np.sum(fv * np.conj(gv) * lam ** (2.0 - 2.0 * s) * grid.weights)
-    if not np.isfinite(total):
-        raise NonFiniteError("non-finite pairing integrand on quadrature node", "a node")
-    return complex(total)
+    """integral over the grid of f * conj(g) * lambda^(2-2s), by `quad2d`."""
+
+    def integrand(w):
+        fv, lam = vec_eval(f, w), grid.domain.density(w)  # named: one unnamed expression moves the last bits
+        return fv * np.conj(vec_eval(g, w)) * lam ** (2.0 - 2.0 * s)
+
+    return quad2d(integrand, grid)
 
 
 # -- densities ---------------------------------------------------------------
@@ -364,7 +354,7 @@ def _d0_series(coeffs: dict, nu, z: complex, grid: QuadGrid):
     """The d0_beta sum from nu (a callable or its values, as `ring_moments`
     takes it) on an exterior product grid, and a bound on its error: the
     series' tail past the last mode plus round-off.  NonFiniteError if the sum
-    is not finite, as when finite values of nu have overflowing moments.
+    is not finite, as it may be when finite moments are large.
 
     I_k = (-1)^(k+1) S_k with S_k = sum_j C(j+k, k) z^j m_(j+k+1), so the
     (k, l) term is -(a_kl k!/pi) S_k.  The same sums over the moments of |nu|
@@ -373,17 +363,17 @@ def _d0_series(coeffs: dict, nu, z: complex, grid: QuadGrid):
     radii, _ring_weights, m = product_rings(grid, "exterior_disc")
     powers = _exterior_powers(radii.size, m)
     moments, ring_sums = ring_moments(nu, grid, powers)
-    with quiet():  # ring sums that overflowed warned in ring_moments
-        absolute, r = ring_sums @ powers, abs(z)
-    total, size, tail = 0j, 0.0, 0.0
-    for (k, _l), a in coeffs.items():
-        a = float(a) * math.factorial(k)
-        j = np.arange(1, m - k - 1)
-        t = np.cumprod(np.r_[1.0, z * (j + k) / j])  # C(j+k, k) z^j for j < M-k-1
-        total += a * np.dot(t, moments[k + 1 :])
-        size += abs(a) * np.dot(np.abs(t), absolute[k + 1 :])
-        ratio = r * m / (m - k)  # bounds the ratio of successive dropped terms
-        tail += abs(a) * math.comb(m - 1, k) * r ** (m - k - 1) * absolute[-1] / (1.0 - ratio) if ratio < 1.0 else math.inf
+    total, size, tail, r = 0j, 0.0, 0.0, abs(z)
+    with quiet():
+        absolute = ring_sums @ powers
+        for (k, _l), a in coeffs.items():
+            a = float(a) * math.factorial(k)
+            j = np.arange(1, m - k - 1)
+            t = np.cumprod(np.r_[1.0, z * (j + k) / j])  # C(j+k, k) z^j for j < M-k-1
+            total += a * np.dot(t, moments[k + 1 :])
+            size += abs(a) * np.dot(np.abs(t), absolute[k + 1 :])
+            ratio = r * m / (m - k)  # bounds the ratio of successive dropped terms
+            tail += abs(a) * math.comb(m - 1, k) * r ** (m - k - 1) * absolute[-1] / (1.0 - ratio) if ratio < 1.0 else math.inf
     if not np.isfinite(total):
         raise NonFiniteError(f"the d0_beta moment series is {total}", "a node")
     return complex(-total / math.pi), (tail + size * np.finfo(float).eps * m) / math.pi
@@ -464,7 +454,7 @@ def repro_check(phi, q: int, z: complex, grid: QuadGrid | None = None) -> dict:
     if not LOWER_HALF.contains(z):
         raise ValueError("evaluation point must lie in the lower half-plane")
     grid = grid or half_plane_quadrature()
-    with quiet():  # quad2d checks both sums' integrands, and so these values
+    with quiet():  # quad2d checks both sums, which a non-finite value makes non-finite
         mu_vals = vec_eval(beltrami_from_bers(phi, q), grid.nodes)
     lhs = complex(phi(z))
     rhs = quad2d(lambda eta: mu_vals / (eta - z) ** (q + 2), grid)
@@ -484,7 +474,7 @@ def kernel_criterion_check(nu, n: int, z: complex, series: str = "A", grid: Quad
     c = float(series_constant(expr))
     auto = grid is None
     coeffs, grid = _d0_setup(expr, nu, z, grid)
-    with quiet():  # ring_moments checks these values
+    with quiet():  # ring_moments checks its sums of these values
         nu_vals = vec_eval(nu, grid.nodes)
     lhs, error = _d0_series(coeffs, nu_vals, z, grid)
     pairing = weighted_pairing(lambda w: (w - z) ** (-(n + 1.0)), lambda w: np.conj(nu_vals) * grid.domain.density(w) ** 2, 2, grid)

@@ -64,6 +64,11 @@ def compare(lhs, rhs, **extra) -> dict:
     return {"lhs": lhs, "rhs": rhs, "relerr": _relerr(lhs, rhs), **extra}
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _roots_of_unity(M: int) -> np.ndarray:
     """e^(i theta_j), theta_j = 2 pi j / M, for j < M."""
     return np.exp(1j * (2.0 * math.pi * np.arange(M) / M))

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .maps import DISC, AnalyticFn, NonFiniteError, _ring_nodes, quiet, vec_eval
+from .maps import DISC, AnalyticFn, NonFiniteError, _read_only, _ring_nodes, quiet, vec_eval
 from .symbolic import DiffExpr, evaluate, series_letter, sigma_expr
 
 # The most points per evaluation call: a grid is read in the fewest equal
@@ -65,24 +65,29 @@ def _sample_table(grid: SampleGrid, n) -> tuple:
     (grid, n) and shared read-only."""
     pts = grid.points()
     weights = DISC.density(pts) ** (-float(n))
-    pts.setflags(write=False)
-    weights.setflags(write=False)
-    return pts, weights
+    return _read_only(pts), _read_only(weights)
+
+
+def _weighted_max(f, pts: np.ndarray, weights=1.0) -> tuple:
+    """max |f| * weights over the points, read in the fewest equal blocks of at most
+    BLOCK_POINTS, and its index (the first NaN's, if any); NonFiniteError if not finite."""
+    with quiet():
+        blocks = np.array_split(pts, -(-pts.size // BLOCK_POINTS))
+        vals = np.concatenate([vec_eval(f, block) for block in blocks])
+        weighted = np.abs(vals) * weights
+    i = int(np.argmax(weighted))
+    if not np.isfinite(weighted[i]):
+        raise NonFiniteError("non-finite sample in norm estimation", "a sample point")
+    return float(weighted[i]), i
 
 
 def bn_norm_report(phi, n: int, grid: SampleGrid | None = None) -> dict:
     """`phi` maps an array of points to an array of values of the same shape; NonFiniteError at a non-finite one."""
     grid = grid or SampleGrid()
     pts, weights = _sample_table(grid, n)
-    with quiet():
-        blocks = np.array_split(pts, -(-pts.size // BLOCK_POINTS))
-        vals = np.concatenate([vec_eval(phi, block) for block in blocks])
-        weighted = np.abs(vals) * weights
-    i = int(np.argmax(weighted))  # the first NaN, if there is one
-    if not np.isfinite(weighted[i]):
-        raise NonFiniteError("non-finite sample in norm estimation", "a sample point")
+    estimate, i = _weighted_max(phi, pts, weights)
     return {
-        "estimate": float(weighted[i]),
+        "estimate": estimate,
         "argmax": complex(pts[i]),
         "n": n,
         "grid": {"J": grid.J, "M": grid.M, "domain": DISC.tag},

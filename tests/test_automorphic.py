@@ -37,6 +37,7 @@ from schwarzian_lab import automorphic, integrals
 from schwarzian_lab.automorphic import _preserves_disc, sup_on_disc, theta_values, dilation_conjugator
 from schwarzian_lab.integrals import product_rings
 from schwarzian_lab.jets import _horner
+from schwarzian_lab.maps import _ring_nodes
 
 CYCLIC = {"kind": "cyclic", "fixpoints": [0.5, 2.8], "multiplier": 4.0}
 
@@ -284,6 +285,16 @@ def test_theta_l1_contraction():
 
 def test_sup_on_disc():
     assert abs(sup_on_disc(lambda z: np.abs(z) ** 2) - 1.0) < 5e-3
+
+
+def test_sup_on_disc_samples_the_origin_once():
+    # 1,537 points where the 25 rings of 64 sampled the origin 64 times, and the same max
+    seen = []
+    f = lambda z: seen.append(z) or np.exp(3 * z) * (1 + z * z)
+    sup = sup_on_disc(f)
+    (pts,) = seen
+    assert pts.size == 1537 and np.count_nonzero(pts == 0) == 1
+    assert sup == float(np.max(np.abs(f(_ring_nodes(np.linspace(0.0, 0.999, 25), 64)))))
 
 
 def test_sup_on_disc_rejects_a_pole_on_a_sample():

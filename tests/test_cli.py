@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, output formats, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -187,7 +188,7 @@ def test_pole_on_a_node_is_a_usage_error_under_pairing(capsys, side):
     lines = err.strip().splitlines()
     assert out == "" and len(lines) == 1, (out, lines)
     assert lines[0].startswith("schwarzian-lab pairing: error: argument --f/--g: ") and "not finite at a node" in lines[0]
-    with pytest.raises(ValueError, match="non-finite pairing integrand"), np.errstate(divide="ignore", invalid="ignore"):
+    with pytest.raises(ValueError, match="non-finite integrand value"), np.errstate(divide="ignore", invalid="ignore"):
         weighted_pairing(parse_function(pole), parse_function("identity"), 2, disc_quadrature(1, 8))
 
 
@@ -224,6 +225,17 @@ def test_csv_requires_tabular_report(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["expand", "--series", "A", "--n", "3", "--format", "csv"])
     assert exc.value.code == 2
+
+
+def test_csv_is_offered_by_norm_and_bound_only(capsys):
+    # argparse refuses csv elsewhere, so verify stops before it runs a trial
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "affine", "--trials", "5", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    formats = {name: [a.choices for a in p._actions if "--format" in a.option_strings] for name, p in subparsers.choices.items()}
+    assert sorted(name for name, (choices,) in formats.items() if "csv" in choices) == ["bound", "norm"]
 
 
 def test_bound_csv_table(capsys):
@@ -593,13 +605,23 @@ def test_overflow_set_by_an_option_is_a_usage_error(argv, named):
 
 
 def test_overflowing_density_warns_once():
-    # the ring sums' overflow stays visible; the values computed from them warn no more
+    # ring_moments computes under quiet() and raises on its overflowing sums, so nothing warns
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     argv = [sys.executable, "-m", "schwarzian_lab.cli", "dzero", "--density", "const:1e308"]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     lines = proc.stderr.strip().splitlines()
     assert proc.returncode == 2 and lines[-1].startswith("schwarzian-lab dzero: error: "), proc.stderr
-    assert sum("RuntimeWarning" in line for line in lines) == 1, proc.stderr
+    assert sum("RuntimeWarning" in line for line in lines) == 0, proc.stderr
+
+
+def test_phi_that_overflows_at_the_aw_target_is_one_error_line():
+    # phi(1/conj(z)) = 1e308 + 0.99e308 overflows; the usage error is all that stderr holds
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-m", "schwarzian_lab.cli", "aw", "--phi", "taylor:1e308,1e308", "--z", "1.01"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2 and proc.stdout == "", (proc.returncode, proc.stderr)
+    assert len(lines) == 1 and lines[0].startswith("schwarzian-lab aw: error: argument --phi: 'taylor:1e308,1e308' is not finite"), lines
 
 
 def test_overflowing_ode_solution_fails(capsys):

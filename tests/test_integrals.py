@@ -476,11 +476,27 @@ def test_every_kind_of_non_finite_value_raises(bad):
 
 
 def test_finite_values_whose_ring_sums_overflow_do_not_raise():
-    # an overflowing sum of |f| alone is no non-finite value
+    # they raise no RuntimeWarning: ring_moments computes under quiet() and reports
+    # the overflow as its NonFiniteError alone.  +-2e307 in turn: each ring's sum
+    # of |f| overflows, while its modes below 8 are 0, so only the ring-sum check can raise
     grid = disc_quadrature(8, 16)
-    with np.errstate(over="ignore", invalid="ignore"):  # the modes overflow too
-        _moments, ring_sums = ring_moments(np.full(grid.nodes.size, 1e308 + 0j), grid, np.ones((8, 16)))
-    assert np.all(np.isinf(ring_sums))
+    vals = np.tile([2e307 + 0j, -2e307], grid.nodes.size // 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="overflowing sum") as exc:
+            ring_moments(vals, grid, np.ones((8, 8)))
+    assert exc.value.where == "a node"
+
+
+def test_overflowing_ring_sums_still_warn():
+    # the overflow stays visible, as a NonFiniteError in place of a RuntimeWarning:
+    # a constant 1e308 overflows both the ring sums and the moments
+    grid = disc_quadrature(8, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="overflowing sum") as exc:
+            ring_moments(np.full(grid.nodes.size, 1e308 + 0j), grid, np.ones((8, 16)))
+    assert exc.value.where == "a node"
 
 
 def aw_closed_form(coeffs, n, series, z):
@@ -701,31 +717,45 @@ def _pole_at_first(w):
     return 1.0 / (w - w.flat[0])
 
 
+def _huge(w):
+    """Finite values whose sums overflow."""
+    return np.full_like(w, 1e308)
+
+
 @pytest.mark.parametrize(
     "site, where, message",
     [
         (lambda: bn_norm_report(lambda z: 1.0 / z, 2, SampleGrid(J=2, M=8)), "a sample point", "non-finite sample in norm"),
-        (lambda: sup_on_disc(lambda z: 1.0 / z), "a sample point", "non-finite sample in sup estimation"),
+        (lambda: sup_on_disc(lambda z: 1.0 / z), "a sample point", "non-finite sample in norm estimation"),
         (lambda: ring_moments(_pole_at_first, disc_quadrature(8, 16), np.ones((8, 16))), "a node", "non-finite density value"),
         (lambda: quad2d(_pole_at_first, disc_quadrature(8, 16)), "a node", "non-finite integrand value"),
-        (lambda: weighted_pairing(_pole_at_first, np.conj, 2, disc_quadrature(8, 16)), "a node", "non-finite pairing integrand"),
+        (lambda: weighted_pairing(_pole_at_first, np.conj, 2, disc_quadrature(8, 16)), "a node", "non-finite integrand value"),
+        # finite values that overflow the result: 1e308 over the disc's area pi, and 1e308 times 2
+        (lambda: quad2d(_huge, disc_quadrature(8, 16)), "a node", "overflowing sum"),
+        (lambda: weighted_pairing(_huge, lambda w: np.full_like(w, 2.0), 2, disc_quadrature(8, 16)), "a node", "overflowing sum"),
+        # ring sums of 1.6e308 stay finite; the moments, 100 times one of them, do not
+        (lambda: ring_moments(lambda w: np.full_like(w, 1e307), disc_quadrature(8, 16), np.full((8, 16), 100.0)), "a node", "overflowing sum"),
+        (lambda: bergman_project(_huge, 2, 0.3, disc_quadrature(8, 16)), "a node", "overflowing sum"),
     ],
-    ids=["bn_norm_report", "sup_on_disc", "ring_moments", "quad2d", "weighted_pairing"],
+    ids=[
+        "bn_norm_report",
+        "sup_on_disc",
+        "ring_moments",
+        "quad2d",
+        "weighted_pairing",
+        "quad2d-overflow",
+        "weighted_pairing-overflow",
+        "ring_moments-overflow",
+        "bergman_project-overflow",
+    ],
 )
 def test_each_finiteness_check_raises_a_non_finite_error_without_warnings(site, where, message):
-    # each site silences the numpy warnings of the values it checks, and names where it read them
+    # each site silences the numpy warnings of what it computes, checks its own result, and names where it read the values
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match=message) as exc:
             site()
     assert isinstance(exc.value, ValueError) and exc.value.where == where
-
-
-def test_overflowing_ring_sums_still_warn():
-    # the ring sums are returned unchecked, so their overflow stays visible
-    grid = disc_quadrature(8, 16)
-    with pytest.warns(RuntimeWarning, match="overflow"), np.errstate(invalid="ignore"):
-        ring_moments(np.full(grid.nodes.size, 1e308 + 0j), grid, np.ones((8, 16)))
 
 
 @pytest.mark.parametrize(
